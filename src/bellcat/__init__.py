@@ -7,6 +7,7 @@ from .errors import (
     CutoffError,
     DegenerateStateError,
     ImaginaryResidueError,
+    NonFiniteError,
     NormalizationError,
     QuadratureError,
     TruncationError,
@@ -33,7 +34,6 @@ from .wigner import (
     GridAxis,
     PhasePoint,
     SliceDescriptor,
-    TruncationConfig,
     WignerGrid,
     closed_form_zero_temperature,
     fock_wigner_kernels,
@@ -43,6 +43,7 @@ from .wigner import (
     wigner_point_oracle,
     wigner_values,
 )
+from .series import TruncationConfig, series_values
 from .negativity import (
     NegativityResult,
     QuadratureSpec,

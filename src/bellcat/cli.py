@@ -23,6 +23,7 @@ from . import __version__
 from .density import build_density_matrix, build_density_operator
 from .errors import BellCatError, ImaginaryResidueError
 from .negativity import QuadratureSpec, integrate_negativity, temperature_sweep
+from .series import series_values
 from .states import STATE_LABELS, BellCatSpec
 from .tfd import thermal_params
 from .wigner import (
@@ -30,7 +31,6 @@ from .wigner import (
     CHI_PRINTED,
     PhasePoint,
     SliceDescriptor,
-    TruncationConfig,
     closed_form_zero_temperature,
     wigner_grid,
     wigner_oracle_values,
@@ -67,9 +67,6 @@ class RunConfig:
     quad_nodes: int | None
     quad_half_width: float | None
     inner_density: float | None
-    caps: int | None
-    thermal_cap: int | None
-    epsilon: float
     out: str | None
 
     def spec(self) -> BellCatSpec:
@@ -78,9 +75,6 @@ class RunConfig:
     def params(self, temperature: float | None = None):
         temp = self.temp if temperature is None else temperature
         return thermal_params(temp, 2 * math.pi * self.freq1, 2 * math.pi * self.freq2)
-
-    def trunc(self) -> TruncationConfig:
-        return TruncationConfig(cat_cap=self.caps, thermal_cap=self.thermal_cap, epsilon=self.epsilon)
 
     def quad(self) -> QuadratureSpec:
         return QuadratureSpec(nodes=self.quad_nodes, half_width=self.quad_half_width,
@@ -103,15 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--temp", type=float, default=None, help="temperature in kelvin, default 0.01")
         p.add_argument("--freq1", type=float, default=None, help="mode-1 frequency in Hz (default 5.5e9)")
         p.add_argument("--freq2", type=float, default=None, help="mode-2 frequency in Hz (default freq1)")
-        p.add_argument("--caps", type=int, default=None, help="coherent-branch series cap (default: policy)")
-        p.add_argument("--thermal-cap", type=int, default=None, help="thermal series cap (default: policy)")
-        p.add_argument("--epsilon", type=float, default=1e-10, help="series tail tolerance")
         p.add_argument("--preset", choices=sorted(_PRESETS), default=None,
                        help="load a published parameter set; explicit flags still win")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p_validate = sub.add_parser("validate", help="run the oracle cross-validation suite")
-    p_validate.add_argument("--quick", action="store_true", help="smaller battery (seconds instead of ~2 min)")
+    p_validate.add_argument("--quick", action="store_true", help="smaller battery (~3 s instead of ~9 s)")
 
     p_wigner = sub.add_parser("wigner", help="evaluate a 2D slice of the Wigner function to CSV")
     add_common(p_wigner)
@@ -176,9 +167,6 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         quad_nodes=getattr(args, "quad_nodes", None),
         quad_half_width=getattr(args, "quad_half_width", None),
         inner_density=getattr(args, "inner_density", None),
-        caps=args.caps,
-        thermal_cap=args.thermal_cap,
-        epsilon=args.epsilon,
         out=args.out,
     )
 
@@ -201,9 +189,9 @@ def cmd_wigner(cfg: RunConfig) -> int:
     params = cfg.params()
     fixed = {name: cfg.fixed[name] for name in ("x1", "y1", "x2", "y2") if name not in cfg.slice_axes}
     slice_ = SliceDescriptor.centered(cfg.slice_axes, cfg.half_width, cfg.grid_count, fixed)
-    grid = wigner_grid(spec, params, slice_, trunc=cfg.trunc())
+    grid = wigner_grid(spec, params, slice_)
 
-    lines = ["# bellcat-wigner v1",
+    lines = ["# bellcat-wigner v2",
              f"# state = {cfg.state}",
              f"# alpha_re = {_fmt(cfg.alpha_re)}",
              f"# alpha_im = {_fmt(cfg.alpha_im)}",
@@ -213,9 +201,6 @@ def cmd_wigner(cfg: RunConfig) -> int:
              f"# slice = {cfg.slice_axes[0]},{cfg.slice_axes[1]}",
              f"# half_width = {_fmt(cfg.half_width)}",
              f"# grid_count = {cfg.grid_count}",
-             f"# cat_cap = {grid.trunc.cat_cap}",
-             f"# thermal_cap = {grid.trunc.thermal_cap}",
-             f"# epsilon = {grid.trunc.epsilon:g}",
              "x1,y1,x2,y2,w"]
     for x1, y1, x2, y2, w in grid.iter_rows():
         lines.append(",".join(_fmt(v) for v in (x1, y1, x2, y2, w)))
@@ -225,7 +210,7 @@ def cmd_wigner(cfg: RunConfig) -> int:
 
 def cmd_negativity(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
-    result = integrate_negativity(cfg.spec(), cfg.params(), quad=cfg.quad(), trunc=cfg.trunc())
+    result = integrate_negativity(cfg.spec(), cfg.params(), quad=cfg.quad())
     payload = {
         "state": cfg.state,
         "alpha_re": cfg.alpha_re,
@@ -240,8 +225,6 @@ def cmd_negativity(cfg: RunConfig) -> int:
         "norm_check": result.norm_check,
         "quad": {"nodes": result.nodes, "half_width": result.half_width,
                  "inner_nodes": result.inner_nodes},
-        "trunc": {"caps": {"cat": result.cat_cap, "thermal": result.thermal_cap},
-                  "epsilon": result.epsilon},
         "runtime_s": round(time.perf_counter() - t0, 3),
     }
     _write(cfg.out, json.dumps(payload, indent=2) + "\n")
@@ -259,7 +242,7 @@ def cmd_sweep(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
     else:
         temps = list(np.linspace(cfg.temp_min, cfg.temp_max, count))
     entries = temperature_sweep(cfg.spec(), temps, 2 * math.pi * cfg.freq1, 2 * math.pi * cfg.freq2,
-                                quad=cfg.quad(), trunc=cfg.trunc())
+                                quad=cfg.quad())
     lines = ["temperature_k,delta,nu,i_plus,i_minus,norm_check"]
     failed = False
     for entry in entries:
@@ -304,8 +287,9 @@ def _run_checks(quick: bool) -> list[tuple[str, bool, str]]:
                 worst = max(worst, float(np.max(np.abs(op.matrix - di.matrix))))
     record("density element formula vs operator product", worst < 1e-10, f"max |diff| = {worst:.2e}")
 
-    # Wigner series vs Fock-kernel oracle
-    worst = 0.0
+    # three routes at the same points: Gaussian (production), series, Fock-kernel oracle
+    worst = {"Gaussian vs Fock-kernel oracle": 0.0, "Laguerre series vs Fock-kernel oracle": 0.0,
+             "Gaussian vs Laguerre series": 0.0}
     configs = [(1.0, 0.0)] if quick else [(1.0, 0.0), (1 + 1j, 1.0)]
     npts = 4 if quick else 8
     for label in labels:
@@ -314,10 +298,15 @@ def _run_checks(quick: bool) -> list[tuple[str, bool, str]]:
             params = thermal_params(temp, omega)
             box = math.sqrt(2.0) * abs(alpha) * max(params.u1, params.u2) + 2.0
             pts = rng.uniform(-box, box, size=(4, npts))
-            ws = wigner_values(spec, params, *pts)
+            wg = wigner_values(spec, params, *pts)
+            ws = series_values(spec, params, *pts)
             wo = wigner_oracle_values(spec, params, *pts)
-            worst = max(worst, float(np.max(np.abs(ws - wo))))
-    record("Wigner series vs Fock-kernel oracle", worst < 1e-8, f"max |diff| = {worst:.2e}")
+            for name, a, b in (("Gaussian vs Fock-kernel oracle", wg, wo),
+                               ("Laguerre series vs Fock-kernel oracle", ws, wo),
+                               ("Gaussian vs Laguerre series", wg, ws)):
+                worst[name] = max(worst[name], float(np.max(np.abs(a - b))))
+    for name, value in worst.items():
+        record(name, value < 1e-8, f"max |diff| = {value:.2e}")
 
     # parity value at the origin
     worst = 0.0
@@ -346,15 +335,15 @@ def _run_checks(quick: bool) -> list[tuple[str, bool, str]]:
     worst = float(np.max(np.abs(straight - flipped)))
     record("mode-2 flip symmetry", worst < 1e-12, f"max |diff| = {worst:.2e}")
 
-    # printed-convention diagnosis: equals the kernel form at reflected positions
-    printed = wigner_values(spec, params, *pts, chi_mode=CHI_PRINTED)
-    reflected = wigner_values(spec, params, -pts[0], pts[1], -pts[2], pts[3])
+    # series printed-convention diagnosis: equals the series' kernel form at reflected positions
+    printed = series_values(spec, params, *pts, chi_mode=CHI_PRINTED)
+    reflected = series_values(spec, params, -pts[0], pts[1], -pts[2], pts[3])
     worst = float(np.max(np.abs(printed - reflected)))
     record("printed chi/sign variant == kernel at reflected x", worst < 1e-12, f"max |diff| = {worst:.2e}")
 
-    # negative control: a broken chi convention must trip the residue guard
+    # negative control: a broken chi convention must trip the series' residue guard
     try:
-        wigner_values(spec, params, *pts[:, :10], chi_mode=CHI_BROKEN)
+        series_values(spec, params, *pts[:, :10], chi_mode=CHI_BROKEN)
         record("broken chi convention trips the residue guard", False, "no error raised")
     except ImaginaryResidueError:
         record("broken chi convention trips the residue guard", True, "ImaginaryResidueError raised")
@@ -373,7 +362,7 @@ def cmd_validate(quick: bool) -> int:
     t0 = time.perf_counter()
     checks = _run_checks(quick)
     width = max(len(name) for name, _, _ in checks)
-    print("convention: chi = x - i y for ket > bra with sign (-1)^(thermal+min); the")
+    print("series convention: chi = x - i y for ket > bra with sign (-1)^(thermal+min); the")
     print("printed variant reproduces the same function at reflected positions x -> -x.")
     print()
     for name, ok, detail in checks:

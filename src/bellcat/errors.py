@@ -25,6 +25,10 @@ class ImaginaryResidueError(BellCatError):
     """
 
 
+class NonFiniteError(BellCatError):
+    """An evaluation produced NaN or infinite values (an overflow inside a route)."""
+
+
 class QuadratureError(BellCatError):
     """A numerical integral did not converge to the requested tolerance."""
 

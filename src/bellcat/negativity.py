@@ -26,15 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BellCatError, ImaginaryResidueError, NormalizationError
+from .errors import BellCatError, ImaginaryResidueError, NonFiniteError, NormalizationError
 from .states import BellCatSpec
 from .tfd import ThermalParams, thermal_params
-from .wigner import (
-    IMAG_RESIDUE_TOL,
-    TruncationConfig,
-    effective_amplitude,
-    factorize,
-)
+from .wigner import IMAG_RESIDUE_TOL, effective_amplitude, factorize
 
 __all__ = [
     "QuadratureSpec",
@@ -106,7 +101,7 @@ def default_inner_density(spec: BellCatSpec, params: ThermalParams) -> float:
 
 @dataclass
 class NegativityResult:
-    """Negativity metrics and the quadrature/truncation metadata behind them."""
+    """Negativity metrics and the quadrature metadata behind them."""
 
     delta: float
     nu: float
@@ -116,23 +111,19 @@ class NegativityResult:
     nodes: int
     inner_nodes: int
     half_width: float
-    cat_cap: int
-    thermal_cap: int
-    epsilon: float
-    ring_bound: float
     max_imag_residue: float
     seconds: float
 
 
 def integrate_negativity(spec: BellCatSpec, params: ThermalParams,
-                         quad: QuadratureSpec | None = None,
-                         trunc: TruncationConfig | None = None) -> NegativityResult:
+                         quad: QuadratureSpec | None = None) -> NegativityResult:
     """Integrate the Wigner function over the padded box and report delta, nu.
 
     I_+ and I_- accumulate the positive and negative volumes; the norm check
     I_+ - I_- must land within 1% of 1 or a NormalizationError is raised
-    (insufficient box, nodes, or series caps).  Accumulation runs over
-    fixed-size row blocks in index order, so results are bit-reproducible.
+    (insufficient box or nodes); a block with a non-finite value raises
+    NonFiniteError.  Accumulation runs over fixed-size row blocks in index
+    order, so results are bit-reproducible.
     """
     t0 = time.perf_counter()
     quad = quad or QuadratureSpec()
@@ -155,8 +146,7 @@ def integrate_negativity(spec: BellCatSpec, params: ThermalParams,
     g2x, g2y = np.meshgrid(outer, outer, indexing="ij")
     w_outer = np.multiply.outer(scaled, scaled).ravel()
 
-    fac = factorize(spec, params, (g1x.ravel(), g1y.ravel()), (g2x.ravel(), g2y.ravel()),
-                    trunc=trunc)
+    fac = factorize(spec, params, (g1x.ravel(), g1y.ravel()), (g2x.ravel(), g2y.ravel()))
     n1 = g1x.size
     n2 = g2x.size
     col_plus = np.zeros(n2)
@@ -166,13 +156,18 @@ def integrate_negativity(spec: BellCatSpec, params: ThermalParams,
         rows = slice(lo, min(lo + _ROW_CHUNK, n1))
         w_re, w_im = fac.combine_block(rows)
         block_resid = float(np.max(np.abs(w_im)))
+        plus = np.sum(np.maximum(w_re, 0.0), axis=0)
+        minus = np.sum(np.maximum(-w_re, 0.0), axis=0)
+        # NaN and inf propagate into the column sums (np.maximum keeps NaN)
+        if not (math.isfinite(block_resid) and np.all(np.isfinite(plus)) and np.all(np.isfinite(minus))):
+            raise NonFiniteError(f"negativity integrand has non-finite values in rows {lo}..{rows.stop - 1}")
         if block_resid > IMAG_RESIDUE_TOL:
             # pointwise bound |im| <= tol (1 + |re|)
             if np.any(np.abs(w_im) > IMAG_RESIDUE_TOL * (1.0 + np.abs(w_re))):
                 raise ImaginaryResidueError("negativity integrand lost its Hermitian pairing")
         max_resid = max(max_resid, block_resid)
-        col_plus += np.sum(np.maximum(w_re, 0.0), axis=0) * w_inner
-        col_minus += np.sum(np.maximum(-w_re, 0.0), axis=0) * w_inner
+        col_plus += plus * w_inner
+        col_minus += minus * w_inner
 
     i_plus = float(col_plus @ w_outer)
     i_minus = float(col_minus @ w_outer)
@@ -181,8 +176,7 @@ def integrate_negativity(spec: BellCatSpec, params: ThermalParams,
     if abs(norm_check - 1.0) > 0.01:
         raise NormalizationError(
             f"I+ - I- = {norm_check:.6f} deviates from 1 by more than 1%: "
-            f"nodes={nodes}, inner={inner_nodes}, half_width={half_width:.3f}, "
-            f"caps={fac.trunc.cat_cap}/{fac.trunc.thermal_cap}"
+            f"nodes={nodes}, inner={inner_nodes}, half_width={half_width:.3f}"
         )
     delta = 2.0 * i_minus / norm_check
     nu = 2.0 * i_minus / (i_plus + i_minus)
@@ -195,10 +189,6 @@ def integrate_negativity(spec: BellCatSpec, params: ThermalParams,
         nodes=nodes,
         inner_nodes=inner_nodes,
         half_width=half_width,
-        cat_cap=fac.trunc.cat_cap,
-        thermal_cap=fac.trunc.thermal_cap,
-        epsilon=fac.trunc.epsilon,
-        ring_bound=fac.ring_bound,
         max_imag_residue=max_resid,
         seconds=time.perf_counter() - t0,
     )
@@ -216,8 +206,7 @@ class SweepEntry:
 
 
 def temperature_sweep(spec: BellCatSpec, temperatures, omega1: float, omega2: float | None = None,
-                      quad: QuadratureSpec | None = None,
-                      trunc: TruncationConfig | None = None) -> list[SweepEntry]:
+                      quad: QuadratureSpec | None = None) -> list[SweepEntry]:
     """One independent negativity integration per temperature (ascending order required).
 
     Failures are attached to their entries and the sweep continues.
@@ -232,7 +221,7 @@ def temperature_sweep(spec: BellCatSpec, temperatures, omega1: float, omega2: fl
         entry = SweepEntry(temperature=T)
         try:
             params = thermal_params(T, omega1, omega2)
-            entry.result = integrate_negativity(spec, params, quad=quad, trunc=trunc)
+            entry.result = integrate_negativity(spec, params, quad=quad)
         except BellCatError as exc:
             entry.error = f"{type(exc).__name__}: {exc}"
         entries.append(entry)

@@ -1,38 +1,47 @@
 """Thermal Wigner function of the Bell-Cat states.
 
-Two evaluation routes:
+Production route: the closed Gaussian form (notes/decisions.md, section 2).
+The dressing operator splits into two coherent branches,
+f = C [E(g1) E(g2) + sigma E(-g1) E(-g2)] with E(g) = exp(g a^dag),
+g1 = alpha/u1, g2 = k alpha/u2 and C^2 = e^{-2|alpha|^2} / (2 (1 + sigma e^{-4|alpha|^2})),
+so rho = f rho_beta f^dag is a sum of four product terms (s, t = +-1).  Each
+per-mode block E(s g) rho_beta E(t g)^dag is a Gaussian integral over the
+Glauber-Sudarshan P-function of the Gibbs state (Cahill & Glauber,
+Phys. Rev. 177, 1882 (1969)), whose Wigner function W_B(z; s g, t g) is
+closed-form: O(1) per point at any temperature.  With n the mode's thermal
+occupation, D = 1 + 2n, u = sqrt(1 + n), w = sqrt2 u gamma (the thermal lobe;
+gamma = alpha for mode 1, k alpha for mode 2) and z = x + i y,
 
-* Production: the closed-form series over the six summation indices of the
-  thermal density elements.  The parity brackets split the sum into four sign
-  branches (s, t), under which it factorizes per mode; for each mode the
-  thermal excitation sum is contracted with the band coefficients *before*
-  any phase-space point is touched, leaving a dense (order, degree) x
-  (degree, point) contraction against an envelope-scaled Laguerre table.
-  The Gaussian envelope is absorbed into the Laguerre recurrence, so no
-  intermediate can overflow.
+    W_B(z; s g, t g) = e^{|alpha|^2} m_st(z) / (pi D),
+    m_++(z) = exp(-|z - w|^2 / D),
+    m_--(z) = exp(-|z + w|^2 / D),
+    m_+-(z) = exp((-|z|^2 - 2 n |alpha|^2 + 2 i Im(w zbar)) / D) = conj(m_-+(z)).
 
-* Oracle: per-mode Fock kernels K(j, l; x, y) obtained by direct numerical
-  integration of the Wigner transform with Hermite-function position
-  wavefunctions, contracted against the operator-route density blocks.  The
-  oracle never sees a Laguerre polynomial or a sign convention, so it
-  arbitrates them.
+The tables m_st hold half of C^2's e^{-2|alpha|^2} each, folded into the
+exponent before `exp`, which leaves every exponent <= 0: no table entry
+overflows at any |alpha| or temperature, and the prefactor that remains is
+1 / (2 pi^2 D1 D2 (1 + sigma e^{-4|alpha|^2})).
+
+Reference routes (tests and `bellcat validate` use them; production does not):
+
+* the paper's Laguerre series, `bellcat.series`;
+* the Fock-kernel oracle below: per-mode Fock kernels K(j, l; x, y) obtained
+  by direct numerical integration of the Wigner transform with
+  Hermite-function position wavefunctions, contracted against the
+  operator-route density blocks.  The oracle never sees a Laguerre
+  polynomial or a sign convention, so it arbitrates them.
 
 Dimensionless coordinates throughout: x = q/b, y = p b/hbar with
 b^2 = hbar/(m omega); the reported function is hbar^2 W, normalized so its
 4D phase-space integral is 1.
 
-Convention note: the series' chi factors follow the kernel actually produced
-by the Wigner transform, chi = x - i y when the ket index exceeds the bra
-index (and the sign factor (-1)^{thermal + min(ket, bra)}).  Evaluating with
-`chi_mode="printed"` instead reproduces the variant that equals the kernel
-form at spatially reflected points (x_i -> -x_i); `chi_mode="always-plus"` is
-a deliberately broken convention kept as a negative control: it destroys the
-Hermitian pairing of the terms and trips the imaginary-residue guard.
+`chi_mode` selects one of the series' conventions (see `bellcat.series`);
+the Gaussian form is the kernel convention, so any other value routes an
+evaluation to the series.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import time
 from dataclasses import dataclass, field
@@ -40,8 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import effective_amplitude, mode_thermal_blocks
-from .errors import ImaginaryResidueError, QuadratureError, TruncationError
-from .special_fn import laguerre_envelope_table, log_factorial_table
+from .errors import ImaginaryResidueError, NonFiniteError, QuadratureError
 from .states import BellCatSpec
 from .tfd import ThermalParams
 
@@ -50,12 +58,10 @@ __all__ = [
     "CHI_PRINTED",
     "CHI_BROKEN",
     "PhasePoint",
-    "TruncationConfig",
     "GridAxis",
     "SliceDescriptor",
     "WignerGrid",
     "default_cat_cap",
-    "default_thermal_cap",
     "effective_amplitude",
     "wigner_point",
     "wigner_values",
@@ -73,9 +79,7 @@ __all__ = [
 CHI_KERNEL = "kernel"
 CHI_PRINTED = "printed"
 CHI_BROKEN = "always-plus"
-_CHI_MODES = (CHI_KERNEL, CHI_PRINTED, CHI_BROKEN)
 
-HARD_THERMAL_CAP = 2000
 IMAG_RESIDUE_TOL = 1e-9
 _COORDS = ("x1", "y1", "x2", "y2")
 _MODE_OF = {"x1": 1, "y1": 1, "x2": 2, "y2": 2}
@@ -97,54 +101,13 @@ class PhasePoint:
 
 
 def default_cat_cap(spec: BellCatSpec, params: ThermalParams) -> int:
-    """Series cap for the four coherent-branch indices: ceil(a^2 + 8a + 10) at a = |alpha| u."""
+    """Fock reach of the coherent branches: ceil(a^2 + 8a + 10) at a = |alpha| u.
+
+    The series caps its four coherent-branch indices here, and the oracle
+    sizes its Fock cutoff from it.
+    """
     a = effective_amplitude(spec, params)
     return math.ceil(a * a + 8.0 * a + 10.0)
-
-
-def default_thermal_cap(params: ThermalParams, epsilon: float) -> int:
-    """Thermal index cap with geometric tail <= epsilon: ceil(ln(1/(eps(1-q)))/(beta hbar omega))."""
-    if params.is_zero_temperature:
-        return 1
-    cap = 1
-    for mode in (1, 2):
-        q = params.exp_factor(mode)
-        if q == 0.0:
-            continue  # Gibbs factor underflowed: the mode is effectively frozen
-        need = math.ceil(math.log(1.0 / (epsilon * params.one_minus_exp_factor(mode))) / -math.log(q))
-        cap = max(cap, need)
-    if cap > HARD_THERMAL_CAP:
-        raise TruncationError(
-            f"thermal tail needs {cap} levels to reach {epsilon:g}, beyond the hard cap {HARD_THERMAL_CAP}"
-        )
-    return cap
-
-
-@dataclass(frozen=True)
-class TruncationConfig:
-    """Per-index series cutoffs and tail tolerance.
-
-    Caps left as None are resolved from the state and thermal parameters at
-    evaluation time (cat_cap from the thermally amplified amplitude, thermal
-    cap from the Gibbs tail at `epsilon`).
-    """
-
-    cat_cap: int | None = None
-    thermal_cap: int | None = None
-    epsilon: float = 1e-10
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon <= 1e-3):
-            raise ValueError("epsilon must lie in (0, 1e-3]")
-        for name in ("cat_cap", "thermal_cap"):
-            cap = getattr(self, name)
-            if cap is not None and cap < 1:
-                raise ValueError(f"{name} must be >= 1")
-
-    def resolve(self, spec: BellCatSpec, params: ThermalParams) -> "TruncationConfig":
-        cat = self.cat_cap if self.cat_cap is not None else default_cat_cap(spec, params)
-        thermal = self.thermal_cap if self.thermal_cap is not None else default_thermal_cap(params, self.epsilon)
-        return TruncationConfig(cat_cap=cat, thermal_cap=thermal, epsilon=self.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -152,139 +115,25 @@ class TruncationConfig:
 # ---------------------------------------------------------------------------
 
 
-def _mode_h_tables(gamma: complex, q: float, one_minus_q: float, cat_cap: int, thermal_cap: int):
-    """Point-independent contraction tables for one mode.
+def _mode_tables(gamma: complex, q: float, one_minus_q: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The branch tables m_st of one mode (module docstring), st = (+,+), (+,-), (-,+), (-,-).
 
-    Returns (h_ket, h_bra, ring_ket, ring_bra): h_ket[st, d, N] multiplies
-    chi_ket^d L^d_N and h_bra the conjugate-direction powers; the ring tables
-    are the same contraction restricted to the outermost coherent band
-    (max(ket, bra) index == cat_cap), whose signed contribution serves as the
-    truncation-tail estimate.
+    Shape (4, P); D = (1 + q)/(1 - q) and u = 1/sqrt(1 - q).
     """
-    lf = log_factorial_table(cat_cap + thermal_cap)
-    n = np.arange(cat_cap + 1)
-
-    log_scale = math.log(abs(gamma)) + 0.5 * math.log(one_minus_q)
-    log_mag = log_scale * (n[:, None] + n[None, :]) - lf[: cat_cap + 1][:, None] - lf[: cat_cap + 1][None, :]
-    phi = cmath.phase(gamma)
-    base = np.exp(log_mag) * np.exp(1j * phi * (n[:, None] - n[None, :]))
-
-    # thermal weights (-1)^{j0+n1} q^{n1} (n1+j0)!/n1! laid out per j0
-    n1 = np.arange(thermal_cap + 1)
-    if q > 0.0:
-        log_t = n1[None, :] * math.log(q) + lf[n[:, None] + n1[None, :]] - lf[n1][None, :]
-        therm = np.exp(log_t)
-    else:
-        therm = np.zeros((cat_cap + 1, thermal_cap + 1))
-        therm[:, 0] = np.exp(lf[: cat_cap + 1])
-    therm *= np.where((n[:, None] + n1[None, :]) % 2 == 0, 1.0, -1.0)
-
-    nmax = cat_cap + thermal_cap
-    h_ket = np.zeros((4, cat_cap + 1, nmax + 1), dtype=complex)
-    h_bra = np.zeros((4, cat_cap + 1, nmax + 1), dtype=complex)
-    ring_ket = np.zeros((4, cat_cap + 1, nmax + 1), dtype=complex)
-    ring_bra = np.zeros((4, cat_cap + 1, nmax + 1), dtype=complex)
-
-    sign = np.where(n % 2 == 0, 1.0, -1.0)
-    signed = [base,
-              base * sign[None, :],
-              base * sign[:, None],
-              base * sign[:, None] * sign[None, :]]   # st = (0,0), (0,1), (1,0), (1,1)
-
-    for j0 in range(cat_cap + 1):
-        cols = slice(j0, j0 + thermal_cap + 1)
-        t_row = therm[j0]
-        d_ring = cat_cap - j0
-        for st in range(4):
-            cs = signed[st]
-            h_ket[st, : cat_cap + 1 - j0, cols] += cs[j0:, j0][:, None] * t_row[None, :]
-            ring_ket[st, d_ring, cols] += cs[cat_cap, j0] * t_row
-            if j0 + 1 <= cat_cap:
-                h_bra[st, 1 : cat_cap + 1 - j0, cols] += cs[j0, j0 + 1 :][:, None] * t_row[None, :]
-            if d_ring >= 1:
-                ring_bra[st, d_ring, cols] += cs[j0, cat_cap] * t_row
-    return h_ket, h_bra, ring_ket, ring_bra
-
-
-def _chi_bases(x: np.ndarray, y: np.ndarray, chi_mode: str) -> tuple[np.ndarray, np.ndarray]:
-    root2 = math.sqrt(2.0)
-    minus = root2 * (x - 1j * y)
-    plus = root2 * (x + 1j * y)
-    if chi_mode == CHI_KERNEL:
-        return minus, plus
-    if chi_mode == CHI_PRINTED:
-        return -plus, -minus
-    if chi_mode == CHI_BROKEN:
-        return plus, plus
-    raise ValueError(f"unknown chi_mode {chi_mode!r}; expected one of {_CHI_MODES}")
-
-
-def _powers(base: np.ndarray, dmax: int) -> np.ndarray:
-    out = np.empty((dmax + 1,) + base.shape, dtype=complex)
-    out[0] = 1.0
-    for d in range(1, dmax + 1):
-        out[d] = out[d - 1] * base
-    return out
-
-
-def _mode_factors(gamma: complex, q: float, one_minus_q: float, trunc: TruncationConfig,
-                  x: np.ndarray, y: np.ndarray, chi_mode: str):
-    """Envelope-absorbed factor sums M[st, p] for one mode, plus the ring estimate.
-
-    The ring estimate is the magnitude of the outermost coherent band's signed
-    contribution, sampled on a strided subset of the points; it is the
-    standard last-retained-term proxy for the series tail.
-    """
-    cat_cap, thermal_cap = trunc.cat_cap, trunc.thermal_cap
-    h_ket, h_bra, ring_ket, ring_bra = _mode_h_tables(gamma, q, one_minus_q, cat_cap, thermal_cap)
-    # one batched real GEMM per chunk: the re/im planes of both tables stack
-    # into (D+1, 16, N+1) against the Laguerre block (D+1, N+1, p)
-    def stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(
-            np.concatenate([a.real, a.imag, b.real, b.imag], axis=0).transpose(1, 0, 2))
-
-    stacked_main = stack(h_ket, h_bra)
-    stacked_ring = stack(ring_ket, ring_bra)
-    npts = x.size
-    m = np.empty((4, npts), dtype=complex)
-    ring_max = 0.0
-
-    def unpack(flat: np.ndarray, base: int) -> np.ndarray:
-        return (flat[:, base : base + 4] + 1j * flat[:, base + 4 : base + 8]).transpose(1, 0, 2)
-
-    # chunk so the Laguerre table stays ~200 MB
-    nmax = cat_cap + thermal_cap
-    chunk = max(32, int(2.5e7 / ((cat_cap + 1) * (nmax + 1))))
-    for lo in range(0, npts, chunk):
-        sl = slice(lo, min(lo + chunk, npts))
-        xs, ys = x[sl], y[sl]
-        w = 2.0 * (xs * xs + ys * ys)
-        lag = laguerre_envelope_table(nmax, cat_cap, w)      # (d, N, p), includes e^{-w/2}
-        ket_base, bra_base = _chi_bases(xs, ys, chi_mode)
-        pow_ket = _powers(ket_base, cat_cap)
-        pow_bra = _powers(bra_base, cat_cap)
-        flat = np.matmul(stacked_main, lag)                  # (D+1, 16, p)
-        m[:, sl] = (np.einsum("sdp,dp->sp", unpack(flat, 0), pow_ket)
-                    + np.einsum("sdp,dp->sp", unpack(flat, 8), pow_bra))
-        # tail proxy on a strided subsample of the chunk
-        sub = slice(0, xs.size, max(1, xs.size // 32))
-        flat_ring = np.matmul(stacked_ring, lag[:, :, sub])
-        ring = (np.einsum("sdp,dp->sp", unpack(flat_ring, 0), pow_ket[:, sub])
-                + np.einsum("sdp,dp->sp", unpack(flat_ring, 8), pow_bra[:, sub]))
-        ring_max = max(ring_max, float(np.max(np.abs(ring), initial=0.0)))
-    return m, ring_max
-
-
-def _prefactor(spec: BellCatSpec, params: ThermalParams) -> float:
-    a2 = abs(spec.alpha) ** 2
-    log_denominator = 2.0 * a2 + math.log1p(spec.sigma * math.exp(-4.0 * a2))
-    return (params.one_minus_exp1 * params.one_minus_exp2
-            * math.exp(-log_denominator) / (2.0 * math.pi**2))
+    n = q / one_minus_q
+    d = 1.0 + 2.0 * n
+    w = math.sqrt(2.0) * gamma / math.sqrt(one_minus_q)
+    m = np.empty((4, x.size), dtype=complex)
+    m[0] = np.exp(-((x - w.real) ** 2 + (y - w.imag) ** 2) / d)
+    m[3] = np.exp(-((x + w.real) ** 2 + (y + w.imag) ** 2) / d)
+    m[1] = np.exp((-(x * x + y * y) - 2.0 * n * abs(gamma) ** 2 + 2j * (w.imag * x - w.real * y)) / d)
+    m[2] = np.conj(m[1])
+    return m
 
 
 @dataclass
 class ModeFactorization:
-    """Per-mode factor tables of the Wigner series on a product point set.
+    """Per-mode factor tables of the Wigner function on a product point set.
 
     The Wigner values on {mode-1 points} x {mode-2 points} are
     prefactor * [(M1[0] M2[0] + M1[3] M2[3]) + sigma (M1[1] M2[1] + M1[2] M2[2])]
@@ -296,9 +145,6 @@ class ModeFactorization:
     sigma: int
     m1: np.ndarray = field(repr=False)   # (4, P1) complex
     m2: np.ndarray = field(repr=False)   # (4, P2) complex
-    ring_bound: float                    # absolute tail bound from the outermost bands
-    epsilon: float
-    trunc: TruncationConfig
 
     def combine_block(self, rows: slice | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(real, imag) parts of the W block over (mode-1 rows) x (all mode-2 points)."""
@@ -327,37 +173,25 @@ class ModeFactorization:
 
 def factorize(spec: BellCatSpec, params: ThermalParams,
               mode1_points: tuple[np.ndarray, np.ndarray],
-              mode2_points: tuple[np.ndarray, np.ndarray],
-              trunc: TruncationConfig | None = None,
-              chi_mode: str = CHI_KERNEL) -> ModeFactorization:
-    """Build the per-mode factor tables of the thermal Wigner series."""
-    trunc = (trunc or TruncationConfig()).resolve(spec, params)
+              mode2_points: tuple[np.ndarray, np.ndarray]) -> ModeFactorization:
+    """Build the per-mode branch tables of the closed Gaussian form."""
     x1, y1 = (np.asarray(v, dtype=float) for v in mode1_points)
     x2, y2 = (np.asarray(v, dtype=float) for v in mode2_points)
-    m1, ring1 = _mode_factors(spec.alpha, params.exp1, params.one_minus_exp1, trunc, x1, y1, chi_mode)
-    gamma2 = spec.k * spec.alpha
-    m2, ring2 = _mode_factors(gamma2, params.exp2, params.one_minus_exp2, trunc, x2, y2, chi_mode)
-    pref = _prefactor(spec, params)
-    scale1 = float(np.max(np.sum(np.abs(m1), axis=0))) if m1.size else 0.0
-    scale2 = float(np.max(np.sum(np.abs(m2), axis=0))) if m2.size else 0.0
-    ring_bound = pref * (ring1 * scale2 + scale1 * ring2)
-    fac = ModeFactorization(prefactor=pref, sigma=spec.sigma, m1=m1, m2=m2,
-                            ring_bound=ring_bound, epsilon=trunc.epsilon, trunc=trunc)
-    _check_tail(fac)
-    return fac
-
-
-def _check_tail(fac: ModeFactorization) -> None:
-    # the ring tables hold absolute values of every outermost-band term, so
-    # this is a conservative overestimate of the mass the caps left out
-    if fac.ring_bound > 100.0 * fac.epsilon:
-        raise TruncationError(
-            f"outermost-band bound {fac.ring_bound:.3e} exceeds the tail tolerance "
-            f"{fac.epsilon:g} (caps {fac.trunc.cat_cap}/{fac.trunc.thermal_cap})"
-        )
+    m1 = _mode_tables(spec.alpha, params.exp1, params.one_minus_exp1, x1, y1)
+    m2 = _mode_tables(spec.k * spec.alpha, params.exp2, params.one_minus_exp2, x2, y2)
+    d1 = (1.0 + params.exp1) / params.one_minus_exp1
+    d2 = (1.0 + params.exp2) / params.one_minus_exp2
+    # 1 + sigma e^{-4|alpha|^2}, without cancellation when sigma = -1 and |alpha| is small
+    a2 = abs(spec.alpha) ** 2
+    overlap = 1.0 + math.exp(-4.0 * a2) if spec.sigma > 0 else -math.expm1(-4.0 * a2)
+    pref = 1.0 / (2.0 * math.pi**2 * d1 * d2 * overlap)
+    return ModeFactorization(prefactor=pref, sigma=spec.sigma, m1=m1, m2=m2)
 
 
 def _to_real(values: np.ndarray, context: str) -> tuple[np.ndarray, float]:
+    if not np.all(np.isfinite(values)):
+        bad = int(np.count_nonzero(~np.isfinite(values)))
+        raise NonFiniteError(f"{context}: {bad} of {values.size} values are not finite")
     max_resid = float(np.max(np.abs(values.imag), initial=0.0))
     if max_resid > IMAG_RESIDUE_TOL:
         # the global bound failed; apply the pointwise |im| <= tol (1 + |re|)
@@ -374,24 +208,27 @@ def _to_real(values: np.ndarray, context: str) -> tuple[np.ndarray, float]:
 
 def wigner_values(spec: BellCatSpec, params: ThermalParams,
                   x1, y1, x2, y2,
-                  trunc: TruncationConfig | None = None,
                   chi_mode: str = CHI_KERNEL) -> np.ndarray:
-    """Dimensionless thermal Wigner function at paired coordinate arrays."""
+    """Dimensionless thermal Wigner function at paired coordinate arrays.
+
+    Any `chi_mode` other than the kernel convention is a series diagnostic
+    and is evaluated by `bellcat.series.series_values` at its default caps.
+    """
+    if chi_mode != CHI_KERNEL:
+        from .series import series_values
+
+        return series_values(spec, params, x1, y1, x2, y2, chi_mode=chi_mode)
     arrays = [np.atleast_1d(np.asarray(v, dtype=float)) for v in (x1, y1, x2, y2)]
     if len({a.shape for a in arrays}) != 1:
         raise ValueError("coordinate arrays must share one shape")
-    fac = factorize(spec, params, (arrays[0], arrays[1]), (arrays[2], arrays[3]),
-                    trunc=trunc, chi_mode=chi_mode)
+    fac = factorize(spec, params, (arrays[0], arrays[1]), (arrays[2], arrays[3]))
     values, _ = _to_real(fac.combine_paired(), "wigner_values")
     return values
 
 
-def wigner_point(spec: BellCatSpec, params: ThermalParams, pt: PhasePoint,
-                 trunc: TruncationConfig | None = None,
-                 chi_mode: str = CHI_KERNEL) -> float:
-    """W at a single phase-space point via the closed-form series."""
-    return float(wigner_values(spec, params, pt.x1, pt.y1, pt.x2, pt.y2,
-                               trunc=trunc, chi_mode=chi_mode)[0])
+def wigner_point(spec: BellCatSpec, params: ThermalParams, pt: PhasePoint) -> float:
+    """W at a single phase-space point."""
+    return float(wigner_values(spec, params, pt.x1, pt.y1, pt.x2, pt.y2)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +291,6 @@ class WignerGrid:
     values: np.ndarray = field(repr=False)
     spec: BellCatSpec
     params: ThermalParams
-    trunc: TruncationConfig
     stats: dict
 
     def axis_values(self, index: int) -> np.ndarray:
@@ -473,9 +309,7 @@ class WignerGrid:
                        float(self.values[i, j]))
 
 
-def wigner_grid(spec: BellCatSpec, params: ThermalParams, slice_: SliceDescriptor,
-                trunc: TruncationConfig | None = None,
-                chi_mode: str = CHI_KERNEL) -> WignerGrid:
+def wigner_grid(spec: BellCatSpec, params: ThermalParams, slice_: SliceDescriptor) -> WignerGrid:
     """Evaluate the Wigner function over a 2D slice via the factorized contraction.
 
     The mode tables are built once per distinct per-mode point set, so a slice
@@ -495,7 +329,7 @@ def wigner_grid(spec: BellCatSpec, params: ThermalParams, slice_: SliceDescripto
     if mode0 != mode1_:
         # axes split across the modes: outer product of two 1D tables
         pts = {mode0: _axis_points(a0.name, v0, fixed), mode1_: _axis_points(a1.name, v1, fixed)}
-        fac = factorize(spec, params, pts[1], pts[2], trunc=trunc, chi_mode=chi_mode)
+        fac = factorize(spec, params, pts[1], pts[2])
         w_complex = fac.combine() if mode0 == 1 else fac.combine().T
     else:
         # both axes live in one mode: that mode gets the full 2D point set
@@ -508,23 +342,19 @@ def wigner_grid(spec: BellCatSpec, params: ThermalParams, slice_: SliceDescripto
         ox, oy = fixed_pair(other_mode)
         single = (np.array([ox]), np.array([oy]))
         if mode0 == 1:
-            fac = factorize(spec, params, varying, single, trunc=trunc, chi_mode=chi_mode)
+            fac = factorize(spec, params, varying, single)
             w_complex = fac.combine()[:, 0].reshape(v0.size, v1.size)
         else:
-            fac = factorize(spec, params, single, varying, trunc=trunc, chi_mode=chi_mode)
+            fac = factorize(spec, params, single, varying)
             w_complex = fac.combine()[0, :].reshape(v0.size, v1.size)
 
     values, max_resid = _to_real(w_complex, "wigner_grid")
     stats = {
         "max_imag_residue": max_resid,
-        "ring_bound": fac.ring_bound,
         "n_points": int(values.size),
-        "cat_cap": fac.trunc.cat_cap,
-        "thermal_cap": fac.trunc.thermal_cap,
         "seconds": time.perf_counter() - t0,
     }
-    return WignerGrid(slice_=slice_, values=values, spec=spec, params=params,
-                      trunc=fac.trunc, stats=stats)
+    return WignerGrid(slice_=slice_, values=values, spec=spec, params=params, stats=stats)
 
 
 def _axis_points(name: str, values: np.ndarray, fixed: dict[str, float]):

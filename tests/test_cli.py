@@ -7,7 +7,7 @@ import pytest
 from bellcat.cli import main
 from bellcat.negativity import integrate_negativity
 from bellcat.states import BellCatSpec
-from bellcat.tfd import thermal_params
+from bellcat.tfd import HBAR, KB, thermal_params
 
 FAST_WIGNER = ["wigner", "--grid-count", "9", "--half-width", "4.0"]
 FAST_QUAD = ["--quad-nodes", "32", "--quad-half-width", "8.5", "--inner-density", "5.0"]
@@ -17,12 +17,39 @@ def read(path):
     return path.read_text(encoding="utf-8")
 
 
+def gaussian_w(label, alpha, temp, x1, y1, x2, y2, freq=5.5e9):
+    """W from the P-representation form of notes/decisions.md section 2, term by term.
+
+    W = C^2 sum_{s,t} sigma^{[s<0]+[t<0]} W_B1(z1; s g1, t g1) W_B2(z2; s g2, t g2).
+    Fine for moderate |alpha|; no log-space fold.
+    """
+    spec = BellCatSpec.from_label(label, alpha)
+    n = 1.0 / math.expm1(HBAR * 2 * math.pi * freq / (KB * temp)) if temp > 0 else 0.0
+    c2 = math.exp(-2 * abs(alpha) ** 2) / (2 * (1 + spec.sigma * math.exp(-4 * abs(alpha) ** 2)))
+    r2 = math.sqrt(2.0)
+
+    def block(z, g, gp):
+        zc = np.conj(z)
+        expo = (-np.abs(z) ** 2 + r2 * g * zc + r2 * np.conj(gp) * z - g * np.conj(gp)
+                + (r2 * zc - np.conj(gp)) * (r2 * z - g) * n / (1 + 2 * n))
+        return np.exp(expo) / (math.pi * (1 + 2 * n))
+
+    z1, z2 = np.asarray(x1) + 1j * np.asarray(y1), np.asarray(x2) + 1j * np.asarray(y2)
+    g1, g2 = alpha / math.sqrt(1 + n), spec.k * alpha / math.sqrt(1 + n)
+    total = 0
+    for s in (1, -1):
+        for t in (1, -1):
+            weight = spec.sigma ** ((s < 0) + (t < 0))
+            total = total + weight * block(z1, s * g1, t * g1) * block(z2, s * g2, t * g2)
+    return (c2 * total).real
+
+
 class TestWignerCommand:
     def test_header_and_columns(self, tmp_path):
         out = tmp_path / "w.csv"
         assert main(FAST_WIGNER + ["--state", "phi-minus", "--temp", "0.01", "--out", str(out)]) == 0
         lines = read(out).splitlines()
-        assert lines[0] == "# bellcat-wigner v1"
+        assert lines[0] == "# bellcat-wigner v2"
         header_end = next(i for i, line in enumerate(lines) if not line.startswith("#"))
         assert lines[header_end] == "x1,y1,x2,y2,w"
         rows = lines[header_end + 1 :]
@@ -31,6 +58,25 @@ class TestWignerCommand:
         assert len(first) == 5
         # >= 12 significant digits (17 are written, for exact round-trips)
         assert len(first[4].split("e")[0].replace("-", "").replace(".", "")) >= 12
+        keys = [line[1:].partition("=")[0].strip() for line in lines[1:header_end]]
+        assert keys == ["state", "alpha_re", "alpha_im", "temperature_k", "freq1_hz", "freq2_hz",
+                        "slice", "half_width", "grid_count"]
+
+    def test_hot_large_amplitude_slice_is_finite(self, tmp_path):
+        # the Laguerre series overflowed here and the command wrote NaN rows
+        # with exit 0; the Gaussian form has no overflow at any temperature
+        out = tmp_path / "w.csv"
+        assert main(["wigner", "--state", "psi-plus", "--alpha-re", "2", "--temp", "5",
+                     "--out", str(out)]) == 0
+        rows = np.array([[float(v) for v in line.split(",")] for line in read(out).splitlines()
+                         if not line.startswith(("#", "x1"))])
+        assert rows.shape == (61 * 61, 5)
+        assert np.all(np.isfinite(rows))
+        want = gaussian_w("psi-plus", 2.0, 5.0, *rows[:, :4].T)
+        # values of order 1e-6: compare relative to the slice's peak
+        peak = np.max(np.abs(want))
+        assert peak > 1e-6
+        assert np.max(np.abs(rows[:, 4] - want)) < 1e-12 * peak
 
     def test_negative_fringes_visible(self, tmp_path):
         out = tmp_path / "w.csv"
@@ -69,12 +115,11 @@ class TestNegativityCommand:
         payload = json.loads(read(out))
         assert list(payload) == ["state", "alpha_re", "alpha_im", "temperature_k", "freq1_hz",
                                  "freq2_hz", "delta", "nu", "i_plus", "i_minus", "norm_check",
-                                 "quad", "trunc", "runtime_s"]
+                                 "quad", "runtime_s"]
         assert payload["nu"] > 0
         assert abs(payload["norm_check"] - 1.0) < 1e-3
         assert abs(payload["nu"] - payload["delta"] / (1 + payload["delta"])) < 1e-6 * payload["nu"]
         assert payload["quad"]["nodes"] == 32
-        assert payload["trunc"]["epsilon"] == 1e-10
 
     def test_matches_library_call(self, tmp_path):
         out = tmp_path / "n.json"

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bellcat.errors import ImaginaryResidueError, TruncationError
+from bellcat.errors import BellCatError, ImaginaryResidueError, TruncationError
+from bellcat.series import TruncationConfig, series_values
 from bellcat.states import STATE_LABELS, BellCatSpec
 from bellcat.tfd import thermal_params
 from bellcat.wigner import (
@@ -12,7 +13,6 @@ from bellcat.wigner import (
     GridAxis,
     PhasePoint,
     SliceDescriptor,
-    TruncationConfig,
     closed_form_zero_temperature,
     default_cat_cap,
     fock_wigner_kernels,
@@ -80,17 +80,29 @@ class TestParityOrigin:
         w0 = wigner_point(spec, T0, PhasePoint(0, 0, 0, 0))
         assert abs(w0 - spec.sigma / math.pi**2) < 1e-12
 
+    @pytest.mark.parametrize("label", sorted(STATE_LABELS))
+    def test_large_amplitude_lobe_does_not_overflow(self, label):
+        # at |alpha| = 20 the branch exponents reach 4|alpha|^2 = 1600 and
+        # C^2 = e^{-800}/2: only the log-space fold keeps both representable.
+        # At the lobe (sqrt2 alpha, sqrt2 k alpha) one diagonal branch carries
+        # the whole value, C^2 e^{2|alpha|^2} / pi^2 = 1/(2 pi^2)
+        alpha = 20.0
+        spec = BellCatSpec.from_label(label, alpha)
+        lobe = PhasePoint(math.sqrt(2) * alpha, 0.0, math.sqrt(2) * spec.k * alpha, 0.0)
+        assert abs(wigner_point(spec, T0, lobe) - 1.0 / (2.0 * math.pi**2)) < 1e-12
+
 
 class TestZeroTemperatureClosedForm:
     @pytest.mark.parametrize("label", sorted(STATE_LABELS))
     @pytest.mark.parametrize("alpha", [1.0, 1 + 1j, 2.0])
     def test_series_matches_coherent_algebra(self, label, alpha):
+        # both the production Gaussian form and the series reference
         spec = BellCatSpec.from_label(label, alpha)
         rng = np.random.default_rng(hash((label, str(alpha))) % 2**32)
         pts = rng.uniform(-3.5, 3.5, size=(4, 40))
-        got = wigner_values(spec, T0, *pts)
         want = closed_form_zero_temperature(spec, *pts)
-        assert np.max(np.abs(got - want)) < 1e-9
+        assert np.max(np.abs(wigner_values(spec, T0, *pts) - want)) < 1e-9
+        assert np.max(np.abs(series_values(spec, T0, *pts) - want)) < 1e-9
 
     def test_lobes_and_fringe_ridge(self):
         # the coherent lobes of Phi+ sit on the diagonal x1 = x2 = +-sqrt(2) a;
@@ -156,13 +168,17 @@ class TestSymmetries:
         assert np.max(np.abs(cold - frozen)) < 1e-6
 
     def test_printed_convention_is_reflected_kernel(self):
+        # a property of the series' chi conventions, so the series sits on
+        # both sides (against the Gaussian form the two differ by ~3e-11)
         spec = BellCatSpec.from_label("psi-plus", 1 + 1j)
         params = params_for(1.0)
         rng = np.random.default_rng(13)
         pts = rng.uniform(-3, 3, size=(4, 25))
-        printed = wigner_values(spec, params, *pts, chi_mode=CHI_PRINTED)
-        reflected = wigner_values(spec, params, -pts[0], pts[1], -pts[2], pts[3])
+        printed = series_values(spec, params, *pts, chi_mode=CHI_PRINTED)
+        reflected = series_values(spec, params, -pts[0], pts[1], -pts[2], pts[3])
         assert np.max(np.abs(printed - reflected)) < 1e-12
+        # the production entry point routes the printed convention to the series
+        assert np.array_equal(wigner_values(spec, params, *pts, chi_mode=CHI_PRINTED), printed)
 
     def test_broken_chi_trips_residue_guard(self):
         spec = BellCatSpec.from_label("psi-plus", 1 + 1j)
@@ -170,7 +186,7 @@ class TestSymmetries:
         rng = np.random.default_rng(14)
         pts = rng.uniform(-2, 2, size=(4, 10))
         with pytest.raises(ImaginaryResidueError):
-            wigner_values(spec, params, *pts, chi_mode=CHI_BROKEN)
+            series_values(spec, params, *pts, chi_mode=CHI_BROKEN)
 
 
 class TestTruncationConfig:
@@ -195,7 +211,7 @@ class TestTruncationConfig:
         trunc = TruncationConfig(cat_cap=6)
         x = np.linspace(-3, 3, 9)
         with pytest.raises(TruncationError):
-            wigner_values(spec, T0, x, 0 * x, x, 0 * x, trunc=trunc)
+            series_values(spec, T0, x, 0 * x, x, 0 * x, trunc=trunc)
 
     def test_cap_convergence(self):
         # doubling the resolved caps must not move the values beyond the tail budget
@@ -205,9 +221,19 @@ class TestTruncationConfig:
         pts = rng.uniform(-3, 3, size=(4, 12))
         base = TruncationConfig().resolve(spec, params)
         double = TruncationConfig(cat_cap=2 * base.cat_cap, thermal_cap=2 * base.thermal_cap)
-        a = wigner_values(spec, params, *pts, trunc=base)
-        b = wigner_values(spec, params, *pts, trunc=double)
+        a = series_values(spec, params, *pts, trunc=base)
+        b = series_values(spec, params, *pts, trunc=double)
         assert np.max(np.abs(a - b)) < 1e-8
+
+    def test_thermal_overflow_raises(self):
+        # psi-plus, alpha = 2 at 5 K (caps 159/493): the thermal weights
+        # (n+n1)!/n1! q^n1 overflow, which once came out as NaN values
+        spec = BellCatSpec.from_label("psi-plus", 2.0)
+        x = np.linspace(-3, 3, 5)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BellCatError):
+            series_values(spec, params_for(5.0), x, 0 * x, x, 0 * x)
+        # the production form is finite there
+        assert np.all(np.isfinite(wigner_values(spec, params_for(5.0), x, 0 * x, x, 0 * x)))
 
 
 class TestGrids:
