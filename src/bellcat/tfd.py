@@ -63,12 +63,6 @@ class ThermalParams:
             return self.one_minus_exp2
         raise ValueError(f"mode must be 1 or 2, got {mode!r}")
 
-    def u(self, mode: int) -> float:
-        return self.u1 if mode == 1 else self.u2 if mode == 2 else self.exp_factor(mode)
-
-    def v(self, mode: int) -> float:
-        return self.v1 if mode == 1 else self.v2 if mode == 2 else self.exp_factor(mode)
-
 
 def _uv(exp_factor: float, one_minus: float) -> tuple[float, float]:
     if exp_factor == 0.0:
@@ -81,7 +75,8 @@ def thermal_params(temperature: float, omega1: float, omega2: float | None = Non
     """Build :class:`ThermalParams` from a temperature in kelvin and mode frequencies in rad/s.
 
     `omega2` defaults to `omega1`.  Negative temperatures and nonpositive
-    frequencies are rejected; `temperature == 0` selects the exact
+    frequencies are rejected, and so is a positive temperature so small that
+    k_B T underflows to 0; `temperature == 0` selects the exact
     zero-temperature flag (u_i = 1, v_i = 0, z = 1).
     """
     if omega2 is None:
@@ -97,7 +92,11 @@ def thermal_params(temperature: float, omega1: float, omega2: float | None = Non
         exp1 = exp2 = 0.0
         om1 = om2 = 1.0
     else:
-        beta = 1.0 / (KB * temperature)
+        kt = KB * temperature
+        if kt == 0.0:
+            raise ValueError(f"temperature {temperature!r} K is too small: k_B T underflows to 0; "
+                             "use 0 for the zero-temperature limit")
+        beta = 1.0 / kt
         exp1 = math.exp(-beta * HBAR * omega1)
         exp2 = math.exp(-beta * HBAR * omega2)
         # expm1 keeps 1 - e^{-x} accurate when x is small (hot modes)

@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -138,7 +139,7 @@ class ModeFactorization:
     The Wigner values on {mode-1 points} x {mode-2 points} are
     prefactor * [(M1[0] M2[0] + M1[3] M2[3]) + sigma (M1[1] M2[1] + M1[2] M2[2])]
     with the Gaussian envelope already inside the tables.  Outer-product
-    blocks are formed as rank-4 real matrix products.
+    blocks are formed as one real rank-8 matrix product per part.
     """
 
     prefactor: float
@@ -146,18 +147,26 @@ class ModeFactorization:
     m1: np.ndarray = field(repr=False)   # (4, P1) complex
     m2: np.ndarray = field(repr=False)   # (4, P2) complex
 
-    def combine_block(self, rows: slice | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(real, imag) parts of the W block over (mode-1 rows) x (all mode-2 points)."""
-        m1 = self.m1[:, rows] if rows is not None else self.m1
-        a_re = np.ascontiguousarray(m1.real.T)               # (P1, 4)
-        a_im = np.ascontiguousarray(m1.imag.T)
+    @cached_property
+    def _right(self) -> tuple[np.ndarray, np.ndarray]:
+        """[Re b; Im b] and [Im b; -Re b], each (8, P2), for b the scaled mode-2 tables."""
         scale = self.prefactor * np.array([1.0, self.sigma, self.sigma, 1.0])
         b = self.m2 * scale[:, None]
-        b_re = np.ascontiguousarray(b.real)                  # (4, P2)
-        b_im = np.ascontiguousarray(b.imag)
-        w_re = a_re @ b_re - a_im @ b_im
-        w_im = a_re @ b_im + a_im @ b_re
-        return w_re, w_im
+        return np.concatenate([b.real, b.imag]), np.concatenate([b.imag, -b.real])
+
+    def combine_block(self, rows: slice | None = None,
+                      out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(real, imag) parts of the W block over (mode-1 rows) x (all mode-2 points).
+
+        With a the mode-1 rows, Re W = [Re a, -Im a] @ [Re b; Im b] and
+        Im W = [Re a, -Im a] @ [Im b; -Re b].  `out` takes two C-contiguous
+        (rows, P2) buffers to write the parts into.
+        """
+        m1 = self.m1[:, rows] if rows is not None else self.m1
+        left = np.concatenate([m1.real, -m1.imag]).T         # (P1, 8)
+        right_re, right_im = self._right
+        re_out, im_out = out if out is not None else (None, None)
+        return np.matmul(left, right_re, out=re_out), np.matmul(left, right_im, out=im_out)
 
     def combine(self, rows: slice | None = None) -> np.ndarray:
         """Complex W block over (rows of mode 1) x (all of mode 2)."""
@@ -314,7 +323,7 @@ def wigner_grid(spec: BellCatSpec, params: ThermalParams, slice_: SliceDescripto
 
     The mode tables are built once per distinct per-mode point set, so a slice
     whose axes split across the two modes costs O(count1 + count2) mode sums
-    followed by a rank-4 outer contraction.
+    followed by the two rank-8 real products of `combine_block`.
     """
     t0 = time.perf_counter()
     a0, a1 = slice_.axes

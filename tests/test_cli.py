@@ -105,6 +105,12 @@ class TestWignerCommand:
             main(["wigner", "--state", "bell"])
         assert exc.value.code == 2
 
+    def test_underflowing_temperature_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        assert main(FAST_WIGNER + ["--temp", "1e-320", "--out", str(out)]) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestNegativityCommand:
     def test_json_schema_and_identity(self, tmp_path):

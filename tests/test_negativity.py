@@ -1,19 +1,22 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from bellcat.errors import NormalizationError
+import bellcat.negativity
+from bellcat.errors import ImaginaryResidueError, NonFiniteError, NormalizationError
 from bellcat.negativity import (
     QuadratureSpec,
+    _orbit_representatives,
     default_half_width,
     default_nodes,
     integrate_negativity,
     temperature_sweep,
 )
-from bellcat.states import BellCatSpec
+from bellcat.states import STATE_LABELS, BellCatSpec
 from bellcat.tfd import thermal_params
-from bellcat.wigner import fock_wigner_kernels
+from bellcat.wigner import factorize, fock_wigner_kernels, wigner_values
 
 OMEGA = 2 * math.pi * 5.5e9
 
@@ -111,6 +114,106 @@ class TestIntegration:
         with pytest.raises(NormalizationError):
             # legal but far-too-coarse rule: the box misses thermal mass
             integrate_negativity(spec, params_for(2.0), QuadratureSpec(nodes=16, half_width=6.0))
+
+
+# amplitudes from each symmetry class: y-flip (real or imaginary alpha),
+# diagonal (|Re alpha| = |Im alpha|), parity only
+FOLD_ALPHAS = [1.0, -2.0, 1j, 1 + 1j, -1 + 1j, 0.7 + 0.3j]
+
+
+def brute_force_volumes(spec, params, result):
+    """I+ and I- from wigner_values on the full product grid of `result`'s rule."""
+    n, half_width = result.inner_nodes, result.half_width
+    step = 2.0 * half_width / n
+    inner = step * (np.arange(n) - 0.5 * (n - 1))
+    t, w = np.polynomial.legendre.leggauss(result.nodes)
+    x1, y1, x2, y2 = np.meshgrid(inner, inner, half_width * t, half_width * t, indexing="ij")
+    weights = step * step * np.multiply.outer(half_width * w, half_width * w)
+    values = wigner_values(spec, params, x1.ravel(), y1.ravel(), x2.ravel(), y2.ravel())
+    values = values.reshape(x1.shape) * weights
+    return float(np.sum(np.maximum(values, 0.0))), float(np.sum(np.maximum(-values, 0.0)))
+
+
+class TestOrbitFold:
+    """The mode-1 orbit fold is exact: it reproduces the unfolded product-grid sum."""
+
+    @pytest.mark.parametrize("inner_nodes", [30, 31])
+    @pytest.mark.parametrize("ratio", [1.0, 1.3])
+    @pytest.mark.parametrize("temp", [0.01, 1.0])
+    @pytest.mark.parametrize("alpha", FOLD_ALPHAS)
+    def test_matches_full_grid_sum(self, alpha, temp, ratio, inner_nodes):
+        params = thermal_params(temp, OMEGA, ratio * OMEGA)
+        half_width = 7.5 if temp < 0.5 else 15.0
+        quad = QuadratureSpec(nodes=24, half_width=half_width,
+                              inner_density=(inner_nodes - 0.5) / (2.0 * half_width))
+        for label in STATE_LABELS:
+            spec = BellCatSpec.from_label(label, alpha)
+            r = integrate_negativity(spec, params, quad)
+            assert r.inner_nodes == inner_nodes
+            i_plus, i_minus = brute_force_volumes(spec, params, r)
+            assert r.i_plus == pytest.approx(i_plus, rel=1e-12, abs=0.0)
+            assert r.i_minus == pytest.approx(i_minus, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 31])
+    @pytest.mark.parametrize("alpha", FOLD_ALPHAS)
+    def test_orbits_partition_the_grid(self, alpha, n):
+        # the group acts on coordinates; the grid is antisymmetric, so each
+        # image is again a grid point, found by its exact coordinates
+        alpha = complex(alpha)
+        maps = [lambda x, y: (x, y), lambda x, y: (-x, -y)]
+        if alpha.real == 0.0 or alpha.imag == 0.0:
+            maps += [lambda x, y: (x, -y), lambda x, y: (-x, y)]
+        if abs(alpha.real) == abs(alpha.imag):
+            maps += [lambda x, y: (y, x), lambda x, y: (-y, -x)]
+        coord = np.arange(n) - 0.5 * (n - 1)
+        index = {float(c): k for k, c in enumerate(coord)}
+        reps, sizes = _orbit_representatives(n, alpha)
+        assert sizes.sum() == n * n
+        covered = set()
+        for rep, size in zip(reps, sizes):
+            x, y = coord[rep // n], coord[rep % n]
+            orbit = {index[float(gx)] * n + index[float(gy)] for gx, gy in (g(x, y) for g in maps)}
+            assert len(orbit) == size and min(orbit) == rep
+            assert not orbit & covered
+            covered |= orbit
+        assert covered == set(range(n * n))
+        assert np.all(np.diff(reps) > 0)
+
+
+class TestIntegrandGuards:
+    """The guards fire through integrate_negativity on every evaluated point."""
+
+    spec = BellCatSpec.from_label("phi-minus", 1.0)
+    quad = QuadratureSpec(nodes=24, half_width=7.5, inner_density=2.0)
+
+    def tampered(self, monkeypatch, edit):
+        def fake_factorize(*args, **kwargs):
+            fac = factorize(*args, **kwargs)
+            edit(fac.m1)
+            return fac
+        monkeypatch.setattr(bellcat.negativity, "factorize", fake_factorize)
+
+    def test_non_finite_table_raises(self, monkeypatch):
+        def poison(m1):
+            m1[0, m1.shape[1] // 2] = np.nan
+        self.tampered(monkeypatch, poison)
+        with pytest.raises(NonFiniteError):
+            integrate_negativity(self.spec, params_for(0.01), self.quad)
+
+    def test_broken_hermitian_pairing_raises(self, monkeypatch):
+        def unpair(m1):
+            m1[2] *= 1.0 + 1e-3
+        self.tampered(monkeypatch, unpair)
+        with pytest.raises(ImaginaryResidueError):
+            integrate_negativity(self.spec, params_for(0.01), self.quad)
+
+    def test_repeated_calls_are_bit_identical(self):
+        params = params_for(0.3)
+        first, second = (dataclasses.asdict(integrate_negativity(BellCatSpec.from_label("psi-plus", 1 + 1j), params))
+                         for _ in range(2))
+        first.pop("seconds")
+        second.pop("seconds")
+        assert first == second
 
 
 class TestSweep:

@@ -82,6 +82,12 @@ class TestThermalParams:
         with pytest.raises(ValueError):
             thermal_params(math.nan, OMEGA_5P5_GHZ)
 
+    def test_underflowing_temperature_rejected(self):
+        # k_B T is 0.0 in double precision: a usage error, not ZeroDivisionError
+        assert KB * 1e-320 == 0.0
+        with pytest.raises(ValueError, match="underflows"):
+            thermal_params(1e-320, OMEGA_5P5_GHZ)
+
 
 class TestGibbsWeight:
     def test_zero_temperature(self):
