@@ -17,19 +17,11 @@ from .states import (
     BellCatSpec,
     FockCoefficients,
     bellcat_normalization,
-    cat_normalization,
     coherent_overlap_sq,
-    default_fock_cutoff,
     fock_coefficients,
 )
 from .tfd import HBAR, KB, ThermalParams, gibbs_weight, thermal_params
-from .density import (
-    FockIndex,
-    TruncatedDensity,
-    build_density_matrix,
-    build_density_operator,
-    density_element,
-)
+from .density import TruncatedDensity, build_density_matrix, build_density_operator
 from .wigner import (
     GridAxis,
     PhasePoint,
@@ -40,7 +32,6 @@ from .wigner import (
     hermite_functions,
     wigner_grid,
     wigner_point,
-    wigner_point_oracle,
     wigner_values,
 )
 from .series import TruncationConfig, series_values

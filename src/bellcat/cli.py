@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p_validate = sub.add_parser("validate", help="run the oracle cross-validation suite")
-    p_validate.add_argument("--quick", action="store_true", help="smaller battery (~0.4 s instead of ~4 s)")
+    p_validate.add_argument("--quick", action="store_true", help="smaller battery (~0.3 s instead of ~3 s)")
 
     p_wigner = sub.add_parser("wigner", help="evaluate a 2D slice of the Wigner function to CSV")
     add_common(p_wigner)
@@ -234,7 +234,7 @@ def cmd_negativity(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
     if cfg.temp_min is None or cfg.temp_max is None:
         parser.error("sweep requires --temp-min and --temp-max (or --preset fig4)")
-    count = cfg.temp_count or 40
+    count = 40 if cfg.temp_count is None else cfg.temp_count
     if count < 1:
         parser.error("--temp-count must be >= 1")
     if count == 1:

@@ -1,24 +1,22 @@
 """Thermal density operator of the Bell-Cat states over a truncated two-mode Fock basis.
 
 Two independent constructions of the same operator are provided and
-cross-validated in the test suite:
+cross-validated in the test suite and by `bellcat validate`:
 
 * :func:`build_density_operator` -- operator route.  The dressing operator
 
       f = N e^{-|alpha|^2} sum_{n,m} alpha^{n+m} k^m [1 + sigma (-1)^{n+m}]
           (a1^dag)^n (a2^dag)^m / (n! m! u1^n u2^m)
 
-  is materialized from creation shift matrices (the series is the exponential
-  e^{(alpha/u) a^dag} split over the two parity branches) and the result is the
-  literal matrix product f rho_beta f^dag with rho_beta the diagonal Gibbs
-  matrix.
+  splits over the two parity branches into products of per-mode creation
+  exponentials, f = C [E(g1) x E(g2) + sigma E(-g1) x E(-g2)] with
+  E(g) = e^{g a^dag}, and the Gibbs matrix rho_beta is a product of per-mode
+  diagonals, so f rho_beta f^dag is a sum of four Kronecker products of the
+  per-mode blocks E(+-g) rho_beta E(+-g)^dag (:func:`mode_thermal_blocks`).
 
 * :func:`build_density_matrix` -- direct route.  Each element is the finite
   sum over shared thermal excitations (n1, n2) of the explicit coefficient
   formula, assembled from log-factorials.
-
-:func:`density_element` is a third, fully literal per-element transcription of
-the same element formula, used to spot-check both builders.
 """
 
 from __future__ import annotations
@@ -26,43 +24,24 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CutoffError
 from .special_fn import log_factorial_table
-from .states import BellCatSpec, bellcat_normalization, default_fock_cutoff
+from .states import BellCatSpec, bellcat_normalization
 from .tfd import ThermalParams, gibbs_weight
 
 __all__ = [
-    "FockIndex",
     "TruncatedDensity",
-    "DensityElement",
-    "creation_matrix",
-    "build_f_matrix",
     "build_density_operator",
     "build_density_matrix",
-    "density_element",
     "mode_thermal_blocks",
     "effective_amplitude",
     "thermal_levels",
-    "default_density_cutoff",
 ]
 
 TRACE_DEFICIT_LIMIT = 0.01
-
-
-@dataclass(frozen=True)
-class FockIndex:
-    """Two-mode number-state label |n1, n2>."""
-
-    n1: int
-    n2: int
-
-    def __post_init__(self):
-        if self.n1 < 0 or self.n2 < 0:
-            raise ValueError("Fock indices must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -79,23 +58,6 @@ class TruncatedDensity:
 
     def __post_init__(self):
         self.matrix.flags.writeable = False
-
-    @property
-    def dim(self) -> int:
-        return (self.cutoff + 1) ** 2
-
-    def flat_index(self, a: FockIndex) -> int:
-        if a.n1 > self.cutoff or a.n2 > self.cutoff:
-            raise ValueError(f"index {a} outside cutoff {self.cutoff}")
-        return a.n1 * (self.cutoff + 1) + a.n2
-
-    def element(self, a: FockIndex, b: FockIndex) -> complex:
-        return complex(self.matrix[self.flat_index(a), self.flat_index(b)])
-
-
-class DensityElement(NamedTuple):
-    value: complex
-    tail_bound: float
 
 
 def effective_amplitude(spec: BellCatSpec, params: ThermalParams) -> float:
@@ -126,60 +88,21 @@ def thermal_levels(params: ThermalParams, epsilon: float) -> int:
     return levels
 
 
-def default_density_cutoff(spec: BellCatSpec, params: ThermalParams, epsilon: float = 1e-9) -> int:
-    """Amplified-amplitude cutoff plus enough thermal headroom for a Gibbs tail <= epsilon."""
-    a = effective_amplitude(spec, params)
-    return math.ceil(a * a + 8.0 * a + 10.0) + thermal_levels(params, epsilon)
-
-
-def creation_matrix(cutoff: int) -> np.ndarray:
-    """Creation operator as a shift matrix: a^dag |n> = sqrt(n+1) |n+1>."""
-    a = np.zeros((cutoff + 1, cutoff + 1))
-    n = np.arange(cutoff)
-    a[n + 1, n] = np.sqrt(n + 1.0)
-    return a
-
-
 def _exp_creation(coefficient: complex, cutoff: int) -> np.ndarray:
-    """exp(coefficient * a^dag) on the truncated space.
+    """exp(coefficient * a^dag) on the truncated space, with a^dag |n> = sqrt(n+1) |n+1>.
 
     The shift matrix is nilpotent, so the exponential series terminates after
     cutoff+1 terms and is exact.
     """
-    s = creation_matrix(cutoff).astype(complex)
+    s = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    n = np.arange(cutoff)
+    s[n + 1, n] = np.sqrt(n + 1.0)
     out = np.eye(cutoff + 1, dtype=complex)
     term = np.eye(cutoff + 1, dtype=complex)
     for n in range(1, cutoff + 1):
         term = term @ s * (coefficient / n)
         out += term
     return out
-
-
-def _mode_amplitudes(spec: BellCatSpec, params: ThermalParams) -> tuple[complex, complex]:
-    """Displacement coefficients alpha/u1 and k alpha/u2 of the dressing operator."""
-    return spec.alpha / params.u1, spec.k * spec.alpha / params.u2
-
-
-def build_f_matrix(spec: BellCatSpec, params: ThermalParams, cutoff: int) -> np.ndarray:
-    """Dressing operator f on the truncated two-mode space.
-
-    The parity bracket [1 + sigma (-1)^{n+m}] splits the double series into the
-    two coherent branches, each a product of per-mode creation exponentials:
-    f = C [E(+g1) x E(+g2) + sigma E(-g1) x E(-g2)].
-    """
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
-    g1, g2 = _mode_amplitudes(spec, params)
-    c = bellcat_normalization(spec.alpha, spec.sigma) * math.exp(-abs(spec.alpha) ** 2)
-    plus = np.kron(_exp_creation(g1, cutoff), _exp_creation(g2, cutoff))
-    minus = np.kron(_exp_creation(-g1, cutoff), _exp_creation(-g2, cutoff))
-    return c * (plus + spec.sigma * minus)
-
-
-def _gibbs_diagonal(params: ThermalParams, cutoff: int) -> np.ndarray:
-    w1 = np.array([gibbs_weight(params, 1, n) for n in range(cutoff + 1)])
-    w2 = np.array([gibbs_weight(params, 2, n) for n in range(cutoff + 1)])
-    return np.kron(w1, w2)
 
 
 def _finish(matrix: np.ndarray, cutoff: int, enforce_trace_limit: bool) -> TruncatedDensity:
@@ -195,14 +118,22 @@ def _finish(matrix: np.ndarray, cutoff: int, enforce_trace_limit: bool) -> Trunc
 
 def build_density_operator(spec: BellCatSpec, params: ThermalParams, cutoff: int,
                            enforce_trace_limit: bool = True) -> TruncatedDensity:
-    """Operator-route density matrix: the literal product f rho_beta f^dag.
+    """Operator-route density matrix f rho_beta f^dag, as the sum of its four mode-block products.
+
+    Each branch is added right after its parity image, (+,+) with (-,-) and
+    (+,-) with (-,+): the two agree bit for bit up to the sign (-1)^(N - Nbar)
+    of the total excitation difference, so the elements the parity selection
+    rule forbids cancel to exact zeros.
 
     `enforce_trace_limit=False` skips the 1% trace-deficit gate; the two build
     routes stay entrywise exact at any cutoff, so formula cross-checks may
     run on deliberately small spaces.
     """
-    f = build_f_matrix(spec, params, cutoff)
-    rho = (f * _gibbs_diagonal(params, cutoff)[None, :]) @ f.conj().T
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
+    weights, blocks1, blocks2 = mode_thermal_blocks(spec, params, cutoff)
+    rho = sum(weights[s, t] * np.kron(blocks1[s][t], blocks2[s][t])
+              for s, t in ((0, 0), (1, 1), (0, 1), (1, 0)))
     return _finish(rho, cutoff, enforce_trace_limit)
 
 
@@ -243,22 +174,16 @@ def _direct_mode_factor(gamma: complex, q: float, one_minus_q: float, sign_ket: 
 
 
 def build_density_matrix(spec: BellCatSpec, params: ThermalParams, cutoff: int,
-                         trunc=None, enforce_trace_limit: bool = True) -> TruncatedDensity:
+                         enforce_trace_limit: bool = True) -> TruncatedDensity:
     """Direct-route density matrix from the explicit element formula.
 
     The parity brackets are expanded over their four sign branches; each branch
     factorizes into per-mode matrices that are assembled in log space and
-    combined as Kronecker products.  `trunc` (a TruncationConfig) only
-    validates that the requested cutoff is consistent with its caps: for a
-    fixed matrix element all index sums here are finite.
+    combined as Kronecker products.  For a fixed matrix element all index sums
+    are finite, so the result is exact at any cutoff.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    if trunc is not None and cutoff > trunc.cat_cap + trunc.thermal_cap:
-        raise ValueError(
-            f"cutoff {cutoff} exceeds the truncation budget "
-            f"cat_cap+thermal_cap = {trunc.cat_cap + trunc.thermal_cap}"
-        )
     a2 = abs(spec.alpha) ** 2
     q1, q2 = params.exp1, params.exp2
     om1, om2 = params.one_minus_exp1, params.one_minus_exp2
@@ -277,74 +202,14 @@ def build_density_matrix(spec: BellCatSpec, params: ThermalParams, cutoff: int,
     return _finish(rho, cutoff, enforce_trace_limit)
 
 
-def density_element(spec: BellCatSpec, params: ThermalParams, a: FockIndex, b: FockIndex,
-                    trunc=None) -> DensityElement:
-    """One element <a| rho |b> summed literally over the shared thermal indices.
-
-    The ket/bra structure pins n = a.n1 - n1, nbar = b.n1 - n1 (and likewise
-    for mode 2), so the sum over (n1, n2) is finite and exact; the tail bound
-    is nonzero only when the caps of `trunc` clip it.
-    """
-    total_diff = (a.n1 + a.n2) - (b.n1 + b.n2)
-    if total_diff % 2 != 0:
-        return DensityElement(0j, 0.0)
-
-    a2 = abs(spec.alpha) ** 2
-    q1, q2 = params.exp1, params.exp2
-    om1, om2 = params.one_minus_exp1, params.one_minus_exp2
-    lf = log_factorial_table(max(a.n1, a.n2, b.n1, b.n2))
-    log_pref = (-2.0 * a2 + math.log(om1) + math.log(om2)
-                - math.log(2.0 * (1.0 + spec.sigma * math.exp(-4.0 * a2))))
-
-    # phase and k-sign are constant across the element: the exponents
-    # (n+m) - (nbar+mbar) and m+mbar shift by even amounts along the sum
-    phase_angle = cmath.phase(spec.alpha) * total_diff
-    k_sign = 1.0 if (a.n2 + b.n2) % 2 == 0 else float(spec.k)
-    log_root_fact = 0.5 * (lf[a.n1] + lf[a.n2] + lf[b.n1] + lf[b.n2])
-    log_alpha = math.log(abs(spec.alpha))
-
-    cap1 = min(a.n1, b.n1)
-    cap2 = min(a.n2, b.n2)
-    value = 0.0 + 0.0j
-    tail = 0.0
-    for n1 in range(cap1 + 1):
-        if q1 == 0.0 and n1 > 0:
-            break
-        n, nbar = a.n1 - n1, b.n1 - n1
-        for n2 in range(cap2 + 1):
-            if q2 == 0.0 and n2 > 0:
-                break
-            m, mbar = a.n2 - n2, b.n2 - n2
-            if (-1) ** (n + m) != spec.sigma:
-                continue  # both parity brackets vanish together (even total_diff)
-            log_mag = (log_pref + log_root_fact
-                       + (n + m + nbar + mbar) * log_alpha
-                       + 0.5 * (n + nbar) * math.log(om1)
-                       + 0.5 * (m + mbar) * math.log(om2)
-                       + (n1 * math.log(q1) if n1 else 0.0)
-                       + (n2 * math.log(q2) if n2 else 0.0)
-                       - lf[n] - lf[m] - lf[nbar] - lf[mbar] - lf[n1] - lf[n2])
-            term = 4.0 * k_sign * math.exp(log_mag)
-            clipped = trunc is not None and (
-                max(n, nbar) > trunc.cat_cap or max(m, mbar) > trunc.cat_cap
-                or n1 > trunc.thermal_cap or n2 > trunc.thermal_cap
-            )
-            if clipped:
-                tail += abs(term)
-            else:
-                value += term
-    value *= cmath.exp(1j * phase_angle)
-    return DensityElement(value, tail)
-
-
 def mode_thermal_blocks(spec: BellCatSpec, params: ThermalParams, cutoff: int):
     """Per-mode factor matrices of the density operator, for mode-factorized contractions.
 
     Returns (weights, blocks1, blocks2) with rho = sum_{s,t} weights[s,t] *
-    kron(blocks1[s][t], blocks2[s][t]); the blocks are built by the operator
-    route, B_i(s,t) = E((-1)^s g_i) rho_beta,i E((-1)^t g_i)^dag.
+    kron(blocks1[s][t], blocks2[s][t]) and the blocks of the operator route,
+    B_i(s,t) = E((-1)^s g_i) rho_beta,i E((-1)^t g_i)^dag.
     """
-    g1, g2 = _mode_amplitudes(spec, params)
+    g1, g2 = spec.alpha / params.u1, spec.k * spec.alpha / params.u2   # displacements of the dressing
     c = bellcat_normalization(spec.alpha, spec.sigma) * math.exp(-abs(spec.alpha) ** 2)
     w1 = np.array([gibbs_weight(params, 1, n) for n in range(cutoff + 1)])
     w2 = np.array([gibbs_weight(params, 2, n) for n in range(cutoff + 1)])

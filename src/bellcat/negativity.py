@@ -102,11 +102,8 @@ class QuadratureSpec:
     nodes: int | None = None
     half_width: float | None = None
     inner_density: float | None = None
-    rule: str = "midpoint-gauss-legendre"
 
     def __post_init__(self):
-        if self.rule != "midpoint-gauss-legendre":
-            raise ValueError(f"unsupported quadrature rule {self.rule!r}")
         if self.nodes is not None and self.nodes < 8:
             raise ValueError("nodes must be >= 8")
         if self.half_width is not None and not (self.half_width > 0):

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .density import thermal_levels
 from .errors import TruncationError
 from .special_fn import laguerre_envelope_table, log_factorial_table
 from .states import BellCatSpec
@@ -51,16 +52,8 @@ _CHI_MODES = (CHI_KERNEL, CHI_PRINTED, CHI_BROKEN)
 
 
 def default_thermal_cap(params: ThermalParams, epsilon: float) -> int:
-    """Thermal index cap with geometric tail <= epsilon: ceil(ln(1/(eps(1-q)))/(beta hbar omega))."""
-    if params.is_zero_temperature:
-        return 1
-    cap = 1
-    for mode in (1, 2):
-        q = params.exp_factor(mode)
-        if q == 0.0:
-            continue  # Gibbs factor underflowed: the mode is effectively frozen
-        need = math.ceil(math.log(1.0 / (epsilon * params.one_minus_exp_factor(mode))) / -math.log(q))
-        cap = max(cap, need)
+    """Thermal index cap with geometric tail <= epsilon (`thermal_levels`), at least 1."""
+    cap = max(1, thermal_levels(params, epsilon))
     if cap > HARD_THERMAL_CAP:
         raise TruncationError(
             f"thermal tail needs {cap} levels to reach {epsilon:g}, beyond the hard cap {HARD_THERMAL_CAP}"

@@ -1,4 +1,4 @@
-"""Stable special-function primitives: log-factorials and associated Laguerre polynomials.
+"""Stable special-function primitives: the log-factorial table and the envelope-scaled Laguerre table.
 
 Every series evaluator in this package assembles its factorial-heavy
 coefficients in log space and exponentiates once per term; the log-factorial
@@ -15,10 +15,7 @@ import math
 import numpy as np
 
 __all__ = [
-    "log_factorial",
     "log_factorial_table",
-    "laguerre_assoc",
-    "laguerre_assoc_table",
     "laguerre_envelope_table",
 ]
 
@@ -50,16 +47,6 @@ def _grow_table(nmax: int) -> None:
     _table, _hi, _lo = grown, hi, lo
 
 
-def log_factorial(n: int) -> float:
-    """ln(n!) for integer n >= 0."""
-    if n < 0 or n != int(n):
-        raise ValueError(f"log_factorial requires a nonnegative integer, got {n!r}")
-    n = int(n)
-    if n >= _table.size:
-        _grow_table(max(n, 2 * _table.size))
-    return float(_table[n])
-
-
 def log_factorial_table(nmax: int) -> np.ndarray:
     """Read-only vector [ln(0!), ..., ln(nmax!)] for vectorized coefficient assembly."""
     if nmax < 0:
@@ -69,30 +56,6 @@ def log_factorial_table(nmax: int) -> np.ndarray:
     view = _table[: nmax + 1]
     view.flags.writeable = False
     return view
-
-
-def laguerre_assoc_table(max_degree: int, order: int, x) -> np.ndarray:
-    """Associated Laguerre values L^order_N(x) for all degrees N = 0..max_degree.
-
-    Upward three-term recurrence in the degree at fixed order; forward-stable
-    for the x >= 0 arguments used by the Wigner series.  `x` may be a scalar or
-    an array; the result has shape (max_degree+1,) + x.shape.
-    """
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("Laguerre argument must be finite")
-    out = np.empty((max_degree + 1,) + x.shape)
-    out[0] = 1.0
-    if max_degree == 0:
-        return out
-    out[1] = 1.0 + order - x
-    for n in range(1, max_degree):
-        out[n + 1] = ((2 * n + order + 1 - x) * out[n] - (n + order) * out[n - 1]) / (n + 1)
-    return out
 
 
 def laguerre_envelope_table(max_degree: int, max_order: int, x: np.ndarray) -> np.ndarray:
@@ -119,18 +82,3 @@ def laguerre_envelope_table(max_degree: int, max_order: int, x: np.ndarray) -> n
         out[:, n + 1, :] = ((2 * n + 1 + orders - x[None, :]) * out[:, n, :]
                             - (n + orders) * out[:, n - 1, :]) / (n + 1)
     return out
-
-
-def laguerre_assoc(n: int, m: int, x: float) -> float:
-    """L^m_n(x) by the upward degree recurrence; exact for n in {0, 1}."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    if m < 0:
-        raise ValueError("order must be >= 0")
-    if not math.isfinite(x):
-        raise ValueError("Laguerre argument must be finite")
-    if n == 0:
-        return 1.0
-    if n == 1:
-        return 1.0 + m - x
-    return float(laguerre_assoc_table(n, m, x)[n])

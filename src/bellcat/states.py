@@ -26,10 +26,8 @@ __all__ = [
     "BellCatSpec",
     "FockCoefficients",
     "STATE_LABELS",
-    "cat_normalization",
     "bellcat_normalization",
     "coherent_overlap_sq",
-    "default_fock_cutoff",
     "fock_coefficients",
 ]
 
@@ -84,16 +82,6 @@ class BellCatSpec:
         return BellCatSpec(alpha=self.alpha, k=-self.k, sigma=self.sigma)
 
 
-def cat_normalization(alpha: complex, sigma: int) -> float:
-    """Single-mode cat normalization [2(1 + sigma e^{-2|alpha|^2})]^{-1/2}."""
-    if sigma not in (+1, -1):
-        raise ValueError(f"sigma must be +1 or -1, got {sigma!r}")
-    a2 = abs(complex(alpha)) ** 2
-    if sigma == -1 and a2 == 0.0:
-        raise DegenerateStateError("odd cat state with alpha = 0 is the null vector")
-    return 1.0 / math.sqrt(2.0 * (1.0 + sigma * math.exp(-2.0 * a2)))
-
-
 def bellcat_normalization(alpha: complex, sigma: int) -> float:
     """Two-mode Bell-Cat normalization [2(1 + sigma e^{-4|alpha|^2})]^{-1/2}."""
     if sigma not in (+1, -1):
@@ -107,16 +95,6 @@ def bellcat_normalization(alpha: complex, sigma: int) -> float:
 def coherent_overlap_sq(alpha: complex) -> float:
     """|<alpha|-alpha>|^2 = e^{-4|alpha|^2}; ~1.13e-7 already at |alpha| = 2."""
     return math.exp(-4.0 * abs(complex(alpha)) ** 2)
-
-
-def default_fock_cutoff(alpha: complex) -> int:
-    """Per-mode cutoff ceil(|alpha|^2 + 8|alpha| + 10).
-
-    Bounds the Poisson tail of the coherent amplitudes below ~1e-12 for
-    |alpha| <= 3; callers with larger amplitudes must override.
-    """
-    a = abs(complex(alpha))
-    return math.ceil(a * a + 8.0 * a + 10.0)
 
 
 @dataclass(frozen=True)

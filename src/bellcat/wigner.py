@@ -49,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .density import effective_amplitude, mode_thermal_blocks
+from .density import effective_amplitude, mode_thermal_blocks, thermal_levels
 from .errors import ImaginaryResidueError, NonFiniteError, QuadratureError
 from .states import BellCatSpec
 from .tfd import ThermalParams
@@ -71,7 +71,6 @@ __all__ = [
     "factorize",
     "hermite_functions",
     "fock_wigner_kernels",
-    "wigner_point_oracle",
     "oracle_cutoff",
     "wigner_oracle_values",
     "closed_form_zero_temperature",
@@ -454,8 +453,6 @@ _ORACLE_MASS_EPSILON = 1e-9
 
 def oracle_cutoff(spec: BellCatSpec, params: ThermalParams) -> int:
     """Per-mode Fock cutoff the oracle needs to hold ~1e-9 of the state's mass."""
-    from .density import thermal_levels
-
     return default_cat_cap(spec, params) + thermal_levels(params, _ORACLE_MASS_EPSILON)
 
 
@@ -489,13 +486,6 @@ def wigner_oracle_values(spec: BellCatSpec, params: ThermalParams,
             total += weights[s, t] * c1 * c2
     values, _ = _to_real(total, "wigner_oracle")
     return values
-
-
-def wigner_point_oracle(spec: BellCatSpec, params: ThermalParams, pt: PhasePoint,
-                        cutoff: int | None = None, kernel_tol: float = 1e-10) -> float:
-    """Oracle W at one point; arbitrates the series' sign and chi conventions."""
-    return float(wigner_oracle_values(spec, params, pt.x1, pt.y1, pt.x2, pt.y2,
-                                      cutoff=cutoff, kernel_tol=kernel_tol)[0])
 
 
 # ---------------------------------------------------------------------------

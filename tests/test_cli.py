@@ -185,6 +185,12 @@ class TestSweepCommand:
             main(["sweep"])
         assert exc.value.code == 2
 
+    def test_zero_temp_count_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--temp-min", "0.5", "--temp-max", "2", "--temp-count", "0"]
+                 + FAST_QUAD + ["--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == 2
+
 
 class TestPresets:
     def test_fig4_defines_sweep_range(self, tmp_path):

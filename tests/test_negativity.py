@@ -32,8 +32,6 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError):
             QuadratureSpec(half_width=-1.0)
         with pytest.raises(ValueError):
-            QuadratureSpec(rule="monte-carlo")
-        with pytest.raises(ValueError):
             QuadratureSpec(inner_density=0.0)
 
     def test_defaults_reduce_to_cold_values(self):

@@ -1,8 +1,10 @@
 """Property tests of the production Gaussian evaluator over the whole parameter box.
 
 label x complex alpha (|alpha| <= 3) x T in [0, 20] K x omega2/omega1 in
-[0.5, 2], at points spread over the thermally amplified lobes.  Examples are
-derandomized, so every run checks the same cases.
+[0.5, 2], at points spread over the thermally amplified lobes, and of the two
+density builds over label x complex alpha (|alpha| <= 2) x T in [0, 2] K x
+omega2/omega1 in [0.5, 2].  Examples are derandomized, so every run checks
+the same cases.
 """
 
 import math
@@ -11,6 +13,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bellcat.density import build_density_matrix, build_density_operator
 from bellcat.errors import NonFiniteError, TruncationError
 from bellcat.series import default_thermal_cap, series_values
 from bellcat.states import STATE_LABELS, BellCatSpec
@@ -70,3 +73,26 @@ def test_agrees_with_series_where_its_caps_are_feasible(cfg):
         assume(False)   # the series' own tail guard or finite check declined
     # the series' tail guard admits up to 100 x its epsilon = 1e-10
     assert np.max(np.abs(wigner_values(spec, params, *pts) - reference)) <= 1e-8
+
+
+density_configs = st.fixed_dictionaries({
+    "label": st.sampled_from(sorted(STATE_LABELS)),
+    "modulus": st.floats(0.05, 2.0),
+    "phase": st.floats(0.0, 2 * math.pi),
+    "temp": st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+    "ratio": st.floats(0.5, 2.0),
+    "cutoff": st.integers(0, 12),
+})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(density_configs)
+def test_density_builds_agree_at_unequal_frequencies(cfg):
+    # each mode carries its own Gibbs factor and amplitude k alpha / u_i; both
+    # builds are exact on the truncated space, so no trace gate applies
+    alpha = cfg["modulus"] * complex(math.cos(cfg["phase"]), math.sin(cfg["phase"]))
+    spec = BellCatSpec.from_label(cfg["label"], alpha)
+    params = thermal_params(cfg["temp"], OMEGA, cfg["ratio"] * OMEGA)
+    operator = build_density_operator(spec, params, cfg["cutoff"], enforce_trace_limit=False)
+    direct = build_density_matrix(spec, params, cfg["cutoff"], enforce_trace_limit=False)
+    assert np.max(np.abs(operator.matrix - direct.matrix)) <= 1e-12

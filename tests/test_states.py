@@ -9,11 +9,11 @@ from bellcat.states import (
     STATE_LABELS,
     BellCatSpec,
     bellcat_normalization,
-    cat_normalization,
     coherent_overlap_sq,
-    default_fock_cutoff,
     fock_coefficients,
 )
+from bellcat.tfd import thermal_params
+from bellcat.wigner import default_cat_cap
 
 mpmath.mp.dps = 40
 
@@ -24,13 +24,6 @@ def hp_norm(a2: float, sigma: int, scale: int) -> float:
 
 
 class TestNormalizations:
-    def test_cat_trivial(self):
-        assert cat_normalization(0, +1) == pytest.approx(0.5, abs=1e-15)
-
-    def test_cat_derived(self):
-        assert cat_normalization(1, -1) == pytest.approx(hp_norm(1, -1, 2), rel=1e-14)
-        assert cat_normalization(2, +1) == pytest.approx(hp_norm(4, +1, 2), rel=1e-14)
-
     def test_bellcat_trivial(self):
         assert bellcat_normalization(0, +1) == pytest.approx(0.5, abs=1e-15)
 
@@ -40,13 +33,11 @@ class TestNormalizations:
 
     def test_degenerate_rejection(self):
         with pytest.raises(DegenerateStateError):
-            cat_normalization(0, -1)
-        with pytest.raises(DegenerateStateError):
             bellcat_normalization(0.0, -1)
 
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
-            cat_normalization(1.0, 2)
+            bellcat_normalization(1.0, 2)
 
 
 class TestOverlap:
@@ -122,11 +113,13 @@ class TestFockCoefficients:
         assert all(b >= a - 1e-15 for a, b in zip(norms, norms[1:]))
 
     def test_default_cutoff_policy(self):
+        # at T = 0 (u = 1) the cat cap is the pure state's Fock cutoff
+        cold = thermal_params(0.0, 2 * math.pi * 5.5e9)
         for alpha in (1.0, 1 + 1j, 2.0, 3.0):
-            cutoff = default_fock_cutoff(alpha)
-            assert cutoff == math.ceil(abs(alpha) ** 2 + 8 * abs(alpha) + 10)
             for sigma in (+1, -1):
                 spec = BellCatSpec(alpha=alpha, k=1, sigma=sigma)
+                cutoff = default_cat_cap(spec, cold)
+                assert cutoff == math.ceil(abs(alpha) ** 2 + 8 * abs(alpha) + 10)
                 fc = fock_coefficients(spec, cutoff)
                 assert abs(fc.norm_deficit) < 1e-12
 
