@@ -40,6 +40,7 @@ from .negativity import (
     QuadratureSpec,
     SweepEntry,
     integrate_negativity,
+    integrate_negativity_grid,
     temperature_sweep,
 )
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .density import build_density_matrix, build_density_operator
 from .errors import BellCatError, ImaginaryResidueError
-from .negativity import QuadratureSpec, integrate_negativity, temperature_sweep
+from .negativity import integrate_negativity, temperature_sweep
 from .series import series_values
 from .states import STATE_LABELS, BellCatSpec
 from .tfd import thermal_params
@@ -64,9 +64,6 @@ class RunConfig:
     grid_count: int
     half_width: float
     fixed: dict[str, float]
-    quad_nodes: int | None
-    quad_half_width: float | None
-    inner_density: float | None
     out: str | None
 
     def spec(self) -> BellCatSpec:
@@ -75,10 +72,6 @@ class RunConfig:
     def params(self, temperature: float | None = None):
         temp = self.temp if temperature is None else temperature
         return thermal_params(temp, 2 * math.pi * self.freq1, 2 * math.pi * self.freq2)
-
-    def quad(self) -> QuadratureSpec:
-        return QuadratureSpec(nodes=self.quad_nodes, half_width=self.quad_half_width,
-                              inner_density=self.inner_density)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p_validate = sub.add_parser("validate", help="run the oracle cross-validation suite")
-    p_validate.add_argument("--quick", action="store_true", help="smaller battery (~0.3 s instead of ~3 s)")
+    p_validate.add_argument("--quick", action="store_true", help="smaller battery (~0.2 s instead of ~1 s)")
 
     p_wigner = sub.add_parser("wigner", help="evaluate a 2D slice of the Wigner function to CSV")
     add_common(p_wigner)
@@ -115,16 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_neg = sub.add_parser("negativity", help="integrate the negativity metrics to JSON")
     add_common(p_neg)
-    p_neg.add_argument("--quad-nodes", type=int, default=None, help="outer Gauss-Legendre nodes per axis")
-    p_neg.add_argument("--quad-half-width", type=float, default=None, help="integration box half-width")
-    p_neg.add_argument("--inner-density", type=float, default=None,
-                       help="inner midpoint points per unit length")
 
     p_sweep = sub.add_parser("sweep", help="negativity vs temperature to CSV")
     add_common(p_sweep)
-    p_sweep.add_argument("--quad-nodes", type=int, default=None)
-    p_sweep.add_argument("--quad-half-width", type=float, default=None)
-    p_sweep.add_argument("--inner-density", type=float, default=None)
     p_sweep.add_argument("--temp-min", type=float, default=None)
     p_sweep.add_argument("--temp-max", type=float, default=None)
     p_sweep.add_argument("--temp-count", type=int, default=None)
@@ -164,9 +150,6 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         grid_count=grid_count,
         half_width=getattr(args, "half_width", 6.0),
         fixed={c: getattr(args, f"fix_{c}", 0.0) for c in ("x1", "y1", "x2", "y2")},
-        quad_nodes=getattr(args, "quad_nodes", None),
-        quad_half_width=getattr(args, "quad_half_width", None),
-        inner_density=getattr(args, "inner_density", None),
         out=args.out,
     )
 
@@ -210,7 +193,7 @@ def cmd_wigner(cfg: RunConfig) -> int:
 
 def cmd_negativity(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
-    result = integrate_negativity(cfg.spec(), cfg.params(), quad=cfg.quad())
+    result = integrate_negativity(cfg.spec(), cfg.params())
     payload = {
         "state": cfg.state,
         "alpha_re": cfg.alpha_re,
@@ -241,8 +224,7 @@ def cmd_sweep(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
         temps = [cfg.temp_min]
     else:
         temps = list(np.linspace(cfg.temp_min, cfg.temp_max, count))
-    entries = temperature_sweep(cfg.spec(), temps, 2 * math.pi * cfg.freq1, 2 * math.pi * cfg.freq2,
-                                quad=cfg.quad())
+    entries = temperature_sweep(cfg.spec(), temps, 2 * math.pi * cfg.freq1, 2 * math.pi * cfg.freq2)
     lines = ["temperature_k,delta,nu,i_plus,i_minus,norm_check"]
     failed = False
     for entry in entries:

@@ -88,21 +88,20 @@ def thermal_levels(params: ThermalParams, epsilon: float) -> int:
     return levels
 
 
-def _exp_creation(coefficient: complex, cutoff: int) -> np.ndarray:
-    """exp(coefficient * a^dag) on the truncated space, with a^dag |n> = sqrt(n+1) |n+1>.
+def _exp_creation(coefficient: complex, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """exp(+-coefficient * a^dag) on the truncated space, with a^dag |n> = sqrt(n+1) |n+1>.
 
-    The shift matrix is nilpotent, so the exponential series terminates after
-    cutoff+1 terms and is exact.
+    The shift matrix is nilpotent, so the exponential series terminates and
+    is exact: entry (i, j) is g^{i-j} sqrt(i!/j!) / (i-j)! for i >= j, filled
+    from log-factorials.  E(-g) is E(g) with the sign (-1)^{i-j}, bit for bit,
+    so the parity images of the operator build cancel exactly.
     """
-    s = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    n = np.arange(cutoff)
-    s[n + 1, n] = np.sqrt(n + 1.0)
-    out = np.eye(cutoff + 1, dtype=complex)
-    term = np.eye(cutoff + 1, dtype=complex)
-    for n in range(1, cutoff + 1):
-        term = term @ s * (coefficient / n)
-        out += term
-    return out
+    i, j = np.indices((cutoff + 1, cutoff + 1))
+    k = np.maximum(i - j, 0)
+    lf = log_factorial_table(cutoff)
+    log_mag = k * math.log(abs(coefficient)) + 0.5 * (lf[i] - lf[j]) - lf[k]
+    plus = np.where(i >= j, np.exp(log_mag + 1j * cmath.phase(coefficient) * k), 0.0)
+    return plus, np.where(k % 2 == 0, plus, -plus)
 
 
 def _finish(matrix: np.ndarray, cutoff: int, enforce_trace_limit: bool) -> TruncatedDensity:
@@ -213,8 +212,8 @@ def mode_thermal_blocks(spec: BellCatSpec, params: ThermalParams, cutoff: int):
     c = bellcat_normalization(spec.alpha, spec.sigma) * math.exp(-abs(spec.alpha) ** 2)
     w1 = np.array([gibbs_weight(params, 1, n) for n in range(cutoff + 1)])
     w2 = np.array([gibbs_weight(params, 2, n) for n in range(cutoff + 1)])
-    e1 = [_exp_creation(g1, cutoff), _exp_creation(-g1, cutoff)]
-    e2 = [_exp_creation(g2, cutoff), _exp_creation(-g2, cutoff)]
+    e1 = _exp_creation(g1, cutoff)
+    e2 = _exp_creation(g2, cutoff)
     weights = np.empty((2, 2))
     blocks1 = [[None, None], [None, None]]
     blocks2 = [[None, None], [None, None]]

@@ -1,11 +1,49 @@
-"""Negativity of the thermal Wigner function: 4D quadrature, delta and nu metrics.
+"""Negativity of the thermal Wigner function: delta and nu.
 
-The absolute value in the negativity integrals kinks the integrand along the
+Production route: an exact reduction to two coordinates (notes/decisions.md,
+section 8).  Scale each mode, zeta_i = z_i / sqrt(D_i) with D_i = 1 + 2 n_i,
+and let P = (w1/sqrt(D1), w2/sqrt(D2)) in C^2, with w_i = sqrt2 u_i gamma_i the
+thermal lobes of `bellcat.wigner`.  With a = |P|, c = sum_i 2 n_i |gamma_i|^2 / D_i,
+y = a^2 - c = sum_i 2 |gamma_i|^2 / D_i (so a^2 + c = 4|alpha|^2), and s, t the
+components of zeta along P and iP,
+
+    W = e^{-|zeta|^2} [e^{-a^2} cosh(2 a s) + sigma e^{-c} cos(2 a t)] / (pi^2 D1 D2 N),
+
+N = 1 + sigma e^{-4|alpha|^2}.  W is a plain Gaussian in the two directions
+orthogonal to P and iP, so I_+- = (1/(pi N)) int ds dt max(+-F, 0) with
+F = e^{-s^2-t^2} [...].  In the cancellation-free form
+
+    F = e^{-c} e^{-s^2-t^2} [l(s) - m0 + 2 sin^2(a t + phi)],
+    l(s) = e^{-y} 2 sinh^2(a s),   m0 = -expm1(-y),   phi = 0 (sigma = -1), pi/2 (sigma = +1),
+
+W < 0 exactly where 2 sin^2(a t + phi) < m(s) = m0 - l(s): only for |s| < s*,
+cosh(2 a s*) = e^y, and there on the intervals |t - t_j| < h(s) around
+t_j = (j pi - phi)/a, with sin(a h) = sqrt(m/2).  On each interval
+-F e^{c} e^{s^2} = e^{-t^2} 2 sin(a(h - u)) sin(a(h + u)), u = t - t_j, so the
+intervals sum to one:
+
+    g(s) = 2 int_0^h du 2 sin(a(h - u)) sin(a(h + u)) Theta(u),
+    Theta(u) = sum_j e^{-(t_j + u)^2}.
+
+Then I_- = (e^{-c}/(pi N)) 2 int_0^{s*} ds e^{-s^2} g(s), by Gauss-Legendre in
+tau with s = s* - tau^2 (g rises as (s* - s)^{3/2}, which is analytic in tau)
+and Gauss-Legendre in u on [0, h].  The lobe term is carried as
+e^{-y+2as} expm1(-2as)^2 / 2, so nothing overflows at |alpha| = 20 and small
+|alpha| keeps full relative accuracy.
+
+I_+ = I_- + (1/(pi N)) int ds dt F, and that total is a quadrature too, of the
+separable form of F: the lobe term as e^{-t^2} e^{-(|s|-a)^2} expm1(-2a|s|)^2 / 2,
+the constant -e^{-c} m0 and the fringe e^{-c} 2 sin^2(a t + phi).  N comes from
+the state, not from a and c, so the norm check I_+ - I_- = 1 tests the
+reduction.
+
+Reference route: `integrate_negativity_grid`, the 4D hybrid rule.  The
+absolute value in the negativity integrals kinks the integrand along the
 nodal surfaces of W, which destroys the spectral accuracy a plain tensor
-Gauss-Legendre rule would otherwise enjoy (a 48-node rule moves delta by
-percents when refined).  The cure is to split the integral by mode: the
-mode-1 plane, where max(+-W, 0) is applied, is integrated on a dense uniform
-midpoint grid whose spacing resolves the interference fringes; what remains,
+Gauss-Legendre rule would otherwise enjoy.  The hybrid rule splits the
+integral by mode: the mode-1 plane, where max(+-W, 0) is applied, is
+integrated on a dense uniform midpoint grid whose spacing resolves the
+interference fringes; what remains,
 
     G(x2, y2) = int dx1 dy1 max(+-W, 0),
 
@@ -35,13 +73,14 @@ which also carries any NaN or inf into the finite check) and of min(W, 0);
 the negative volume is I_- = -sum min(W, 0) and the positive one is
 I_+ = sum W + I_-.
 
-delta is reported as 2 I_- / (I_+ - I_-), the negative volume of the
+Both routes report delta as 2 I_- / (I_+ - I_-), the negative volume of the
 *unit-normalized* function; this keeps the identity nu = delta/(1+delta)
 exact instead of drifting with the residual quadrature normalization error.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -61,11 +100,162 @@ __all__ = [
     "default_nodes",
     "default_inner_density",
     "integrate_negativity",
+    "integrate_negativity_grid",
     "temperature_sweep",
 ]
 
-# W values per block and part: 512 KiB of doubles, so that a block stays in cache
+# reach of the reduced Gaussian e^{-s^2-t^2} in s and t: e^{-49} = 5e-22 of its peak
+_REACH = 7.0
+# Gauss-Legendre nodes of the reduced rule: in tau (s = s* - tau^2), and in u per interval
+_S_NODES = 64
+_T_NODES = 16
+# relative departure of I_+ - I_- from 1 that raises NormalizationError
+_NORM_TOL = 0.01
+# W values per block and part of the grid rule: 512 KiB of doubles, so that a block stays in cache
 _BLOCK_VALUES = 1 << 16
+
+
+@dataclass
+class NegativityResult:
+    """Negativity metrics and the quadrature metadata behind them.
+
+    For `integrate_negativity`, `nodes` counts the Gauss-Legendre nodes in s
+    (through tau, s = s* - tau^2), `inner_nodes` those in t per negative
+    interval, and `half_width` is the
+    phase-space reach of the reduced rule, sqrt2 |alpha| max(u1, u2) +
+    7 max(sqrt(D1), sqrt(D2)), which covers the lobes and their spread.  For
+    `integrate_negativity_grid` they are the outer nodes per axis, the inner
+    midpoints per axis and the box half-width.
+    """
+
+    delta: float
+    nu: float
+    i_plus: float
+    i_minus: float
+    norm_check: float
+    nodes: int
+    inner_nodes: int
+    half_width: float
+    seconds: float
+
+
+def _finish(i_plus: float, i_minus: float, nodes: int, inner_nodes: int, half_width: float,
+            t0: float) -> NegativityResult:
+    """Apply the 1% norm gate and form delta and nu from the two volumes."""
+    norm_check = i_plus - i_minus
+    if abs(norm_check - 1.0) > _NORM_TOL:
+        raise NormalizationError(
+            f"I+ - I- = {norm_check:.6f} deviates from 1 by more than 1%: "
+            f"nodes={nodes}, inner={inner_nodes}, half_width={half_width:.3f}"
+        )
+    return NegativityResult(
+        delta=2.0 * i_minus / norm_check,
+        nu=2.0 * i_minus / (i_plus + i_minus),
+        i_plus=i_plus,
+        i_minus=i_minus,
+        norm_check=norm_check,
+        nodes=nodes,
+        inner_nodes=inner_nodes,
+        half_width=half_width,
+        seconds=time.perf_counter() - t0,
+    )
+
+
+# ---------------------------------------------------------------------------
+# production: the reduced two-coordinate integral
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=16)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [lo, hi]."""
+    x, w = _leggauss(n)
+    half = 0.5 * (hi - lo)
+    return 0.5 * (lo + hi) + half * x, half * w
+
+
+def _reduced_parameters(spec: BellCatSpec, params: ThermalParams) -> tuple[float, float, float]:
+    """a = |P|, c and y = a^2 - c of the reduced form (module docstring)."""
+    a2 = c = y = 0.0
+    for gamma, q, one_minus_q in ((spec.alpha, params.exp1, params.one_minus_exp1),
+                                  (spec.k * spec.alpha, params.exp2, params.one_minus_exp2)):
+        n = q / one_minus_q
+        d = 1.0 + 2.0 * n
+        g2 = abs(gamma) ** 2
+        a2 += 2.0 * g2 / (one_minus_q * d)     # |w|^2 / D with w = sqrt2 gamma / sqrt(1 - q)
+        c += 2.0 * n * g2 / d
+        y += 2.0 * g2 / d
+    return math.sqrt(a2), c, y
+
+
+def _theta(u: np.ndarray, sigma: int, a: float) -> np.ndarray:
+    """Theta(u) = sum_j e^{-(t_j + u)^2} over the interval centres t_j = (j pi - phi)/a within the reach."""
+    phi = 0.0 if sigma < 0 else 0.5 * math.pi
+    reach = math.ceil(_REACH * a / math.pi) + 2
+    out = np.zeros_like(u)
+    for j in range(-reach, reach + 1):
+        out += np.exp(-((j * math.pi - phi) / a + u) ** 2)
+    return out
+
+
+def _negative_volume(sigma: int, a: float, y: float, s_nodes: int, t_nodes: int) -> float:
+    """int ds dt e^{-s^2-t^2} max(-[l(s) - m0 + 2 sin^2(a t + phi)], 0): I_- pi N e^{c}."""
+    if not y > 0.0:
+        return 0.0
+    # cosh(2 a s*) = e^y; arccosh(e^y) = y + log1p(sqrt(1 - e^{-2y})) never overflows
+    s_star = (y + math.log1p(math.sqrt(-math.expm1(-2.0 * y)))) / (2.0 * a)
+    tau, w_tau = _legendre(s_nodes, math.sqrt(max(0.0, s_star - _REACH)), math.sqrt(s_star))
+    s = s_star - tau * tau
+    # m = m0 - l(s), with l(s) = e^{-y} 2 sinh^2(a s) = e^{2as - y} expm1(-2as)^2 / 2 and 2as - y <= log 2
+    m = -math.expm1(-y) - 0.5 * np.exp(2.0 * a * s - y) * np.expm1(-2.0 * a * s) ** 2
+    h = np.arcsin(np.sqrt(0.5 * np.maximum(m, 0.0))) / a
+    x, w_x = _legendre(t_nodes, 0.0, 1.0)
+    ah = a * h[:, None]
+    depth = 2.0 * np.sin(ah * (1.0 - x)) * np.sin(ah * (1.0 + x))
+    g = 2.0 * h * ((depth * _theta(h[:, None] * x, sigma, a)) @ w_x)
+    # both signs of s, and ds = 2 tau dtau
+    return float((4.0 * w_tau * tau * np.exp(-s * s)) @ g)
+
+
+def _total_volume(sigma: int, a: float, c: float, y: float, nodes: int) -> float:
+    """int ds dt F over the plane: I_+ - I_- times pi N, by quadrature of the separable form."""
+    # lobe term: int ds e^{-(|s|-a)^2} expm1(-2a|s|)^2 / 2 = int_{-a}^inf dv e^{-v^2} expm1(-2a(v + a))^2
+    v, w_v = _legendre(nodes, max(-a, -_REACH), _REACH)
+    lobe = float(w_v @ (np.exp(-v * v) * np.expm1(-2.0 * a * (v + a)) ** 2))
+    # fringe term: int dt e^{-t^2} 2 sin^2(a t + phi), even in t; oscillates with frequency 2a
+    t, w_t = _legendre(nodes + math.ceil(a * _REACH), 0.0, _REACH)
+    wave = np.sin(a * t) if sigma < 0 else np.cos(a * t)
+    fringe = 4.0 * float(w_t @ (np.exp(-t * t) * wave * wave))
+    root_pi = math.sqrt(math.pi)
+    return root_pi * lobe + math.exp(-c) * (root_pi * fringe + math.pi * math.expm1(-y))
+
+
+def integrate_negativity(spec: BellCatSpec, params: ThermalParams) -> NegativityResult:
+    """Integrate the negative and positive volumes of W in the reduced coordinates; report delta, nu.
+
+    I_+ and I_- come from the two quadratures of the module docstring; the
+    norm check I_+ - I_- must land within 1% of 1 or a NormalizationError is
+    raised, and a non-finite volume raises NonFiniteError.  The rule is
+    fixed, so results are bit-reproducible.
+    """
+    t0 = time.perf_counter()
+    a, c, y = _reduced_parameters(spec, params)
+    scale = 1.0 / (math.pi * spec.parity_overlap)
+    i_minus = scale * math.exp(-c) * _negative_volume(spec.sigma, a, y, _S_NODES, _T_NODES)
+    norm = scale * _total_volume(spec.sigma, a, c, y, _S_NODES)
+    if not (math.isfinite(i_minus) and math.isfinite(norm)):
+        raise NonFiniteError(f"reduced negativity volumes are not finite: I- = {i_minus}, I+ - I- = {norm}")
+    half_width = math.sqrt(2.0) * effective_amplitude(spec, params) + _REACH * _thermal_scale(params)
+    return _finish(norm + i_minus, i_minus, _S_NODES, _T_NODES, half_width, t0)
+
+
+# ---------------------------------------------------------------------------
+# reference: the 4D hybrid rule
+# ---------------------------------------------------------------------------
 
 
 def _orbit_representatives(n: int, alpha: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -140,25 +330,9 @@ def default_inner_density(spec: BellCatSpec, params: ThermalParams) -> float:
     return max(5.0, 1.6 * _damped_fringe_frequency(spec, params) + 5.0)
 
 
-@dataclass
-class NegativityResult:
-    """Negativity metrics and the quadrature metadata behind them."""
-
-    delta: float
-    nu: float
-    i_plus: float
-    i_minus: float
-    norm_check: float
-    nodes: int
-    inner_nodes: int
-    half_width: float
-    max_imag_residue: float
-    seconds: float
-
-
-def integrate_negativity(spec: BellCatSpec, params: ThermalParams,
-                         quad: QuadratureSpec | None = None) -> NegativityResult:
-    """Integrate the Wigner function over the padded box and report delta, nu.
+def integrate_negativity_grid(spec: BellCatSpec, params: ThermalParams,
+                              quad: QuadratureSpec | None = None) -> NegativityResult:
+    """Reference: integrate W on the 4D hybrid rule over the padded box and report delta, nu.
 
     I_+ and I_- accumulate the positive and negative volumes; the norm check
     I_+ - I_- must land within 1% of 1 or a NormalizationError is raised
@@ -200,7 +374,6 @@ def integrate_negativity(spec: BellCatSpec, params: ThermalParams,
     buf_im = np.empty_like(buf_re)
     total = 0.0       # sum of W over the grid, orbit-weighted
     negative = 0.0    # sum of min(W, 0)
-    max_resid = 0.0
     for lo in range(0, n1, chunk):
         hi = min(lo + chunk, n1)
         w_re, w_im = fac.combine_block(slice(lo, hi), out=(buf_re[:hi - lo], buf_im[:hi - lo]))
@@ -213,34 +386,13 @@ def integrate_negativity(spec: BellCatSpec, params: ThermalParams,
             # pointwise bound |im| <= tol (1 + |re|)
             if np.any(np.abs(w_im) > IMAG_RESIDUE_TOL * (1.0 + np.abs(w_re))):
                 raise ImaginaryResidueError("negativity integrand lost its Hermitian pairing")
-        max_resid = max(max_resid, block_resid)
         row_negative = np.minimum(w_re, 0.0, out=w_re) @ w_outer
         total += float(multiplicity[lo:hi] @ row_sums)
         negative += float(multiplicity[lo:hi] @ row_negative)
 
     i_minus = -negative * w_inner
     i_plus = total * w_inner + i_minus
-
-    norm_check = i_plus - i_minus
-    if abs(norm_check - 1.0) > 0.01:
-        raise NormalizationError(
-            f"I+ - I- = {norm_check:.6f} deviates from 1 by more than 1%: "
-            f"nodes={nodes}, inner={inner_nodes}, half_width={half_width:.3f}"
-        )
-    delta = 2.0 * i_minus / norm_check
-    nu = 2.0 * i_minus / (i_plus + i_minus)
-    return NegativityResult(
-        delta=delta,
-        nu=nu,
-        i_plus=i_plus,
-        i_minus=i_minus,
-        norm_check=norm_check,
-        nodes=nodes,
-        inner_nodes=inner_nodes,
-        half_width=half_width,
-        max_imag_residue=max_resid,
-        seconds=time.perf_counter() - t0,
-    )
+    return _finish(i_plus, i_minus, nodes, inner_nodes, half_width, t0)
 
 
 @dataclass
@@ -254,8 +406,8 @@ class SweepEntry:
         return self.result is not None
 
 
-def temperature_sweep(spec: BellCatSpec, temperatures, omega1: float, omega2: float | None = None,
-                      quad: QuadratureSpec | None = None) -> list[SweepEntry]:
+def temperature_sweep(spec: BellCatSpec, temperatures, omega1: float,
+                      omega2: float | None = None) -> list[SweepEntry]:
     """One independent negativity integration per temperature (ascending order required).
 
     Failures are attached to their entries and the sweep continues.
@@ -270,7 +422,7 @@ def temperature_sweep(spec: BellCatSpec, temperatures, omega1: float, omega2: fl
         entry = SweepEntry(temperature=T)
         try:
             params = thermal_params(T, omega1, omega2)
-            entry.result = integrate_negativity(spec, params, quad=quad)
+            entry.result = integrate_negativity(spec, params)
         except BellCatError as exc:
             entry.error = f"{type(exc).__name__}: {exc}"
         entries.append(entry)

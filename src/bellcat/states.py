@@ -77,6 +77,12 @@ class BellCatSpec:
             raise ValueError(f"unknown state label {label!r}; expected one of {sorted(STATE_LABELS)}") from None
         return cls(alpha=alpha, k=k, sigma=sigma)
 
+    @property
+    def parity_overlap(self) -> float:
+        """1 + sigma e^{-4|alpha|^2}, without cancellation when sigma = -1 and |alpha| is small."""
+        a2 = abs(self.alpha) ** 2
+        return 1.0 + math.exp(-4.0 * a2) if self.sigma > 0 else -math.expm1(-4.0 * a2)
+
     def flipped_mode2(self) -> "BellCatSpec":
         """The partner state with the mode-2 sign reversed (Phi <-> Psi)."""
         return BellCatSpec(alpha=self.alpha, k=-self.k, sigma=self.sigma)

@@ -189,10 +189,7 @@ def factorize(spec: BellCatSpec, params: ThermalParams,
     m2 = _mode_tables(spec.k * spec.alpha, params.exp2, params.one_minus_exp2, x2, y2)
     d1 = (1.0 + params.exp1) / params.one_minus_exp1
     d2 = (1.0 + params.exp2) / params.one_minus_exp2
-    # 1 + sigma e^{-4|alpha|^2}, without cancellation when sigma = -1 and |alpha| is small
-    a2 = abs(spec.alpha) ** 2
-    overlap = 1.0 + math.exp(-4.0 * a2) if spec.sigma > 0 else -math.expm1(-4.0 * a2)
-    pref = 1.0 / (2.0 * math.pi**2 * d1 * d2 * overlap)
+    pref = 1.0 / (2.0 * math.pi**2 * d1 * d2 * spec.parity_overlap)
     return ModeFactorization(prefactor=pref, sigma=spec.sigma, m1=m1, m2=m2)
 
 

@@ -22,7 +22,7 @@ import pytest
 
 from bellcat.cli import main as cli_main
 from bellcat.density import build_density_matrix, build_density_operator
-from bellcat.negativity import integrate_negativity, temperature_sweep
+from bellcat.negativity import integrate_negativity, integrate_negativity_grid, temperature_sweep
 from bellcat.series import series_values
 from bellcat.states import STATE_LABELS, BellCatSpec, coherent_overlap_sq
 from bellcat.tfd import HBAR, KB, thermal_params
@@ -42,8 +42,9 @@ OMEGA = 2 * math.pi * 5.5e9
 ALL_LABELS = sorted(STATE_LABELS)
 PAPER_LABELS = ("psi-plus", "phi-minus")
 PAPER_ALPHAS = (1.0, 1 + 1j, 2.0)
-# largest shift of nu at 0.01 K under simultaneous refinement of box, nodes,
-# inner density and both series caps (notes/decisions.md)
+# largest shift of nu at 0.01 K under simultaneous refinement of the 4D grid
+# rule's box, nodes and inner density and both series caps; the reduced
+# integral lies within it of the refined values (notes/decisions.md)
 NU_REFINEMENT_SHIFT = 5e-4
 
 
@@ -278,17 +279,18 @@ def test_criterion_10_alpha_ordering_at_10mK(negativity_battery):
     # unchanged), so alpha = 1+i acts as sqrt(2); in the pure state nu rises
     # with |alpha| for both states.
     # Checked here: the integrand is the pure-state closed form on nodes of
-    # the battery's own grid, and nu rises strictly with |alpha| with every
-    # gap at least 10x NU_REFINEMENT_SHIFT.  The paper's ordering is a
-    # finite-temperature effect (larger |alpha| decoheres faster), checked by
-    # the companion test below; see notes/decisions.md.
+    # the reference grid rule (integrate_negativity_grid), and nu rises
+    # strictly with |alpha| with every gap at least 10x NU_REFINEMENT_SHIFT.
+    # The paper's ordering is a finite-temperature effect (larger |alpha|
+    # decoheres faster), checked by the companion test below; see
+    # notes/decisions.md.
     rng = np.random.default_rng(20100)
     params = params_for(0.01)
     worst = 0.0
     for label in PAPER_LABELS:
         for alpha in PAPER_ALPHAS:
             spec = BellCatSpec.from_label(label, alpha)
-            result = negativity_battery[(label, alpha, 0.01)]
+            result = integrate_negativity_grid(spec, params)
             step = 2.0 * result.half_width / result.inner_nodes
             inner = -result.half_width + step * (np.arange(result.inner_nodes) + 0.5)
             outer = result.half_width * np.polynomial.legendre.leggauss(result.nodes)[0]
@@ -304,7 +306,7 @@ def test_criterion_10_alpha_ordering_at_10mK(negativity_battery):
     min_gap = min(float(np.min(np.diff(values))) for values in nus.values())
     ok = worst < 1e-9 and min_gap >= 10 * NU_REFINEMENT_SHIFT
     report("10", ok,
-           f"at 0.01 K max |W - W_pure| = {worst:.2e} on 6x300 grid nodes; nu by |alpha| = 1, sqrt2, 2: "
+           f"at 0.01 K max |W - W_pure| = {worst:.2e} on 6x300 grid-rule nodes; nu by |alpha| = 1, sqrt2, 2: "
            + ", ".join(f"{label} {[f'{v:.4f}' for v in values]}" for label, values in nus.items())
            + f"; min gap {min_gap:.4f} vs 10x refinement shift {10 * NU_REFINEMENT_SHIFT:.4f}")
     assert ok
@@ -357,10 +359,9 @@ def test_criterion_11_figure_slices():
 
 
 def test_criterion_12_determinism(tmp_path):
-    fast = ["--quad-nodes", "32", "--quad-half-width", "8.5", "--inner-density", "5.0"]
     wig = ["wigner", "--grid-count", "15", "--half-width", "5.0", "--temp", "0.3"]
-    sweep = ["sweep", "--temp-min", "0.05", "--temp-max", "0.15", "--temp-count", "2"] + fast
-    neg = ["negativity", "--temp", "0.05"] + fast
+    sweep = ["sweep", "--temp-min", "0.05", "--temp-max", "0.15", "--temp-count", "2"]
+    neg = ["negativity", "--temp", "0.05"]
 
     def run_twice(args, name):
         a, b = tmp_path / f"{name}_a", tmp_path / f"{name}_b"

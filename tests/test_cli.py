@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+import bellcat.negativity
 from bellcat.cli import main
+from bellcat.errors import NormalizationError
 from bellcat.negativity import integrate_negativity
 from bellcat.states import BellCatSpec
 from bellcat.tfd import HBAR, KB, thermal_params
 
 FAST_WIGNER = ["wigner", "--grid-count", "9", "--half-width", "4.0"]
-FAST_QUAD = ["--quad-nodes", "32", "--quad-half-width", "8.5", "--inner-density", "5.0"]
 
 
 def read(path):
@@ -115,8 +116,7 @@ class TestWignerCommand:
 class TestNegativityCommand:
     def test_json_schema_and_identity(self, tmp_path):
         out = tmp_path / "n.json"
-        code = main(["negativity", "--state", "phi-minus", "--temp", "0.01"] + FAST_QUAD
-                    + ["--out", str(out)])
+        code = main(["negativity", "--state", "phi-minus", "--temp", "0.01", "--out", str(out)])
         assert code == 0
         payload = json.loads(read(out))
         assert list(payload) == ["state", "alpha_re", "alpha_im", "temperature_k", "freq1_hz",
@@ -125,34 +125,54 @@ class TestNegativityCommand:
         assert payload["nu"] > 0
         assert abs(payload["norm_check"] - 1.0) < 1e-3
         assert abs(payload["nu"] - payload["delta"] / (1 + payload["delta"])) < 1e-6 * payload["nu"]
-        assert payload["quad"]["nodes"] == 32
+        # the reduced rule: s-nodes, t-nodes per interval, phase-space reach
+        direct = integrate_negativity(BellCatSpec.from_label("phi-minus", 1.0),
+                                      thermal_params(0.01, 2 * math.pi * 5.5e9))
+        assert payload["quad"] == {"nodes": direct.nodes, "half_width": direct.half_width,
+                                   "inner_nodes": direct.inner_nodes}
 
     def test_matches_library_call(self, tmp_path):
         out = tmp_path / "n.json"
-        main(["negativity", "--state", "psi-plus", "--temp", "0.05"] + FAST_QUAD + ["--out", str(out)])
+        main(["negativity", "--state", "psi-plus", "--temp", "0.05", "--out", str(out)])
         payload = json.loads(read(out))
-        from bellcat.negativity import QuadratureSpec
-
         direct = integrate_negativity(
             BellCatSpec.from_label("psi-plus", 1.0),
             thermal_params(0.05, 2 * math.pi * 5.5e9),
-            QuadratureSpec(nodes=32, half_width=8.5, inner_density=5.0),
         )
         assert payload["nu"] == direct.nu
         assert payload["delta"] == direct.delta
 
-    def test_normalization_failure_exits_1(self, tmp_path, capsys):
+    def test_normalization_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a reach that cuts off the lobes leaves I+ - I- short of 1
+        monkeypatch.setattr(bellcat.negativity, "_REACH", 0.5)
         code = main(["negativity", "--state", "phi-minus", "--temp", "2.0",
-                     "--quad-nodes", "16", "--quad-half-width", "8.5",
-                     "--inner-density", "4.0", "--out", str(tmp_path / "n.json")])
+                     "--out", str(tmp_path / "n.json")])
         assert code == 1
+        assert "NormalizationError" in capsys.readouterr().err
+
+    def test_small_odd_amplitude_integrates(self, tmp_path):
+        # 1 + sigma e^{-4|alpha|^2} cancels in floating point at alpha = 1e-8
+        out = tmp_path / "n.json"
+        assert main(["negativity", "--state", "phi-minus", "--alpha-re", "1e-8", "--out", str(out)]) == 0
+        payload = json.loads(read(out))
+        assert abs(payload["nu"] - (4 * math.exp(-0.5) - 2) / (4 * math.exp(-0.5) - 1)) < 1e-9
+
+    @pytest.mark.parametrize("base", [["negativity", "--temp", "0.05"],
+                                      ["sweep", "--temp-min", "0.05", "--temp-max", "0.1", "--temp-count", "1"]])
+    @pytest.mark.parametrize("flag", ["--quad-nodes", "--quad-half-width", "--inner-density"])
+    def test_removed_quadrature_flags_are_usage_errors(self, tmp_path, base, flag):
+        out = ["--out", str(tmp_path / "out")]
+        assert main(base + out) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(base + [flag, "32"] + out)
+        assert exc.value.code == 2
 
 
 class TestSweepCommand:
     def test_columns_and_consistency(self, tmp_path):
         out = tmp_path / "s.csv"
         code = main(["sweep", "--state", "phi-minus", "--temp-min", "0.05", "--temp-max", "0.1",
-                     "--temp-count", "2"] + FAST_QUAD + ["--out", str(out)])
+                     "--temp-count", "2", "--out", str(out)])
         assert code == 0
         lines = read(out).splitlines()
         assert lines[0] == "temperature_k,delta,nu,i_plus,i_minus,norm_check"
@@ -163,18 +183,25 @@ class TestSweepCommand:
     def test_single_temperature_matches_negativity(self, tmp_path):
         sweep_out = tmp_path / "s.csv"
         neg_out = tmp_path / "n.json"
-        main(["sweep", "--temp-min", "0.05", "--temp-max", "0.05", "--temp-count", "1"]
-             + FAST_QUAD + ["--out", str(sweep_out)])
-        main(["negativity", "--temp", "0.05"] + FAST_QUAD + ["--out", str(neg_out)])
+        main(["sweep", "--temp-min", "0.05", "--temp-max", "0.05", "--temp-count", "1",
+              "--out", str(sweep_out)])
+        main(["negativity", "--temp", "0.05", "--out", str(neg_out)])
         row = read(sweep_out).splitlines()[1].split(",")
         payload = json.loads(read(neg_out))
         assert float(row[1]) == pytest.approx(payload["delta"], rel=0, abs=0)
         assert float(row[2]) == pytest.approx(payload["nu"], rel=0, abs=0)
 
-    def test_failed_rows_are_nan_and_exit_1(self, tmp_path, capsys):
+    def test_failed_rows_are_nan_and_exit_1(self, tmp_path, capsys, monkeypatch):
+        real = bellcat.negativity.integrate_negativity
+
+        def failing_when_hot(spec, params):
+            if params.temperature > 1.0:
+                raise NormalizationError("I+ - I- = 0.5")
+            return real(spec, params)
+
+        monkeypatch.setattr(bellcat.negativity, "integrate_negativity", failing_when_hot)
         out = tmp_path / "s.csv"
         code = main(["sweep", "--temp-min", "0.05", "--temp-max", "2.0", "--temp-count", "2",
-                     "--quad-half-width", "8.5"] + ["--quad-nodes", "32", "--inner-density", "5.0",
                      "--out", str(out)])
         assert code == 1
         lines = read(out).splitlines()
@@ -187,8 +214,8 @@ class TestSweepCommand:
 
     def test_zero_temp_count_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--temp-min", "0.5", "--temp-max", "2", "--temp-count", "0"]
-                 + FAST_QUAD + ["--out", str(tmp_path / "s.csv")])
+            main(["sweep", "--temp-min", "0.5", "--temp-max", "2", "--temp-count", "0",
+                  "--out", str(tmp_path / "s.csv")])
         assert exc.value.code == 2
 
 
@@ -196,8 +223,8 @@ class TestPresets:
     def test_fig4_defines_sweep_range(self, tmp_path):
         # temp-min comes from the preset; the explicit flags trim the hot end
         out = tmp_path / "s.csv"
-        code = main(["sweep", "--preset", "fig4", "--temp-max", "0.1", "--temp-count", "2"]
-                    + FAST_QUAD + ["--out", str(out)])
+        code = main(["sweep", "--preset", "fig4", "--temp-max", "0.1", "--temp-count", "2",
+                     "--out", str(out)])
         assert code == 0
         lines = read(out).splitlines()
         assert float(lines[1].split(",")[0]) == pytest.approx(0.01)
@@ -226,14 +253,14 @@ class TestDeterminism:
 
     def test_sweep_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["sweep", "--temp-min", "0.05", "--temp-max", "0.1", "--temp-count", "2"] + FAST_QUAD
+        args = ["sweep", "--temp-min", "0.05", "--temp-max", "0.1", "--temp-count", "2"]
         main(args + ["--out", str(a)])
         main(args + ["--out", str(b)])
         assert read(a) == read(b)
 
     def test_negativity_identical_modulo_runtime(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["negativity", "--temp", "0.05"] + FAST_QUAD
+        args = ["negativity", "--temp", "0.05"]
         main(args + ["--out", str(a)])
         main(args + ["--out", str(b)])
         pa, pb = json.loads(read(a)), json.loads(read(b))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bellcat.density import build_density_matrix, build_density_operator, mode_thermal_blocks
+from bellcat.density import _exp_creation, build_density_matrix, build_density_operator, mode_thermal_blocks
 from bellcat.errors import CutoffError
 from bellcat.states import BellCatSpec, bellcat_normalization, fock_coefficients
 from bellcat.tfd import thermal_params
@@ -50,6 +50,20 @@ class TestElementFormula:
         expected = 4.0 * bellcat_normalization(1.0, +1) ** 2 * math.exp(-2.0)
         assert value.real == pytest.approx(expected, rel=1e-12)
         assert value.imag == 0.0
+
+
+class TestCreationExponential:
+    @pytest.mark.parametrize("cutoff", [0, 1, 5, 12])
+    @pytest.mark.parametrize("g", [0.7, -1.3, 1 + 1j, 0.2 - 0.9j])
+    def test_matches_factorial_transcription(self, g, cutoff):
+        # e^{g a^dag} entry (i, j) = g^{i-j} sqrt(i!/j!) / (i-j)! below the diagonal, 0 above
+        plus, minus = _exp_creation(g, cutoff)
+        for i in range(cutoff + 1):
+            for j in range(cutoff + 1):
+                want = (g ** (i - j) * math.sqrt(math.factorial(i) / math.factorial(j))
+                        / math.factorial(i - j)) if i >= j else 0.0
+                assert abs(plus[i, j] - want) <= 1e-13 * max(1.0, abs(want))
+                assert minus[i, j] == (-1) ** (i - j) * plus[i, j]
 
 
 class TestOracleEquivalence:

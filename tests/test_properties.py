@@ -1,20 +1,23 @@
 """Property tests of the production Gaussian evaluator over the whole parameter box.
 
 label x complex alpha (|alpha| <= 3) x T in [0, 20] K x omega2/omega1 in
-[0.5, 2], at points spread over the thermally amplified lobes, and of the two
-density builds over label x complex alpha (|alpha| <= 2) x T in [0, 2] K x
-omega2/omega1 in [0.5, 2].  Examples are derandomized, so every run checks
-the same cases.
+[0.5, 2], at points spread over the thermally amplified lobes, of the reduced
+negativity integral over the same box, and of the two density builds over
+label x complex alpha (|alpha| <= 2) x T in [0, 2] K x omega2/omega1 in
+[0.5, 2].  Examples are derandomized, so every run checks the same cases.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bellcat.negativity
 from bellcat.density import build_density_matrix, build_density_operator
 from bellcat.errors import NonFiniteError, TruncationError
+from bellcat.negativity import integrate_negativity
 from bellcat.series import default_thermal_cap, series_values
 from bellcat.states import STATE_LABELS, BellCatSpec
 from bellcat.tfd import thermal_params
@@ -73,6 +76,21 @@ def test_agrees_with_series_where_its_caps_are_feasible(cfg):
         assume(False)   # the series' own tail guard or finite check declined
     # the series' tail guard admits up to 100 x its epsilon = 1e-10
     assert np.max(np.abs(wigner_values(spec, params, *pts) - reference)) <= 1e-8
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(configs)
+def test_reduced_negativity_is_normalized_and_converged(cfg):
+    spec, params, _ = setup(cfg, npts=0)
+    result = integrate_negativity(spec, params)
+    assert all(math.isfinite(v) for v in (result.nu, result.delta, result.i_plus, result.i_minus))
+    assert 0.0 <= result.nu < 1.0
+    assert abs(result.norm_check - 1.0) <= 1e-12
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bellcat.negativity, "_S_NODES", 2 * bellcat.negativity._S_NODES)
+        mp.setattr(bellcat.negativity, "_T_NODES", 2 * bellcat.negativity._T_NODES)
+        doubled = integrate_negativity(spec, params)
+    assert abs(doubled.nu - result.nu) <= 1e-12
 
 
 density_configs = st.fixed_dictionaries({
