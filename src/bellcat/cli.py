@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 computation or validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -117,6 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args returns a fresh namespace and leaves the parser as it was
+    return build_parser()
+
+
 def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
     preset = dict(_PRESETS.get(getattr(args, "preset", None) or "", {}))
 
@@ -167,12 +174,31 @@ def _fmt(value: float) -> str:
     return f"{value:.16e}"
 
 
+def _fmt_all(values) -> list[str]:
+    """`_fmt` of each value, in one formatting pass over the whole sequence."""
+    values = tuple(values)
+    return ("%.16e\n" * len(values) % values).splitlines()
+
+
+def _csv_lines(columns) -> list[str]:
+    """CSV lines of equal-length string columns, one line per row."""
+    return list(map(",".join, zip(*columns)))
+
+
 def cmd_wigner(cfg: RunConfig) -> int:
     spec = cfg.spec()
     params = cfg.params()
     fixed = {name: cfg.fixed[name] for name in ("x1", "y1", "x2", "y2") if name not in cfg.slice_axes}
     slice_ = SliceDescriptor.centered(cfg.slice_axes, cfg.half_width, cfg.grid_count, fixed)
     grid = wigner_grid(spec, params, slice_)
+
+    # axis-major rows: the first axis is constant along a run of n1 rows, the second repeats per run
+    a0, a1 = slice_.axes
+    n0, n1 = a0.count, a1.count
+    column = {name: [_fmt(value)] * (n0 * n1) for name, value in slice_.fixed.items()}
+    column[a0.name] = [text for text in _fmt_all(a0.values().tolist()) for _ in range(n1)]
+    column[a1.name] = _fmt_all(a1.values().tolist()) * n0
+    w = _fmt_all(grid.values.ravel().tolist())
 
     lines = ["# bellcat-wigner v2",
              f"# state = {cfg.state}",
@@ -185,8 +211,7 @@ def cmd_wigner(cfg: RunConfig) -> int:
              f"# half_width = {_fmt(cfg.half_width)}",
              f"# grid_count = {cfg.grid_count}",
              "x1,y1,x2,y2,w"]
-    for x1, y1, x2, y2, w in grid.iter_rows():
-        lines.append(",".join(_fmt(v) for v in (x1, y1, x2, y2, w)))
+    lines += _csv_lines([column["x1"], column["y1"], column["x2"], column["y2"], w])
     _write(cfg.out, "\n".join(lines) + "\n")
     return 0
 
@@ -225,17 +250,14 @@ def cmd_sweep(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
     else:
         temps = list(np.linspace(cfg.temp_min, cfg.temp_max, count))
     entries = temperature_sweep(cfg.spec(), temps, 2 * math.pi * cfg.freq1, 2 * math.pi * cfg.freq2)
-    lines = ["temperature_k,delta,nu,i_plus,i_minus,norm_check"]
-    failed = False
-    for entry in entries:
-        if entry.ok:
-            r = entry.result
-            lines.append(",".join(_fmt(v) for v in
-                                  (entry.temperature, r.delta, r.nu, r.i_plus, r.i_minus, r.norm_check)))
-        else:
-            failed = True
-            lines.append(",".join([_fmt(entry.temperature)] + ["nan"] * 5))
-            print(f"warning: T={entry.temperature} failed: {entry.error}", file=sys.stderr)
+    fields = ("delta", "nu", "i_plus", "i_minus", "norm_check")
+    columns = [_fmt_all(entry.temperature for entry in entries)]
+    columns += [[_fmt(getattr(entry.result, name)) if entry.ok else "nan" for entry in entries]
+                for name in fields]
+    failed = [entry for entry in entries if not entry.ok]
+    for entry in failed:
+        print(f"warning: T={entry.temperature} failed: {entry.error}", file=sys.stderr)
+    lines = ["temperature_k," + ",".join(fields)] + _csv_lines(columns)
     _write(cfg.out, "\n".join(lines) + "\n")
     return 1 if failed else 0
 
@@ -356,7 +378,7 @@ def cmd_validate(quick: bool) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "validate":
         return cmd_validate(args.quick)

@@ -186,7 +186,7 @@ def build_density_matrix(spec: BellCatSpec, params: ThermalParams, cutoff: int,
     a2 = abs(spec.alpha) ** 2
     q1, q2 = params.exp1, params.exp2
     om1, om2 = params.one_minus_exp1, params.one_minus_exp2
-    pref = math.exp(-2.0 * a2) * om1 * om2 / (2.0 * (1.0 + spec.sigma * math.exp(-4.0 * a2)))
+    pref = math.exp(-2.0 * a2) * om1 * om2 / (2.0 * spec.parity_overlap)
 
     g1, g2 = spec.alpha, spec.k * spec.alpha
     dim = (cutoff + 1) ** 2

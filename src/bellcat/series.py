@@ -212,10 +212,8 @@ def _mode_factors(gamma: complex, q: float, one_minus_q: float, trunc: Truncatio
 
 
 def _prefactor(spec: BellCatSpec, params: ThermalParams) -> float:
-    a2 = abs(spec.alpha) ** 2
-    log_denominator = 2.0 * a2 + math.log1p(spec.sigma * math.exp(-4.0 * a2))
-    return (params.one_minus_exp1 * params.one_minus_exp2
-            * math.exp(-log_denominator) / (2.0 * math.pi**2))
+    return (params.one_minus_exp1 * params.one_minus_exp2 * math.exp(-2.0 * abs(spec.alpha) ** 2)
+            / (2.0 * math.pi**2 * spec.parity_overlap))
 
 
 def series_factorize(spec: BellCatSpec, params: ThermalParams,

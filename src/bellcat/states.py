@@ -29,6 +29,7 @@ __all__ = [
     "bellcat_normalization",
     "coherent_overlap_sq",
     "fock_coefficients",
+    "parity_overlap",
 ]
 
 # label -> (k, sigma)
@@ -79,23 +80,28 @@ class BellCatSpec:
 
     @property
     def parity_overlap(self) -> float:
-        """1 + sigma e^{-4|alpha|^2}, without cancellation when sigma = -1 and |alpha| is small."""
-        a2 = abs(self.alpha) ** 2
-        return 1.0 + math.exp(-4.0 * a2) if self.sigma > 0 else -math.expm1(-4.0 * a2)
+        """1 + sigma e^{-4|alpha|^2} of this state (module function `parity_overlap`)."""
+        return parity_overlap(self.alpha, self.sigma)
 
     def flipped_mode2(self) -> "BellCatSpec":
         """The partner state with the mode-2 sign reversed (Phi <-> Psi)."""
         return BellCatSpec(alpha=self.alpha, k=-self.k, sigma=self.sigma)
 
 
+def parity_overlap(alpha: complex, sigma: int) -> float:
+    """1 + sigma e^{-4|alpha|^2}, without cancellation when sigma = -1 and |alpha| is small."""
+    a2 = abs(complex(alpha)) ** 2
+    return 1.0 + math.exp(-4.0 * a2) if sigma > 0 else -math.expm1(-4.0 * a2)
+
+
 def bellcat_normalization(alpha: complex, sigma: int) -> float:
     """Two-mode Bell-Cat normalization [2(1 + sigma e^{-4|alpha|^2})]^{-1/2}."""
     if sigma not in (+1, -1):
         raise ValueError(f"sigma must be +1 or -1, got {sigma!r}")
-    a2 = abs(complex(alpha)) ** 2
-    if sigma == -1 and a2 == 0.0:
+    overlap = parity_overlap(alpha, sigma)
+    if overlap == 0.0:
         raise DegenerateStateError("odd Bell-Cat state with alpha = 0 is the null vector")
-    return 1.0 / math.sqrt(2.0 * (1.0 + sigma * math.exp(-4.0 * a2)))
+    return 1.0 / math.sqrt(2.0 * overlap)
 
 
 def coherent_overlap_sq(alpha: complex) -> float:

@@ -301,18 +301,6 @@ class WignerGrid:
     def axis_values(self, index: int) -> np.ndarray:
         return self.slice_.axes[index].values()
 
-    def iter_rows(self):
-        """Yield (x1, y1, x2, y2, w) per grid point in axis-major order."""
-        a0, a1 = self.slice_.axes
-        v0, v1 = a0.values(), a1.values()
-        coords = dict(self.slice_.fixed)
-        for i, u in enumerate(v0):
-            for j, w in enumerate(v1):
-                coords[a0.name] = float(u)
-                coords[a1.name] = float(w)
-                yield (coords["x1"], coords["y1"], coords["x2"], coords["y2"],
-                       float(self.values[i, j]))
-
 
 def wigner_grid(spec: BellCatSpec, params: ThermalParams, slice_: SliceDescriptor) -> WignerGrid:
     """Evaluate the Wigner function over a 2D slice via the factorized contraction.
@@ -501,7 +489,7 @@ def closed_form_zero_temperature(spec: BellCatSpec, x1, y1, x2, y2) -> np.ndarra
     z1 = arrays[0] + 1j * arrays[1]
     z2 = arrays[2] + 1j * arrays[3]
     alpha, k, sigma = spec.alpha, spec.k, spec.sigma
-    norm_sq = 1.0 / (2.0 * (1.0 + sigma * math.exp(-4.0 * abs(alpha) ** 2)))
+    norm_sq = 1.0 / (2.0 * spec.parity_overlap)
 
     def cross(u: complex, w: complex, z: np.ndarray) -> np.ndarray:
         return np.exp(math.sqrt(2.0) * u * np.conj(z) + math.sqrt(2.0) * np.conj(w) * z

@@ -1,15 +1,21 @@
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bellcat
 import bellcat.negativity
 from bellcat.cli import main
 from bellcat.errors import NormalizationError
 from bellcat.negativity import integrate_negativity
 from bellcat.states import BellCatSpec
 from bellcat.tfd import HBAR, KB, thermal_params
+from bellcat.wigner import SliceDescriptor, wigner_grid
 
 FAST_WIGNER = ["wigner", "--grid-count", "9", "--half-width", "4.0"]
 
@@ -90,6 +96,37 @@ class TestWignerCommand:
         main(FAST_WIGNER + ["--fix-y1", "0.5", "--fix-y2", "-0.25", "--out", str(out)])
         rows = [line.split(",") for line in read(out).splitlines() if not line.startswith(("#", "x1"))]
         assert all(float(r[1]) == 0.5 and float(r[3]) == -0.25 for r in rows)
+
+    @pytest.mark.parametrize("axes", list(itertools.permutations(("x1", "y1", "x2", "y2"), 2)))
+    def test_rows_match_per_value_writer(self, axes, tmp_path, capsys):
+        # the column-wise writer against a transcription of the per-point loop it replaced
+        spec = BellCatSpec.from_label("psi-plus", 1 + 0.5j)
+        omega = 2 * math.pi * 5.5e9
+        params = thermal_params(0.3, omega, omega)
+        others = [c for c in ("x1", "y1", "x2", "y2") if c not in axes]
+        for count in (2, 7):
+            for values in ((-0.0, 1e-300), (1e-300, 123.456), (123.456, -0.0)):
+                fixed = dict(zip(others, values))
+                argv = ["wigner", "--state", "psi-plus", "--alpha-re", "1", "--alpha-im", "0.5",
+                        "--temp", "0.3", "--slice", ",".join(axes), "--grid-count", str(count),
+                        "--half-width", "2.5"]
+                argv += [arg for name, v in fixed.items() for arg in (f"--fix-{name}", repr(v))]
+                out = tmp_path / "w.csv"
+                assert main(argv + ["--out", str(out)]) == 0
+                assert main(argv) == 0
+                assert capsys.readouterr().out == read(out)
+
+                grid = wigner_grid(spec, params, SliceDescriptor.centered(axes, 2.5, count, fixed))
+                expected = []
+                coords = dict(fixed)
+                for i, u in enumerate(grid.axis_values(0)):
+                    for j, v in enumerate(grid.axis_values(1)):
+                        coords[axes[0]], coords[axes[1]] = float(u), float(v)
+                        row = (coords["x1"], coords["y1"], coords["x2"], coords["y2"], float(grid.values[i, j]))
+                        expected.append(",".join(f"{x:.16e}" for x in row))
+                lines = read(out).splitlines()
+                assert lines[10] == "x1,y1,x2,y2,w"
+                assert lines[11:] == expected
 
     def test_small_grid_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -267,6 +304,31 @@ class TestDeterminism:
         pa.pop("runtime_s")
         pb.pop("runtime_s")
         assert pa == pb
+
+
+class TestParserReuse:
+    """`main` parses with one parser per process; no call may leave state for the next."""
+
+    def test_preset_does_not_carry_over(self, tmp_path):
+        out = tmp_path / "w.csv"
+        assert main(FAST_WIGNER + ["--preset", "fig2", "--out", str(out)]) == 0
+        assert "# alpha_im = 1.0000000000000000e+00" in read(out)
+        assert main(FAST_WIGNER + ["--out", str(out)]) == 0
+        assert "# alpha_im = 0.0000000000000000e+00" in read(out)
+
+    @pytest.mark.parametrize("bad", [["--grid-count", "1"], ["--grid-count", "x"], ["--slice", "x1"]])
+    def test_usage_error_then_valid_call(self, bad, tmp_path):
+        args = FAST_WIGNER + ["--state", "phi-plus", "--temp", "0.2"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + bad)
+        assert exc.value.code == 2
+        out = tmp_path / "w.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        src = os.path.dirname(os.path.dirname(bellcat.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        fresh = subprocess.run([sys.executable, "-m", "bellcat.cli", *args], capture_output=True,
+                               env=env, check=True).stdout
+        assert out.read_bytes() == fresh
 
 
 class TestValidateCommand:

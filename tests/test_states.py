@@ -39,6 +39,15 @@ class TestNormalizations:
         with pytest.raises(ValueError):
             bellcat_normalization(1.0, 2)
 
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-6, 1e-3])
+    def test_small_odd_amplitude_without_cancellation(self, alpha):
+        # 1 - e^{-4|alpha|^2} loses all its digits at |alpha| = 1e-8 unless taken through expm1
+        spec = BellCatSpec.from_label("phi-minus", alpha)
+        norm = bellcat_normalization(alpha, -1)
+        assert norm == pytest.approx(1.0 / math.sqrt(2.0 * spec.parity_overlap), rel=1e-14)
+        assert norm == pytest.approx(hp_norm(alpha**2, -1, 4), rel=1e-14)
+        assert abs(fock_coefficients(spec, 4).norm_deficit) <= 1e-14
+
 
 class TestOverlap:
     def test_paper_value_at_two(self):

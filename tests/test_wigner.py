@@ -241,9 +241,11 @@ class TestGrids:
         params = params_for(0.01)
         slice_ = SliceDescriptor.centered(("x1", "x2"), 4.0, 9)
         grid = wigner_grid(spec, params, slice_)
-        for (x1, y1, x2, y2, w) in list(grid.iter_rows())[:: 7]:
-            direct = wigner_point(spec, params, PhasePoint(x1, y1, x2, y2))
-            assert abs(w - direct) < 1e-12
+        x1s, x2s = grid.axis_values(0), grid.axis_values(1)
+        for flat in range(0, grid.values.size, 7):
+            i, j = divmod(flat, x2s.size)
+            direct = wigner_point(spec, params, PhasePoint(float(x1s[i]), 0.0, float(x2s[j]), 0.0))
+            assert abs(grid.values[i, j] - direct) < 1e-12
 
     def test_same_mode_slice(self):
         spec = BellCatSpec.from_label("phi-plus", 1.0)
