@@ -104,6 +104,28 @@ def _exp_creation(coefficient: complex, cutoff: int) -> tuple[np.ndarray, np.nda
     return plus, np.where(k % 2 == 0, plus, -plus)
 
 
+def _kron_sum(terms) -> np.ndarray:
+    """sum_k w_k * kron(A_k, B_k) over (w_k, A_k, B_k) terms of (n, n) blocks, in term order.
+
+    Written one mode-1 row i at a time into a (n, n, n, n) buffer indexed
+    [i, k, j, l] (row i*n + k, column j*n + l), so each row's products and
+    sums stay in cache.  Every element is rounded as in the whole-matrix
+    expression: w_k * (A_k[i, j] * B_k[k, l]), added in term order.
+    """
+    n = terms[0][1].shape[0]
+    out = np.empty((n, n, n, n), dtype=complex)
+    term = np.empty((n, n, n), dtype=complex)
+    for i in range(n):
+        row = out[i]
+        for index, (w, a, b) in enumerate(terms):
+            dest = row if index == 0 else term
+            np.multiply(a[i][None, :, None], b[:, None, :], out=dest)
+            dest *= w
+            if index:
+                row += term
+    return out.reshape(n * n, n * n)
+
+
 def _finish(matrix: np.ndarray, cutoff: int, enforce_trace_limit: bool) -> TruncatedDensity:
     trace = float(np.real(np.trace(matrix)))
     deficit = 1.0 - trace
@@ -131,8 +153,8 @@ def build_density_operator(spec: BellCatSpec, params: ThermalParams, cutoff: int
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     weights, blocks1, blocks2 = mode_thermal_blocks(spec, params, cutoff)
-    rho = sum(weights[s, t] * np.kron(blocks1[s][t], blocks2[s][t])
-              for s, t in ((0, 0), (1, 1), (0, 1), (1, 0)))
+    rho = _kron_sum([(weights[s, t], blocks1[s][t], blocks2[s][t])
+                     for s, t in ((0, 0), (1, 1), (0, 1), (1, 0))])
     return _finish(rho, cutoff, enforce_trace_limit)
 
 
@@ -189,14 +211,11 @@ def build_density_matrix(spec: BellCatSpec, params: ThermalParams, cutoff: int,
     pref = math.exp(-2.0 * a2) * om1 * om2 / (2.0 * spec.parity_overlap)
 
     g1, g2 = spec.alpha, spec.k * spec.alpha
-    dim = (cutoff + 1) ** 2
-    rho = np.zeros((dim, dim), dtype=complex)
     # u_i^{-(n+nbar)} in the printed formula equals (1-q_i)^{(n+nbar)/2}
-    for s in (0, 1):
-        for t in (0, 1):
-            r1 = _direct_mode_factor(g1, q1, om1, 1 - 2 * s, 1 - 2 * t, cutoff)
-            r2 = _direct_mode_factor(g2, q2, om2, 1 - 2 * s, 1 - 2 * t, cutoff)
-            rho += (spec.sigma ** (s + t)) * np.kron(r1, r2)
+    rho = _kron_sum([(spec.sigma ** (s + t),
+                      _direct_mode_factor(g1, q1, om1, 1 - 2 * s, 1 - 2 * t, cutoff),
+                      _direct_mode_factor(g2, q2, om2, 1 - 2 * s, 1 - 2 * t, cutoff))
+                     for s in (0, 1) for t in (0, 1)])
     rho *= pref
     return _finish(rho, cutoff, enforce_trace_limit)
 

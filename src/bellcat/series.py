@@ -115,30 +115,32 @@ def _mode_h_tables(gamma: complex, q: float, one_minus_q: float, cat_cap: int, t
         therm[:, 0] = np.exp(lf[: cat_cap + 1])
     therm *= np.where((n[:, None] + n1[None, :]) % 2 == 0, 1.0, -1.0)
 
+    # shifted thermal matrix shift[j0, N] = therm[j0, N - j0]: band j0 starts at column j0
     nmax = cat_cap + thermal_cap
-    h_ket = np.zeros((4, cat_cap + 1, nmax + 1), dtype=complex)
-    h_bra = np.zeros((4, cat_cap + 1, nmax + 1), dtype=complex)
-    ring_ket = np.zeros((4, cat_cap + 1, nmax + 1), dtype=complex)
-    ring_bra = np.zeros((4, cat_cap + 1, nmax + 1), dtype=complex)
+    shift = np.zeros((cat_cap + 1, nmax + 1))
+    shift[n[:, None], n[:, None] + n1[None, :]] = therm
 
     sign = np.where(n % 2 == 0, 1.0, -1.0)
-    signed = [base,
-              base * sign[None, :],
-              base * sign[:, None],
-              base * sign[:, None] * sign[None, :]]   # st = (0,0), (0,1), (1,0), (1,1)
+    signed = np.stack([base,
+                       base * sign[None, :],
+                       base * sign[:, None],
+                       base * sign[:, None] * sign[None, :]])   # st = (0,0), (0,1), (1,0), (1,1)
 
-    for j0 in range(cat_cap + 1):
-        cols = slice(j0, j0 + thermal_cap + 1)
-        t_row = therm[j0]
-        d_ring = cat_cap - j0
-        for st in range(4):
-            cs = signed[st]
-            h_ket[st, : cat_cap + 1 - j0, cols] += cs[j0:, j0][:, None] * t_row[None, :]
-            ring_ket[st, d_ring, cols] += cs[cat_cap, j0] * t_row
-            if j0 + 1 <= cat_cap:
-                h_bra[st, 1 : cat_cap + 1 - j0, cols] += cs[j0, j0 + 1 :][:, None] * t_row[None, :]
-            if d_ring >= 1:
-                ring_bra[st, d_ring, cols] += cs[j0, cat_cap] * t_row
+    # band d of the ket table takes element (j0 + d, j0) of each branch, the bra table (j0, j0 + d);
+    # d_ket[st, d, j0] and d_bra[st, d, j0] hold them, zero past the last band
+    d, j0 = np.indices((cat_cap + 1, cat_cap + 1))
+    inside = d + j0 <= cat_cap
+    far = np.minimum(d + j0, cat_cap)
+    d_ket = np.where(inside, signed[:, far, j0], 0.0)
+    d_bra = np.where(inside & (d >= 1), signed[:, j0, far], 0.0)
+    h_ket = d_ket @ shift
+    h_bra = d_bra @ shift
+
+    # the ring tables keep the outermost band's term, j0 = cat_cap - d, of each table
+    j_ring = cat_cap - n
+    ring_ket = signed[:, cat_cap, j_ring][:, :, None] * shift[j_ring][None, :, :]
+    ring_bra = signed[:, j_ring, cat_cap][:, :, None] * shift[j_ring][None, :, :]
+    ring_bra[:, 0] = 0.0
     return h_ket, h_bra, ring_ket, ring_bra
 
 

@@ -62,6 +62,12 @@ class BellCatSpec:
             # state degenerates to the two-mode vacuum.  Both are rejected here
             # so that a constructed spec always names a genuine superposition.
             raise DegenerateStateError("alpha = 0 does not define a Bell-Cat state")
+        if self.parity_overlap == 0.0:
+            # an odd state whose |alpha|^2 underflows to 0 is the null vector in floating point
+            raise DegenerateStateError(
+                f"odd Bell-Cat state with |alpha| = {abs(self.alpha):.3g} is the null vector: "
+                f"|alpha|^2 underflows to 0"
+            )
 
     @property
     def label(self) -> str:

@@ -388,6 +388,9 @@ def fock_wigner_kernels(nmax: int, x: np.ndarray, y: np.ndarray,
     Direct trapezoid quadrature of
         K = (1/2 pi) int ds e^{i s y} psi_j(x - s/2) psi_l(x + s/2)
     refined by doubling until two successive refinements agree below `tol`.
+    The refinements are nested: each doubling evaluates only the new
+    midpoints and adds them to half the previous sum.  Each level runs over
+    the nodes s >= 0 only; the nodes -s add the conjugate transpose.
     Returns shape (npoints, nmax+1, nmax+1).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -401,25 +404,35 @@ def fock_wigner_kernels(nmax: int, x: np.ndarray, y: np.ndarray,
     while npts < half_range * freq / math.pi * 1.3:
         npts *= 2
 
-    prev = None
-    for _ in range(max_doublings + 1):
-        current = _kernel_level(nmax, x, y, half_range, npts)
-        if prev is not None and float(np.max(np.abs(current - prev))) < tol:
+    # nodes s = step * k, k = -npts/2 .. npts/2, folded onto s >= 0: the node
+    # s = 0 and the endpoint pair carry half of the trapezoid weight each
+    step = 2.0 * half_range / npts
+    weight = np.full(npts // 2 + 1, step)
+    weight[0] *= 0.5
+    weight[-1] *= 0.5
+    prev = _kernel_sum(nmax, x, y, step * np.arange(npts // 2 + 1), weight)
+    for _ in range(max_doublings):
+        step *= 0.5
+        midpoints = step * np.arange(1, npts, 2)
+        current = 0.5 * prev + _kernel_sum(nmax, x, y, midpoints, np.full(npts // 2, step))
+        if float(np.max(np.abs(current - prev))) < tol:
             return current
         prev = current
         npts *= 2
     raise QuadratureError(
-        f"Fock kernel quadrature did not converge to {tol:g} by {npts // 2} nodes"
+        f"Fock kernel quadrature did not converge to {tol:g} by {npts} nodes"
     )
 
 
-def _kernel_level(nmax: int, x: np.ndarray, y: np.ndarray, half_range: float, npts: int) -> np.ndarray:
-    s = np.linspace(-half_range, half_range, npts + 1)
-    weight = np.full(npts + 1, 2.0 * half_range / npts)
-    weight[0] *= 0.5
-    weight[-1] *= 0.5
+def _kernel_sum(nmax: int, x: np.ndarray, y: np.ndarray, s: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Quadrature sum of the kernel integrand over the nodes +-s (s >= 0) at each point (x, y).
+
+    The (j, l) integrand at -s, psi_j(x + s/2) psi_l(x - s/2) e^{-i s y}, is
+    the conjugate of the (l, j) integrand at s, so the sum is M + M^H with M
+    the sum over the nodes s alone.
+    """
     out = np.empty((x.size, nmax + 1, nmax + 1), dtype=complex)
-    chunk = max(1, int(4e6 / ((nmax + 1) * (npts + 1))))
+    chunk = max(1, int(4e6 / ((nmax + 1) * s.size)))
     for lo in range(0, x.size, chunk):
         sl = slice(lo, min(lo + chunk, x.size))
         xs, ys = x[sl], y[sl]
@@ -428,8 +441,9 @@ def _kernel_level(nmax: int, x: np.ndarray, y: np.ndarray, half_range: float, np
         phase = np.exp(1j * s[None, :] * ys[:, None]) * weight[None, :]
         for b in range(xs.size):
             weighted = psi_ket[:, b, :] * phase[b][None, :]
-            out[lo + b] = (weighted.real @ psi_bra[:, b, :].T
-                           + 1j * (weighted.imag @ psi_bra[:, b, :].T)) / (2.0 * math.pi)
+            half = (weighted.real @ psi_bra[:, b, :].T
+                    + 1j * (weighted.imag @ psi_bra[:, b, :].T)) / (2.0 * math.pi)
+            out[lo + b] = half + half.conj().T
     return out
 
 

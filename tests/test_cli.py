@@ -149,6 +149,14 @@ class TestWignerCommand:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("state", ["phi-minus", "psi-minus"])
+    def test_underflowing_odd_amplitude_exits_1(self, state, tmp_path, capsys):
+        # |alpha|^2 = 1e-400 underflows to 0, where the odd state is the null vector
+        out = tmp_path / "w.csv"
+        assert main(FAST_WIGNER + ["--state", state, "--alpha-re", "1e-200", "--out", str(out)]) == 1
+        assert "DegenerateStateError" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestNegativityCommand:
     def test_json_schema_and_identity(self, tmp_path):
@@ -193,6 +201,13 @@ class TestNegativityCommand:
         assert main(["negativity", "--state", "phi-minus", "--alpha-re", "1e-8", "--out", str(out)]) == 0
         payload = json.loads(read(out))
         assert abs(payload["nu"] - (4 * math.exp(-0.5) - 2) / (4 * math.exp(-0.5) - 1)) < 1e-9
+
+    @pytest.mark.parametrize("state", ["phi-minus", "psi-minus"])
+    def test_underflowing_odd_amplitude_exits_1(self, state, tmp_path, capsys):
+        out = tmp_path / "n.json"
+        assert main(["negativity", "--state", state, "--alpha-re", "1e-200", "--out", str(out)]) == 1
+        assert "DegenerateStateError" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("base", [["negativity", "--temp", "0.05"],
                                       ["sweep", "--temp-min", "0.05", "--temp-max", "0.1", "--temp-count", "1"]])
@@ -331,9 +346,32 @@ class TestParserReuse:
         assert out.read_bytes() == fresh
 
 
+VALIDATE_CHECKS = [
+    "density element formula vs operator product",
+    "Gaussian vs Fock-kernel oracle",
+    "Laguerre series vs Fock-kernel oracle",
+    "Gaussian vs Laguerre series",
+    "origin parity value sigma/pi^2 at T=0",
+    "zero-temperature coherent closed form",
+    "mode-2 flip symmetry",
+    "printed chi/sign variant == kernel at reflected x",
+    "broken chi convention trips the residue guard",
+    "negativity: norm and nu = delta/(1+delta)",
+]
+
+
 class TestValidateCommand:
     def test_quick_suite_passes(self, capsys):
         assert main(["validate", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
         assert "checks passed" in out
+
+    @pytest.mark.parametrize("flags", [[], ["--quick"]])
+    def test_every_check_runs_and_passes(self, flags, capsys):
+        assert main(["validate"] + flags) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split("  ") for line in lines if line.startswith(("PASS", "FAIL"))]
+        assert [row[1].strip() for row in rows] == VALIDATE_CHECKS
+        assert [row[0] for row in rows] == ["PASS"] * len(VALIDATE_CHECKS)
+        assert lines[-1].startswith(f"{len(VALIDATE_CHECKS)}/{len(VALIDATE_CHECKS)} checks passed in ")

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from bellcat.density import _exp_creation, build_density_matrix, build_density_operator, mode_thermal_blocks
+from bellcat.density import (
+    _direct_mode_factor,
+    _exp_creation,
+    build_density_matrix,
+    build_density_operator,
+    mode_thermal_blocks,
+)
 from bellcat.errors import CutoffError
 from bellcat.states import BellCatSpec, bellcat_normalization, fock_coefficients
 from bellcat.tfd import thermal_params
@@ -76,6 +82,39 @@ class TestOracleEquivalence:
         op = build_density_operator(spec, params, cutoff)
         di = build_density_matrix(spec, params, cutoff)
         assert np.max(np.abs(op.matrix - di.matrix)) < 1e-10
+
+
+class TestKroneckerSums:
+    """Both builders equal the whole-matrix expression sum(w * np.kron(a, b)), bit for bit."""
+
+    @pytest.mark.parametrize("label", ["phi-plus", "phi-minus", "psi-plus", "psi-minus"])
+    @pytest.mark.parametrize("temp", [0.0, 0.5])
+    @pytest.mark.parametrize("cutoff", [3, 12, 20])
+    def test_operator_route(self, label, temp, cutoff):
+        spec = BellCatSpec.from_label(label, 1 + 1j)
+        params = params_for(temp)
+        weights, b1, b2 = mode_thermal_blocks(spec, params, cutoff)
+        want = sum(weights[s, t] * np.kron(b1[s][t], b2[s][t])
+                   for s, t in ((0, 0), (1, 1), (0, 1), (1, 0)))
+        got = build_density_operator(spec, params, cutoff, enforce_trace_limit=False).matrix
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("label", ["phi-plus", "phi-minus", "psi-plus", "psi-minus"])
+    @pytest.mark.parametrize("temp", [0.0, 0.5])
+    @pytest.mark.parametrize("cutoff", [3, 12, 20])
+    def test_direct_route(self, label, temp, cutoff):
+        spec = BellCatSpec.from_label(label, 1 + 1j)
+        params = params_for(temp)
+        q1, q2, om1, om2 = params.exp1, params.exp2, params.one_minus_exp1, params.one_minus_exp2
+        want = np.zeros(((cutoff + 1) ** 2,) * 2, dtype=complex)
+        for s in (0, 1):
+            for t in (0, 1):
+                r1 = _direct_mode_factor(spec.alpha, q1, om1, 1 - 2 * s, 1 - 2 * t, cutoff)
+                r2 = _direct_mode_factor(spec.k * spec.alpha, q2, om2, 1 - 2 * s, 1 - 2 * t, cutoff)
+                want += (spec.sigma ** (s + t)) * np.kron(r1, r2)
+        want *= math.exp(-2.0 * abs(spec.alpha) ** 2) * om1 * om2 / (2.0 * spec.parity_overlap)
+        got = build_density_matrix(spec, params, cutoff, enforce_trace_limit=False).matrix
+        assert np.array_equal(got, want)
 
 
 class TestDensityInvariants:

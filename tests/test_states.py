@@ -79,6 +79,14 @@ class TestBellCatSpec:
         with pytest.raises(DegenerateStateError):
             BellCatSpec(alpha=0.0, k=1, sigma=+1)
 
+    def test_underflowing_odd_amplitude_rejected(self):
+        # |alpha|^2 underflows to 0: the odd states' parity overlap is exactly 0
+        for k in (+1, -1):
+            with pytest.raises(DegenerateStateError):
+                BellCatSpec(alpha=1e-200, k=k, sigma=-1)
+            assert BellCatSpec(alpha=1e-200, k=k, sigma=+1).parity_overlap == 2.0
+        assert BellCatSpec(alpha=1e-150, k=1, sigma=-1).parity_overlap > 0.0
+
     def test_bad_k_sigma(self):
         with pytest.raises(ValueError):
             BellCatSpec(alpha=1.0, k=0, sigma=1)

@@ -1,10 +1,12 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from bellcat.errors import BellCatError, ImaginaryResidueError, TruncationError
-from bellcat.series import TruncationConfig, series_values
+from bellcat.errors import BellCatError, ImaginaryResidueError, QuadratureError, TruncationError
+from bellcat.series import TruncationConfig, _mode_h_tables, series_values
+from bellcat.special_fn import log_factorial_table
 from bellcat.states import STATE_LABELS, BellCatSpec
 from bellcat.tfd import thermal_params
 from bellcat.wigner import (
@@ -69,6 +71,102 @@ class TestFockKernels:
         for n in range(4):
             total = float(np.real(np.sum(k[:, n, n] * wts)))
             assert total == pytest.approx(1.0, abs=1e-8)
+
+
+def trapezoid_kernels(nmax, x, y, half_range, npts):
+    """One trapezoid level of the kernel integral on npts + 1 equally spaced nodes."""
+    s = np.linspace(-half_range, half_range, npts + 1)
+    weight = np.full(npts + 1, 2.0 * half_range / npts)
+    weight[0] *= 0.5
+    weight[-1] *= 0.5
+    out = np.empty((x.size, nmax + 1, nmax + 1), dtype=complex)
+    for p in range(x.size):
+        ket = hermite_functions(nmax, x[p] - 0.5 * s)
+        bra = hermite_functions(nmax, x[p] + 0.5 * s)
+        out[p] = (ket * (np.exp(1j * s * y[p]) * weight)) @ bra.T / (2.0 * math.pi)
+    return out
+
+
+def doubled_kernels(nmax, x, y, tol=1e-10):
+    """Independent trapezoid levels, doubled until two agree below tol: (kernels, nodes, doublings)."""
+    turning = math.sqrt(2.0 * nmax + 1.0)
+    half_range = 2.0 * (turning + float(np.max(np.abs(x)))) + 10.0
+    freq = turning + float(np.max(np.abs(y))) + 1.0
+    npts = 256
+    while npts < half_range * freq / math.pi * 1.3:
+        npts *= 2
+    prev = trapezoid_kernels(nmax, x, y, half_range, npts)
+    doublings = 0
+    while True:
+        npts *= 2
+        doublings += 1
+        current = trapezoid_kernels(nmax, x, y, half_range, npts)
+        if np.max(np.abs(current - prev)) < tol:
+            return current, npts, doublings
+        prev = current
+
+
+class TestNestedKernelRefinement:
+    @pytest.mark.parametrize("nmax", [0, 5, 19, 40])
+    def test_matches_single_level_at_converged_count(self, nmax):
+        x = np.array([0.0, 0.9, -2.5, 4.0])
+        y = np.array([0.0, 0.3, 1.7, -3.2])
+        want, npts, doublings = doubled_kernels(nmax, x, y)
+        assert np.max(np.abs(fock_wigner_kernels(nmax, x, y) - want)) < 1e-13
+        # converged at the same level: one doubling fewer stops at half the nodes
+        with pytest.raises(QuadratureError, match=f"by {npts // 2} nodes"):
+            fock_wigner_kernels(nmax, x, y, max_doublings=doublings - 1)
+        assert np.max(np.abs(fock_wigner_kernels(nmax, x, y, max_doublings=doublings) - want)) < 1e-13
+
+    @pytest.mark.parametrize("doublings, nodes", [(0, 256), (2, 1024)])
+    def test_unconverged_reports_last_node_count(self, doublings, nodes):
+        with pytest.raises(QuadratureError, match=f"by {nodes} nodes"):
+            fock_wigner_kernels(5, np.array([0.9]), np.array([0.3]), tol=0.0, max_doublings=doublings)
+
+
+def scattered_h_tables(gamma, q, one_minus_q, cat_cap, thermal_cap):
+    """The series' contraction tables as per-band scatter-adds, one thermal row at a time."""
+    lf = log_factorial_table(cat_cap + thermal_cap)
+    n = np.arange(cat_cap + 1)
+    log_mag = (math.log(abs(gamma)) + 0.5 * math.log(one_minus_q)) * (n[:, None] + n[None, :]) \
+        - lf[n][:, None] - lf[n][None, :]
+    base = np.exp(log_mag) * np.exp(1j * cmath.phase(gamma) * (n[:, None] - n[None, :]))
+    n1 = np.arange(thermal_cap + 1)
+    if q > 0.0:
+        therm = np.exp(n1[None, :] * math.log(q) + lf[n[:, None] + n1[None, :]] - lf[n1][None, :])
+    else:
+        therm = np.zeros((cat_cap + 1, thermal_cap + 1))
+        therm[:, 0] = np.exp(lf[n])
+    therm *= np.where((n[:, None] + n1[None, :]) % 2 == 0, 1.0, -1.0)
+    sign = np.where(n % 2 == 0, 1.0, -1.0)
+    signed = [base, base * sign[None, :], base * sign[:, None], base * sign[:, None] * sign[None, :]]
+    shape = (4, cat_cap + 1, cat_cap + thermal_cap + 1)
+    h_ket, h_bra, ring_ket, ring_bra = (np.zeros(shape, dtype=complex) for _ in range(4))
+    for j0 in range(cat_cap + 1):
+        cols = slice(j0, j0 + thermal_cap + 1)
+        t_row = therm[j0]
+        d_ring = cat_cap - j0
+        for st in range(4):
+            cs = signed[st]
+            h_ket[st, : cat_cap + 1 - j0, cols] += cs[j0:, j0][:, None] * t_row[None, :]
+            ring_ket[st, d_ring, cols] += cs[cat_cap, j0] * t_row
+            if j0 + 1 <= cat_cap:
+                h_bra[st, 1 : cat_cap + 1 - j0, cols] += cs[j0, j0 + 1 :][:, None] * t_row[None, :]
+            if d_ring >= 1:
+                ring_bra[st, d_ring, cols] += cs[j0, cat_cap] * t_row
+    return h_ket, h_bra, ring_ket, ring_bra
+
+
+class TestSeriesTables:
+    @pytest.mark.parametrize("gamma", [1.0, 1 + 1j, 0.3j, 2.0])
+    @pytest.mark.parametrize("q", [0.0, 0.3, 0.8])
+    @pytest.mark.parametrize("caps", [(1, 1), (12, 30)])
+    def test_matches_scattered_bands(self, gamma, q, caps):
+        got = _mode_h_tables(gamma, q, 1.0 - q, *caps)
+        want = scattered_h_tables(gamma, q, 1.0 - q, *caps)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
 
 
 class TestParityOrigin:
