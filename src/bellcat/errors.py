@@ -6,7 +6,10 @@ class BellCatError(Exception):
 
 
 class DegenerateStateError(BellCatError):
-    """The requested superposition is the null vector (sigma = -1 with alpha = 0)."""
+    """The requested superposition is the null vector, or too close to it to evaluate.
+
+    sigma = -1 with alpha = 0, or with |alpha|^2 subnormal or 0 in floating point.
+    """
 
 
 class CutoffError(BellCatError):

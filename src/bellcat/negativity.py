@@ -2,8 +2,8 @@
 
 Production route: an exact reduction to two coordinates (notes/decisions.md,
 section 8).  Scale each mode, zeta_i = z_i / sqrt(D_i) with D_i = 1 + 2 n_i,
-and let P = (w1/sqrt(D1), w2/sqrt(D2)) in C^2, with w_i = sqrt2 u_i gamma_i the
-thermal lobes of `bellcat.wigner`.  With a = |P|, c = sum_i 2 n_i |gamma_i|^2 / D_i,
+and let P = (P1, P2) in C^2, with P_i = sqrt2 u_i gamma_i / sqrt(D_i) the scaled
+lobes of `bellcat.wigner` (`mode_constants`).  With a = |P|, c = sum_i 2 n_i |gamma_i|^2 / D_i,
 y = a^2 - c = sum_i 2 |gamma_i|^2 / D_i (so a^2 + c = 4|alpha|^2), and s, t the
 components of zeta along P and iP,
 
@@ -87,10 +87,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BellCatError, ImaginaryResidueError, NonFiniteError, NormalizationError
+from .errors import BellCatError, NonFiniteError, NormalizationError
 from .states import BellCatSpec
 from .tfd import ThermalParams, thermal_params
-from .wigner import IMAG_RESIDUE_TOL, effective_amplitude, factorize
+from .wigner import effective_amplitude, factorize, mode_constants
 
 __all__ = [
     "QuadratureSpec",
@@ -180,16 +180,9 @@ def _legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _reduced_parameters(spec: BellCatSpec, params: ThermalParams) -> tuple[float, float, float]:
     """a = |P|, c and y = a^2 - c of the reduced form (module docstring)."""
-    a2 = c = y = 0.0
-    for gamma, q, one_minus_q in ((spec.alpha, params.exp1, params.one_minus_exp1),
-                                  (spec.k * spec.alpha, params.exp2, params.one_minus_exp2)):
-        n = q / one_minus_q
-        d = 1.0 + 2.0 * n
-        g2 = abs(gamma) ** 2
-        a2 += 2.0 * g2 / (one_minus_q * d)     # |w|^2 / D with w = sqrt2 gamma / sqrt(1 - q)
-        c += 2.0 * n * g2 / d
-        y += 2.0 * g2 / d
-    return math.sqrt(a2), c, y
+    mode1, mode2 = mode_constants(spec, params)
+    return (math.hypot(mode1.p.real, mode1.p.imag, mode2.p.real, mode2.p.imag),
+            mode1.c + mode2.c, mode1.y + mode2.y)
 
 
 def _theta(u: np.ndarray, sigma: int, a: float) -> np.ndarray:
@@ -337,8 +330,7 @@ def integrate_negativity_grid(spec: BellCatSpec, params: ThermalParams,
     I_+ and I_- accumulate the positive and negative volumes; the norm check
     I_+ - I_- must land within 1% of 1 or a NormalizationError is raised
     (insufficient box or nodes); a block with a non-finite value raises
-    NonFiniteError, and one whose imaginary part breaks |im| <= 1e-9 (1 + |re|)
-    at any point raises ImaginaryResidueError.  Mode-1 rows are the orbit
+    NonFiniteError.  Mode-1 rows are the orbit
     representatives (module docstring); accumulation runs over blocks of a
     size fixed by the mode-2 grid, in index order, so results are
     bit-reproducible.
@@ -370,23 +362,17 @@ def integrate_negativity_grid(spec: BellCatSpec, params: ThermalParams,
     n1 = reps.size
     n2 = g2x.size
     chunk = max(1, _BLOCK_VALUES // n2)
-    buf_re = np.empty((min(chunk, n1), n2))
-    buf_im = np.empty_like(buf_re)
+    buf = np.empty((min(chunk, n1), n2))
     total = 0.0       # sum of W over the grid, orbit-weighted
     negative = 0.0    # sum of min(W, 0)
     for lo in range(0, n1, chunk):
         hi = min(lo + chunk, n1)
-        w_re, w_im = fac.combine_block(slice(lo, hi), out=(buf_re[:hi - lo], buf_im[:hi - lo]))
-        block_resid = max(float(w_im.max()), -float(w_im.min()))
-        # NaN and inf propagate into the extremes of Im W and the row sums of Re W
-        row_sums = w_re @ w_outer
-        if not (math.isfinite(block_resid) and np.all(np.isfinite(row_sums))):
+        w = fac.combine_block(slice(lo, hi), out=buf[:hi - lo])
+        # NaN and inf propagate into the row sums
+        row_sums = w @ w_outer
+        if not np.all(np.isfinite(row_sums)):
             raise NonFiniteError(f"negativity integrand has non-finite values in orbit rows {lo}..{hi - 1}")
-        if block_resid > IMAG_RESIDUE_TOL:
-            # pointwise bound |im| <= tol (1 + |re|)
-            if np.any(np.abs(w_im) > IMAG_RESIDUE_TOL * (1.0 + np.abs(w_re))):
-                raise ImaginaryResidueError("negativity integrand lost its Hermitian pairing")
-        row_negative = np.minimum(w_re, 0.0, out=w_re) @ w_outer
+        row_negative = np.minimum(w, 0.0, out=w) @ w_outer
         total += float(multiplicity[lo:hi] @ row_sums)
         negative += float(multiplicity[lo:hi] @ row_negative)
 

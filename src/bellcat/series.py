@@ -37,13 +37,12 @@ from .errors import TruncationError
 from .special_fn import laguerre_envelope_table, log_factorial_table
 from .states import BellCatSpec
 from .tfd import ThermalParams
-from .wigner import CHI_BROKEN, CHI_KERNEL, CHI_PRINTED, ModeFactorization, _to_real, default_cat_cap
+from .wigner import CHI_BROKEN, CHI_KERNEL, CHI_PRINTED, _to_real, default_cat_cap
 
 __all__ = [
     "HARD_THERMAL_CAP",
     "TruncationConfig",
     "default_thermal_cap",
-    "series_factorize",
     "series_values",
 ]
 
@@ -218,24 +217,27 @@ def _prefactor(spec: BellCatSpec, params: ThermalParams) -> float:
             / (2.0 * math.pi**2 * spec.parity_overlap))
 
 
-def series_factorize(spec: BellCatSpec, params: ThermalParams,
-                     mode1_points: tuple[np.ndarray, np.ndarray],
-                     mode2_points: tuple[np.ndarray, np.ndarray],
-                     trunc: TruncationConfig | None = None,
-                     chi_mode: str = CHI_KERNEL) -> ModeFactorization:
-    """Per-mode factor tables of the thermal Wigner series, after the tail check.
+def series_values(spec: BellCatSpec, params: ThermalParams,
+                  x1, y1, x2, y2,
+                  trunc: TruncationConfig | None = None,
+                  chi_mode: str = CHI_KERNEL) -> np.ndarray:
+    """The series' thermal Wigner function at paired coordinate arrays.
 
-    The tail check compares the outermost coherent band's contribution with
-    the tolerance: a conservative overestimate of the mass the caps left
-    out.  A bound above 100 epsilon, or one that is not a number because the
-    thermal weights overflowed, raises TruncationError.
+    The per-mode factor tables pass a tail check first: the outermost
+    coherent band's contribution, a conservative overestimate of the mass
+    the caps left out, against the tolerance.  A bound above 100 epsilon, or
+    one that is not a number because the thermal weights overflowed, raises
+    TruncationError.  The four branch products are then summed as complex
+    numbers, and the imaginary-residue guard checks that they pair up.
     """
+    arrays = [np.atleast_1d(np.asarray(v, dtype=float)) for v in (x1, y1, x2, y2)]
+    if len({a.shape for a in arrays}) != 1:
+        raise ValueError("coordinate arrays must share one shape")
     trunc = (trunc or TruncationConfig()).resolve(spec, params)
-    x1, y1 = (np.asarray(v, dtype=float) for v in mode1_points)
-    x2, y2 = (np.asarray(v, dtype=float) for v in mode2_points)
-    m1, ring1 = _mode_factors(spec.alpha, params.exp1, params.one_minus_exp1, trunc, x1, y1, chi_mode)
-    gamma2 = spec.k * spec.alpha
-    m2, ring2 = _mode_factors(gamma2, params.exp2, params.one_minus_exp2, trunc, x2, y2, chi_mode)
+    m1, ring1 = _mode_factors(spec.alpha, params.exp1, params.one_minus_exp1, trunc,
+                              arrays[0], arrays[1], chi_mode)
+    m2, ring2 = _mode_factors(spec.k * spec.alpha, params.exp2, params.one_minus_exp2, trunc,
+                              arrays[2], arrays[3], chi_mode)
     pref = _prefactor(spec, params)
     scale1 = float(np.max(np.sum(np.abs(m1), axis=0))) if m1.size else 0.0
     scale2 = float(np.max(np.sum(np.abs(m2), axis=0))) if m2.size else 0.0
@@ -245,18 +247,6 @@ def series_factorize(spec: BellCatSpec, params: ThermalParams,
             f"outermost-band bound {ring_bound:.3e} exceeds the tail tolerance "
             f"{trunc.epsilon:g} (caps {trunc.cat_cap}/{trunc.thermal_cap})"
         )
-    return ModeFactorization(prefactor=pref, sigma=spec.sigma, m1=m1, m2=m2)
-
-
-def series_values(spec: BellCatSpec, params: ThermalParams,
-                  x1, y1, x2, y2,
-                  trunc: TruncationConfig | None = None,
-                  chi_mode: str = CHI_KERNEL) -> np.ndarray:
-    """The series' thermal Wigner function at paired coordinate arrays."""
-    arrays = [np.atleast_1d(np.asarray(v, dtype=float)) for v in (x1, y1, x2, y2)]
-    if len({a.shape for a in arrays}) != 1:
-        raise ValueError("coordinate arrays must share one shape")
-    fac = series_factorize(spec, params, (arrays[0], arrays[1]), (arrays[2], arrays[3]),
-                           trunc=trunc, chi_mode=chi_mode)
-    values, _ = _to_real(fac.combine_paired(), "series_values")
-    return values
+    # branch order (s, t) = (+,+), (+,-), (-,+), (-,-); the mixed ones carry sigma
+    paired = pref * (m1[0] * m2[0] + m1[3] * m2[3] + spec.sigma * (m1[1] * m2[1] + m1[2] * m2[2]))
+    return _to_real(paired, "series_values")

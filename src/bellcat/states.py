@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,11 +63,13 @@ class BellCatSpec:
             # state degenerates to the two-mode vacuum.  Both are rejected here
             # so that a constructed spec always names a genuine superposition.
             raise DegenerateStateError("alpha = 0 does not define a Bell-Cat state")
-        if self.parity_overlap == 0.0:
-            # an odd state whose |alpha|^2 underflows to 0 is the null vector in floating point
+        if self.sigma < 0 and abs(self.alpha) ** 2 < sys.float_info.min:
+            # an odd state's normalization 1 - e^{-4|alpha|^2} is about 4|alpha|^2: once
+            # |alpha|^2 is subnormal it loses precision and its reciprocal overflows, and
+            # at |alpha|^2 = 0 the state is the null vector
             raise DegenerateStateError(
-                f"odd Bell-Cat state with |alpha| = {abs(self.alpha):.3g} is the null vector: "
-                f"|alpha|^2 underflows to 0"
+                f"odd Bell-Cat state with |alpha| = {abs(self.alpha):.3g} is out of range: "
+                f"|alpha|^2 is subnormal or 0"
             )
 
     @property

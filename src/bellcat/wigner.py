@@ -7,20 +7,28 @@ g1 = alpha/u1, g2 = k alpha/u2 and C^2 = e^{-2|alpha|^2} / (2 (1 + sigma e^{-4|a
 so rho = f rho_beta f^dag is a sum of four product terms (s, t = +-1).  Each
 per-mode block E(s g) rho_beta E(t g)^dag is a Gaussian integral over the
 Glauber-Sudarshan P-function of the Gibbs state (Cahill & Glauber,
-Phys. Rev. 177, 1882 (1969)), whose Wigner function W_B(z; s g, t g) is
-closed-form: O(1) per point at any temperature.  With n the mode's thermal
-occupation, D = 1 + 2n, u = sqrt(1 + n), w = sqrt2 u gamma (the thermal lobe;
-gamma = alpha for mode 1, k alpha for mode 2) and z = x + i y,
+Phys. Rev. 177, 1882 (1969)), closed-form at any temperature.  With n the
+mode's thermal occupation, D = 1 + 2n, u = sqrt(1 + n), gamma = alpha for
+mode 1 and k alpha for mode 2, z = x + i y, the scaled point zeta = z/sqrt(D)
+and the scaled lobe P = sqrt2 u gamma / sqrt(D), the four terms sum to
 
-    W_B(z; s g, t g) = e^{|alpha|^2} m_st(z) / (pi D),
-    m_++(z) = exp(-|z - w|^2 / D),
-    m_--(z) = exp(-|z + w|^2 / D),
-    m_+-(z) = exp((-|z|^2 - 2 n |alpha|^2 + 2 i Im(w zbar)) / D) = conj(m_-+(z)).
+    W = e^{-|zeta1|^2 - |zeta2|^2 - c} [e^{-y} cosh(A1 + A2) + sigma cos(B1 + B2)] / (pi^2 D1 D2 N),
+    A_i + i B_i = 2 conj(P_i) zeta_i,   c = sum_i 2 n_i |gamma_i|^2 / D_i,
+    y = sum_i 2 |gamma_i|^2 / D_i,      N = 1 + sigma e^{-4|alpha|^2}.
 
-The tables m_st hold half of C^2's e^{-2|alpha|^2} each, folded into the
-exponent before `exp`, which leaves every exponent <= 0: no table entry
-overflows at any |alpha| or temperature, and the prefactor that remains is
-1 / (2 pi^2 D1 D2 (1 + sigma e^{-4|alpha|^2})).
+W is real, and the angle-sum identities make it a real rank-4 product of
+per-mode rows.  With ch = e^{-y_i} cosh A_i, sh = e^{-y_i} sinh A_i,
+co = cos B_i and si = sin B_i, each row scaled by e^{-|zeta_i|^2 - c_i},
+
+    sigma = +1:  [ch, sh, co, si]_1 . [ch, sh, co, -si]_2,
+    sigma = -1:  [ch - co, sh, co, si]_1 . [ch, sh, ch - co, si]_2.
+
+The odd grouping keeps the small difference e^{-y} cosh A - cos B in one row,
+formed without cancellation as e^{-y} 2 sinh^2(A/2) + 2 sin^2(B/2) + expm1(-y),
+so the odd states keep full relative accuracy as |alpha| -> 0, where N is
+about 4|alpha|^2.  Every exponent is <= 0 (the lobe rows are
+e^{-|zeta_i -+ P_i|^2} times a factor of at most 1), so no table entry
+overflows at any |alpha| or temperature.
 
 Reference routes (tests and `bellcat validate` use them; production does not):
 
@@ -30,6 +38,9 @@ Reference routes (tests and `bellcat validate` use them; production does not):
   Hermite-function position wavefunctions, contracted against the
   operator-route density blocks.  The oracle never sees a Laguerre
   polynomial or a sign convention, so it arbitrates them.
+
+Both sum complex terms, as does the zero-temperature closed form, so they
+check that the imaginary part cancels (`ImaginaryResidueError`).
 
 Dimensionless coordinates throughout: x = q/b, y = p b/hbar with
 b^2 = hbar/(m omega); the reported function is hbar^2 W, normalized so its
@@ -45,7 +56,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,7 +93,6 @@ CHI_BROKEN = "always-plus"
 
 IMAG_RESIDUE_TOL = 1e-9
 _COORDS = ("x1", "y1", "x2", "y2")
-_MODE_OF = {"x1": 1, "y1": 1, "x2": 2, "y2": 2}
 
 
 @dataclass(frozen=True)
@@ -115,88 +125,106 @@ def default_cat_cap(spec: BellCatSpec, params: ThermalParams) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _mode_tables(gamma: complex, q: float, one_minus_q: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The branch tables m_st of one mode (module docstring), st = (+,+), (+,-), (-,+), (-,-).
+class ModeConstants(NamedTuple):
+    """Point-independent constants of one mode's rows (module docstring)."""
 
-    Shape (4, P); D = (1 + q)/(1 - q) and u = 1/sqrt(1 - q).
+    d: float      # D = 1 + 2n
+    p: complex    # P = sqrt2 u gamma / sqrt(D)
+    c: float      # 2 n |gamma|^2 / D
+    y: float      # 2 |gamma|^2 / D = |P|^2 - c
+
+
+def mode_constants(spec: BellCatSpec, params: ThermalParams) -> tuple[ModeConstants, ModeConstants]:
+    """The constants of mode 1 (gamma = alpha) and of mode 2 (gamma = k alpha)."""
+    modes = []
+    for gamma, q, one_minus_q in ((spec.alpha, params.exp1, params.one_minus_exp1),
+                                  (spec.k * spec.alpha, params.exp2, params.one_minus_exp2)):
+        n = q / one_minus_q
+        d = 1.0 + 2.0 * n
+        g2 = abs(gamma) ** 2
+        modes.append(ModeConstants(d=d, p=math.sqrt(2.0 / (one_minus_q * d)) * gamma,
+                                   c=2.0 * n * g2 / d, y=2.0 * g2 / d))
+    return modes[0], modes[1]
+
+
+def _mode_tables(mode: ModeConstants, sigma: int, x: np.ndarray, y: np.ndarray, second: bool) -> np.ndarray:
+    """The four real rows of one mode (module docstring), shape (4, P).
+
+    Rows [ch, sh, co, si], each scaled by e^{-|zeta|^2 - c}; for sigma = +1
+    mode 2 negates si, for sigma = -1 row 0 of mode 1 and row 2 of mode 2
+    hold ch - co.
     """
-    n = q / one_minus_q
-    d = 1.0 + 2.0 * n
-    w = math.sqrt(2.0) * gamma / math.sqrt(one_minus_q)
-    m = np.empty((4, x.size), dtype=complex)
-    m[0] = np.exp(-((x - w.real) ** 2 + (y - w.imag) ** 2) / d)
-    m[3] = np.exp(-((x + w.real) ** 2 + (y + w.imag) ** 2) / d)
-    m[1] = np.exp((-(x * x + y * y) - 2.0 * n * abs(gamma) ** 2 + 2j * (w.imag * x - w.real * y)) / d)
-    m[2] = np.conj(m[1])
-    return m
+    scale = 1.0 / math.sqrt(mode.d)
+    zx, zy = scale * x, scale * y
+    a = 2.0 * (mode.p.real * zx + mode.p.imag * zy)
+    b = 2.0 * (mode.p.real * zy - mode.p.imag * zx)
+    envelope = np.exp(-(zx * zx + zy * zy) - mode.c)
+    # e^{-|zeta|^2 - c - y + |A|} = e^{-|zeta -+ P|^2}, from the difference: the sum cancels near a lobe
+    side = np.copysign(1.0, a)
+    lobe = np.exp(-((zx - side * mode.p.real) ** 2 + (zy - side * mode.p.imag) ** 2))
+    half = np.expm1(-np.abs(a))                     # e^{-|A|} - 1
+    fold = half * (2.0 + half)                      # e^{-2|A|} - 1
+    rows = np.empty((4, x.size))
+    rows[0] = lobe * (1.0 + 0.5 * fold)
+    rows[1] = -0.5 * side * lobe * fold
+    rows[2] = envelope * np.cos(b)
+    rows[3] = envelope * np.sin(b)
+    if sigma < 0:
+        rows[2 if second else 0] = (0.5 * lobe * half * half
+                                    + envelope * (2.0 * np.sin(0.5 * b) ** 2 + math.expm1(-mode.y)))
+    elif second:
+        rows[3] = -rows[3]
+    return rows
 
 
 @dataclass
 class ModeFactorization:
-    """Per-mode factor tables of the Wigner function on a product point set.
+    """Per-mode real rows of the Wigner function on a product point set.
 
-    The Wigner values on {mode-1 points} x {mode-2 points} are
-    prefactor * [(M1[0] M2[0] + M1[3] M2[3]) + sigma (M1[1] M2[1] + M1[2] M2[2])]
-    with the Gaussian envelope already inside the tables.  Outer-product
-    blocks are formed as one real rank-8 matrix product per part.
+    The value at (mode-1 point i, mode-2 point j) is the rank-4 sum
+    sum_r m1[r, i] m2[r, j] (module docstring); m2 also carries the prefactor
+    1 / (pi^2 D1 D2 (1 + sigma e^{-4|alpha|^2})).
     """
 
-    prefactor: float
-    sigma: int
-    m1: np.ndarray = field(repr=False)   # (4, P1) complex
-    m2: np.ndarray = field(repr=False)   # (4, P2) complex
+    m1: np.ndarray = field(repr=False)   # (4, P1)
+    m2: np.ndarray = field(repr=False)   # (4, P2)
 
-    @cached_property
-    def _right(self) -> tuple[np.ndarray, np.ndarray]:
-        """[Re b; Im b] and [Im b; -Re b], each (8, P2), for b the scaled mode-2 tables."""
-        scale = self.prefactor * np.array([1.0, self.sigma, self.sigma, 1.0])
-        b = self.m2 * scale[:, None]
-        return np.concatenate([b.real, b.imag]), np.concatenate([b.imag, -b.real])
+    def combine_block(self, rows: slice | None = None, out: np.ndarray | None = None) -> np.ndarray:
+        """W over (mode-1 rows) x (all mode-2 points): one real matrix product.
 
-    def combine_block(self, rows: slice | None = None,
-                      out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(real, imag) parts of the W block over (mode-1 rows) x (all mode-2 points).
-
-        With a the mode-1 rows, Re W = [Re a, -Im a] @ [Re b; Im b] and
-        Im W = [Re a, -Im a] @ [Im b; -Re b].  `out` takes two C-contiguous
-        (rows, P2) buffers to write the parts into.
+        `out` takes a C-contiguous (rows, P2) buffer to write the block into.
         """
         m1 = self.m1[:, rows] if rows is not None else self.m1
-        left = np.concatenate([m1.real, -m1.imag]).T         # (P1, 8)
-        right_re, right_im = self._right
-        re_out, im_out = out if out is not None else (None, None)
-        return np.matmul(left, right_re, out=re_out), np.matmul(left, right_im, out=im_out)
-
-    def combine(self, rows: slice | None = None) -> np.ndarray:
-        """Complex W block over (rows of mode 1) x (all of mode 2)."""
-        w_re, w_im = self.combine_block(rows)
-        return w_re + 1j * w_im
+        return np.matmul(m1.T, self.m2, out=out)
 
     def combine_paired(self) -> np.ndarray:
-        """Complex W at paired points (mode-1 point i with mode-2 point i)."""
-        even = self.m1[0] * self.m2[0] + self.m1[3] * self.m2[3]
-        odd = self.m1[1] * self.m2[1] + self.m1[2] * self.m2[2]
-        return self.prefactor * (even + self.sigma * odd)
+        """W at paired points (mode-1 point i with mode-2 point i)."""
+        return np.einsum("rp,rp->p", self.m1, self.m2)
 
 
 def factorize(spec: BellCatSpec, params: ThermalParams,
               mode1_points: tuple[np.ndarray, np.ndarray],
               mode2_points: tuple[np.ndarray, np.ndarray]) -> ModeFactorization:
-    """Build the per-mode branch tables of the closed Gaussian form."""
+    """Build the per-mode rows of the closed Gaussian form."""
+    mode1, mode2 = mode_constants(spec, params)
     x1, y1 = (np.asarray(v, dtype=float) for v in mode1_points)
     x2, y2 = (np.asarray(v, dtype=float) for v in mode2_points)
-    m1 = _mode_tables(spec.alpha, params.exp1, params.one_minus_exp1, x1, y1)
-    m2 = _mode_tables(spec.k * spec.alpha, params.exp2, params.one_minus_exp2, x2, y2)
-    d1 = (1.0 + params.exp1) / params.one_minus_exp1
-    d2 = (1.0 + params.exp2) / params.one_minus_exp2
-    pref = 1.0 / (2.0 * math.pi**2 * d1 * d2 * spec.parity_overlap)
-    return ModeFactorization(prefactor=pref, sigma=spec.sigma, m1=m1, m2=m2)
+    m1 = _mode_tables(mode1, spec.sigma, x1, y1, second=False)
+    m2 = _mode_tables(mode2, spec.sigma, x2, y2, second=True)
+    m2 *= 1.0 / (math.pi**2 * mode1.d * mode2.d * spec.parity_overlap)
+    return ModeFactorization(m1=m1, m2=m2)
 
 
-def _to_real(values: np.ndarray, context: str) -> tuple[np.ndarray, float]:
+def _finite(values: np.ndarray, context: str) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         bad = int(np.count_nonzero(~np.isfinite(values)))
         raise NonFiniteError(f"{context}: {bad} of {values.size} values are not finite")
+    return values
+
+
+def _to_real(values: np.ndarray, context: str) -> np.ndarray:
+    """Real part of a complex term sum, after the finite check and the imaginary-residue guard."""
+    _finite(values, context)
     max_resid = float(np.max(np.abs(values.imag), initial=0.0))
     if max_resid > IMAG_RESIDUE_TOL:
         # the global bound failed; apply the pointwise |im| <= tol (1 + |re|)
@@ -208,7 +236,7 @@ def _to_real(values: np.ndarray, context: str) -> tuple[np.ndarray, float]:
                 f"{context}: imaginary residue exceeds {IMAG_RESIDUE_TOL:g}*(1+|re|) "
                 f"by a factor {worst:.3g}; the term sum lost its Hermitian pairing"
             )
-    return np.ascontiguousarray(values.real), max_resid
+    return np.ascontiguousarray(values.real)
 
 
 def wigner_values(spec: BellCatSpec, params: ThermalParams,
@@ -227,8 +255,7 @@ def wigner_values(spec: BellCatSpec, params: ThermalParams,
     if len({a.shape for a in arrays}) != 1:
         raise ValueError("coordinate arrays must share one shape")
     fac = factorize(spec, params, (arrays[0], arrays[1]), (arrays[2], arrays[3]))
-    values, _ = _to_real(fac.combine_paired(), "wigner_values")
-    return values
+    return _finite(fac.combine_paired(), "wigner_values")
 
 
 def wigner_point(spec: BellCatSpec, params: ThermalParams, pt: PhasePoint) -> float:
@@ -305,57 +332,30 @@ class WignerGrid:
 def wigner_grid(spec: BellCatSpec, params: ThermalParams, slice_: SliceDescriptor) -> WignerGrid:
     """Evaluate the Wigner function over a 2D slice via the factorized contraction.
 
-    The mode tables are built once per distinct per-mode point set, so a slice
-    whose axes split across the two modes costs O(count1 + count2) mode sums
-    followed by the two rank-8 real products of `combine_block`.
+    Each mode's points are the product of its varying axes (none, one or
+    both) with its fixed coordinates, so a slice whose axes split across the
+    modes costs O(count1 + count2) table entries.  One rank-4 product forms
+    the block, laid out as (mode-1 axes, mode-2 axes), and one transpose puts
+    it in slice order.
     """
     t0 = time.perf_counter()
-    a0, a1 = slice_.axes
-    v0, v1 = a0.values(), a1.values()
-    fixed = slice_.fixed
-    mode0, mode1_ = _MODE_OF[a0.name], _MODE_OF[a1.name]
-
-    def fixed_pair(mode: int) -> tuple[float, float]:
-        names = ("x1", "y1") if mode == 1 else ("x2", "y2")
-        return fixed[names[0]], fixed[names[1]]
-
-    if mode0 != mode1_:
-        # axes split across the modes: outer product of two 1D tables
-        pts = {mode0: _axis_points(a0.name, v0, fixed), mode1_: _axis_points(a1.name, v1, fixed)}
-        fac = factorize(spec, params, pts[1], pts[2])
-        w_complex = fac.combine() if mode0 == 1 else fac.combine().T
-    else:
-        # both axes live in one mode: that mode gets the full 2D point set
-        grid0, grid1 = np.meshgrid(v0, v1, indexing="ij")
-        pair = {a0.name: grid0.ravel(), a1.name: grid1.ravel()}
-        names = ("x1", "y1") if mode0 == 1 else ("x2", "y2")
-        varying = (pair.get(names[0], np.full(grid0.size, fixed.get(names[0], 0.0))),
-                   pair.get(names[1], np.full(grid0.size, fixed.get(names[1], 0.0))))
-        other_mode = 2 if mode0 == 1 else 1
-        ox, oy = fixed_pair(other_mode)
-        single = (np.array([ox]), np.array([oy]))
-        if mode0 == 1:
-            fac = factorize(spec, params, varying, single)
-            w_complex = fac.combine()[:, 0].reshape(v0.size, v1.size)
-        else:
-            fac = factorize(spec, params, single, varying)
-            w_complex = fac.combine()[0, :].reshape(v0.size, v1.size)
-
-    values, max_resid = _to_real(w_complex, "wigner_grid")
+    axes = slice_.axes
+    order: list[int] = []     # slice axes in the block's layout
+    points = []
+    for coords in (("x1", "y1"), ("x2", "y2")):
+        varying = [i for i, axis in enumerate(axes) if axis.name in coords]
+        grids = np.meshgrid(*(axes[i].values() for i in varying), indexing="ij")
+        at = {**slice_.fixed, **{axes[i].name: grid for i, grid in zip(varying, grids)}}
+        points.append([v.ravel() for v in np.broadcast_arrays(*(at[c] for c in coords))])
+        order += varying
+    block = factorize(spec, params, *points).combine_block()
+    block = block.reshape([axes[i].count for i in order]).transpose(np.argsort(order))
+    values = _finite(np.ascontiguousarray(block), "wigner_grid")
     stats = {
-        "max_imag_residue": max_resid,
         "n_points": int(values.size),
         "seconds": time.perf_counter() - t0,
     }
     return WignerGrid(slice_=slice_, values=values, spec=spec, params=params, stats=stats)
-
-
-def _axis_points(name: str, values: np.ndarray, fixed: dict[str, float]):
-    if name in ("x1", "x2"):
-        other = "y1" if name == "x1" else "y2"
-        return values, np.full(values.size, fixed[other])
-    other = "x1" if name == "y1" else "x2"
-    return np.full(values.size, fixed[other]), values
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +483,7 @@ def wigner_oracle_values(spec: BellCatSpec, params: ThermalParams,
             c1 = np.einsum("pnm,nm->p", k1, blocks1[s][t])
             c2 = np.einsum("pnm,nm->p", k2, blocks2[s][t])
             total += weights[s, t] * c1 * c2
-    values, _ = _to_real(total, "wigner_oracle")
-    return values
+    return _to_real(total, "wigner_oracle")
 
 
 # ---------------------------------------------------------------------------
@@ -517,5 +516,4 @@ def closed_form_zero_temperature(spec: BellCatSpec, x1, y1, x2, y2) -> np.ndarra
                                * cross(ket_sign * k * alpha, bra_sign * k * alpha, z2))
     envelope = np.exp(-(np.abs(z1) ** 2 + np.abs(z2) ** 2))
     values = norm_sq / math.pi**2 * envelope * total
-    out, _ = _to_real(values, "closed_form_zero_temperature")
-    return out
+    return _to_real(values, "closed_form_zero_temperature")

@@ -151,11 +151,25 @@ class TestWignerCommand:
 
     @pytest.mark.parametrize("state", ["phi-minus", "psi-minus"])
     def test_underflowing_odd_amplitude_exits_1(self, state, tmp_path, capsys):
-        # |alpha|^2 = 1e-400 underflows to 0, where the odd state is the null vector
+        # |alpha|^2 is subnormal at 1e-155 and 1e-160 and underflows to 0 at 1e-200
         out = tmp_path / "w.csv"
-        assert main(FAST_WIGNER + ["--state", state, "--alpha-re", "1e-200", "--out", str(out)]) == 1
-        assert "DegenerateStateError" in capsys.readouterr().err
-        assert not out.exists()
+        for amplitude in ("1e-155", "1e-160", "1e-200"):
+            assert main(FAST_WIGNER + ["--state", state, "--alpha-re", amplitude, "--out", str(out)]) == 1
+            assert "DegenerateStateError" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_small_odd_amplitude_is_the_single_photon(self, tmp_path):
+        # phi-minus at |alpha| = 1e-50 and T = 0 is one photon in (a1 + a2)/sqrt2:
+        # W = (2|z_b|^2 - 1) e^{-|z|^2}/pi^2
+        out = tmp_path / "w.csv"
+        argv = ["wigner", "--state", "phi-minus", "--alpha-re", "1e-50", "--temp", "0", "--grid-count", "3",
+                "--out", str(out)]
+        assert main(argv) == 0
+        x1, y1, x2, y2, w = np.loadtxt(out, delimiter=",", comments="#", skiprows=11).T
+        zb2 = ((x1 + x2) ** 2 + (y1 + y2) ** 2) / 2.0
+        exact = (2.0 * zb2 - 1.0) * np.exp(-(x1**2 + y1**2 + x2**2 + y2**2)) / math.pi**2
+        assert w.size == 9
+        assert np.max(np.abs(w - exact)) <= 1e-15
 
 
 class TestNegativityCommand:
@@ -196,18 +210,23 @@ class TestNegativityCommand:
         assert "NormalizationError" in capsys.readouterr().err
 
     def test_small_odd_amplitude_integrates(self, tmp_path):
-        # 1 + sigma e^{-4|alpha|^2} cancels in floating point at alpha = 1e-8
-        out = tmp_path / "n.json"
-        assert main(["negativity", "--state", "phi-minus", "--alpha-re", "1e-8", "--out", str(out)]) == 0
-        payload = json.loads(read(out))
-        assert abs(payload["nu"] - (4 * math.exp(-0.5) - 2) / (4 * math.exp(-0.5) - 1)) < 1e-9
+        # 1 + sigma e^{-4|alpha|^2} cancels in floating point at alpha = 1e-8; at 1e-150,
+        # |alpha|^2 is still a normal float.  0.298798032679059 is the 0.01 K value.
+        for amplitude in ("1e-8", "1e-150"):
+            out = tmp_path / f"n{amplitude}.json"
+            assert main(["negativity", "--state", "phi-minus", "--alpha-re", amplitude, "--out", str(out)]) == 0
+            payload = json.loads(read(out))
+            assert abs(payload["nu"] - (4 * math.exp(-0.5) - 2) / (4 * math.exp(-0.5) - 1)) < 1e-9
+            assert abs(payload["nu"] - 0.298798032679059) < 1e-12
 
     @pytest.mark.parametrize("state", ["phi-minus", "psi-minus"])
     def test_underflowing_odd_amplitude_exits_1(self, state, tmp_path, capsys):
+        # |alpha|^2 is subnormal at 1e-155 and 1e-160 and underflows to 0 at 1e-200
         out = tmp_path / "n.json"
-        assert main(["negativity", "--state", state, "--alpha-re", "1e-200", "--out", str(out)]) == 1
-        assert "DegenerateStateError" in capsys.readouterr().err
-        assert not out.exists()
+        for amplitude in ("1e-155", "1e-160", "1e-200"):
+            assert main(["negativity", "--state", state, "--alpha-re", amplitude, "--out", str(out)]) == 1
+            assert "DegenerateStateError" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("base", [["negativity", "--temp", "0.05"],
                                       ["sweep", "--temp-min", "0.05", "--temp-max", "0.1", "--temp-count", "1"]])

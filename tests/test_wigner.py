@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -376,6 +377,23 @@ class TestGrids:
         with pytest.raises(ValueError):
             SliceDescriptor.centered(("x1", "x1"), 2.0, 5)
 
+    @pytest.mark.parametrize("fixed", [-0.0, 0.37])
+    @pytest.mark.parametrize("count", [2, 7])
+    @pytest.mark.parametrize("names", list(itertools.permutations(("x1", "y1", "x2", "y2"), 2)))
+    def test_every_axis_pair_matches_pointwise(self, names, count, fixed):
+        # the one grid path: no, one or both axes per mode, in either order
+        spec = BellCatSpec.from_label("psi-minus", 1 + 0.6j)
+        params = thermal_params(0.5, OMEGA, 1.3 * OMEGA)
+        slice_ = SliceDescriptor.centered(names, 2.5, count, {c: fixed for c in ("x1", "y1", "x2", "y2")
+                                                             if c not in names})
+        grid = wigner_grid(spec, params, slice_)
+        assert grid.values.shape == (count, count)
+        a0, a1 = np.meshgrid(grid.axis_values(0), grid.axis_values(1), indexing="ij")
+        at = {**slice_.fixed, names[0]: a0, names[1]: a1}
+        coords = [np.broadcast_to(at[c], a0.shape).ravel() for c in ("x1", "y1", "x2", "y2")]
+        direct = wigner_values(spec, params, *coords).reshape(count, count)
+        assert np.max(np.abs(grid.values - direct)) <= 1e-13 * np.max(np.abs(direct))
+
     def test_psi_phi_reflection_on_grids(self):
         params = params_for(0.01)
         slice_ = SliceDescriptor.centered(("x1", "x2"), 5.0, 21)
@@ -383,3 +401,28 @@ class TestGrids:
         psi = wigner_grid(BellCatSpec.from_label("psi-plus", 1.0), params, slice_)
         # x2 -> -x2 exchanges the two grids (columns reversed; grid is symmetric)
         assert np.max(np.abs(phi.values - psi.values[:, ::-1])) < 1e-12
+
+
+class TestSinglePhotonLimit:
+    """As |alpha| -> 0 the odd states become one photon in the mode b = (a1 + k a2)/sqrt2."""
+
+    @staticmethod
+    def limit(k, x1, y1, x2, y2):
+        z1, z2 = x1 + 1j * y1, x2 + 1j * y2
+        zb = (z1 + k * z2) / math.sqrt(2.0)
+        return (2.0 * np.abs(zb) ** 2 - 1.0) * np.exp(-np.abs(z1) ** 2 - np.abs(z2) ** 2) / math.pi**2
+
+    @pytest.mark.parametrize("modulus", [1e-8, 1e-20, 1e-50])
+    @pytest.mark.parametrize("label", ["phi-minus", "psi-minus"])
+    def test_values_and_grid_match_fock_one(self, label, modulus):
+        spec = BellCatSpec.from_label(label, modulus)
+        pts = np.random.default_rng(21).uniform(-2.0, 2.0, size=(4, 2000))
+        assert np.max(np.abs(wigner_values(spec, T0, *pts) - self.limit(spec.k, *pts))) <= 1e-15
+        for names in (("x1", "x2"), ("y2", "x1"), ("x1", "y1")):
+            slice_ = SliceDescriptor.centered(names, 2.0, 21, {c: 0.3 for c in ("x1", "y1", "x2", "y2")
+                                                               if c not in names})
+            grid = wigner_grid(spec, T0, slice_)
+            a0, a1 = np.meshgrid(grid.axis_values(0), grid.axis_values(1), indexing="ij")
+            at = {**slice_.fixed, names[0]: a0, names[1]: a1}
+            exact = self.limit(spec.k, *(at[c] for c in ("x1", "y1", "x2", "y2")))
+            assert np.max(np.abs(grid.values - exact)) <= 1e-15
