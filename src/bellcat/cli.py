@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .density import build_density_matrix, build_density_operator
+from .density import route_gap
 from .errors import BellCatError, ImaginaryResidueError
 from .negativity import integrate_negativity, temperature_sweep
 from .series import series_values
@@ -96,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p_validate = sub.add_parser("validate", help="run the oracle cross-validation suite")
-    p_validate.add_argument("--quick", action="store_true", help="smaller battery (~0.1 s instead of 0.5-1 s)")
+    p_validate.add_argument("--quick", action="store_true", help="smaller battery (0.15-0.3 s instead of 0.7-1.2 s on 2 CPUs)")
 
     p_wigner = sub.add_parser("wigner", help="evaluate a 2D slice of the Wigner function to CSV")
     add_common(p_wigner)
@@ -267,7 +268,32 @@ def cmd_sweep(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _three_route_gaps(spec: BellCatSpec, params, pts: np.ndarray) -> tuple[float, float, float]:
+    """max |diff| of Gaussian vs oracle, series vs oracle and Gaussian vs series at the same points."""
+    wg = wigner_values(spec, params, *pts)
+    ws = series_values(spec, params, *pts)
+    wo = wigner_oracle_values(spec, params, *pts)
+    return tuple(float(np.max(np.abs(a - b))) for a, b in ((wg, wo), (ws, wo), (wg, ws)))
+
+
 def _run_checks(quick: bool) -> list[tuple[str, bool, str]]:
+    """The validation battery, in report order.
+
+    The density and three-route configs run on a thread pool, one worker per
+    available CPU.  Every random point is drawn on the calling thread first,
+    in a fixed order, and the results are reduced in submission order, so
+    the report does not depend on the number of workers.
+    """
+    from concurrent.futures import ThreadPoolExecutor    # here, so `import bellcat` does not pay for it
+
     omega = 2 * math.pi * _DEFAULT_FREQ
     rng = np.random.default_rng(20240811)
     checks: list[tuple[str, bool, str]] = []
@@ -278,39 +304,38 @@ def _run_checks(quick: bool) -> list[tuple[str, bool, str]]:
     # density: direct element formula vs operator product
     labels = ["phi-plus", "phi-minus", "psi-plus", "psi-minus"]
     alphas = [1.0] if quick else [1.0, 1 + 1j]
-    temps = [0.0, 0.5]
-    worst = 0.0
-    for label in labels:
-        for alpha in alphas:
-            for temp in temps:
-                spec = BellCatSpec.from_label(label, alpha)
-                params = thermal_params(temp, omega)
-                cutoff = 20 if quick else 30
-                op = build_density_operator(spec, params, cutoff)
-                di = build_density_matrix(spec, params, cutoff)
-                worst = max(worst, float(np.max(np.abs(op.matrix - di.matrix))))
-    record("density element formula vs operator product", worst < 1e-10, f"max |diff| = {worst:.2e}")
+    cutoff = 20 if quick else 30
+    density_jobs = [(BellCatSpec.from_label(label, alpha), thermal_params(temp, omega), cutoff)
+                    for label in labels for alpha in alphas for temp in (0.0, 0.5)]
 
     # three routes at the same points: Gaussian (production), series, Fock-kernel oracle
-    worst = {"Gaussian vs Fock-kernel oracle": 0.0, "Laguerre series vs Fock-kernel oracle": 0.0,
-             "Gaussian vs Laguerre series": 0.0}
     configs = [(1.0, 0.0)] if quick else [(1.0, 0.0), (1 + 1j, 1.0)]
     npts = 4 if quick else 8
+    route_jobs = []
     for label in labels:
         for alpha, temp in configs:
-            spec = BellCatSpec.from_label(label, alpha)
             params = thermal_params(temp, omega)
             box = math.sqrt(2.0) * abs(alpha) * max(params.u1, params.u2) + 2.0
-            pts = rng.uniform(-box, box, size=(4, npts))
-            wg = wigner_values(spec, params, *pts)
-            ws = series_values(spec, params, *pts)
-            wo = wigner_oracle_values(spec, params, *pts)
-            for name, a, b in (("Gaussian vs Fock-kernel oracle", wg, wo),
-                               ("Laguerre series vs Fock-kernel oracle", ws, wo),
-                               ("Gaussian vs Laguerre series", wg, ws)):
-                worst[name] = max(worst[name], float(np.max(np.abs(a - b))))
-    for name, value in worst.items():
-        record(name, value < 1e-8, f"max |diff| = {value:.2e}")
+            route_jobs.append((BellCatSpec.from_label(label, alpha), params,
+                               rng.uniform(-box, box, size=(4, npts))))
+    cold_pts = [rng.uniform(-3.0, 3.0, size=(4, 20)) for _ in labels]
+    pts = rng.uniform(-3.0, 3.0, size=(4, 100))
+
+    # the negativity integration runs before the pool starts, so it has a CPU to itself
+    spec = BellCatSpec.from_label("phi-minus", 1.0)
+    result = integrate_negativity(spec, thermal_params(0.01, omega))
+
+    jobs = [(route_gap, job) for job in density_jobs] + [(_three_route_gaps, job) for job in route_jobs]
+    with ThreadPoolExecutor(max_workers=min(_worker_count(), len(jobs))) as pool:
+        gaps = [future.result() for future in [pool.submit(fn, *args) for fn, args in jobs]]
+
+    worst = float(np.max(gaps[:len(density_jobs)]))
+    record("density element formula vs operator product", worst < 1e-10, f"max |diff| = {worst:.2e}")
+    names = ("Gaussian vs Fock-kernel oracle", "Laguerre series vs Fock-kernel oracle",
+             "Gaussian vs Laguerre series")
+    for name, values in zip(names, zip(*gaps[len(density_jobs):])):
+        worst = float(np.max(values))
+        record(name, worst < 1e-8, f"max |diff| = {worst:.2e}")
 
     # parity value at the origin
     worst = 0.0
@@ -322,18 +347,16 @@ def _run_checks(quick: bool) -> list[tuple[str, bool, str]]:
 
     # zero-temperature closed form (coherent-state algebra)
     worst = 0.0
-    for label in labels:
+    params = thermal_params(0.0, omega)
+    for label, cold in zip(labels, cold_pts):
         spec = BellCatSpec.from_label(label, 1 + 1j)
-        pts = rng.uniform(-3.0, 3.0, size=(4, 20))
-        params = thermal_params(0.0, omega)
         worst = max(worst, float(np.max(np.abs(
-            wigner_values(spec, params, *pts) - closed_form_zero_temperature(spec, *pts)))))
+            wigner_values(spec, params, *cold) - closed_form_zero_temperature(spec, *cold)))))
     record("zero-temperature coherent closed form", worst < 1e-9, f"max |diff| = {worst:.2e}")
 
     # mode-2 flip symmetry
     spec = BellCatSpec.from_label("phi-plus", 1 + 1j)
     params = thermal_params(1.0, omega)
-    pts = rng.uniform(-3.0, 3.0, size=(4, 100))
     flipped = wigner_values(spec.flipped_mode2(), params, pts[0], pts[1], -pts[2], -pts[3])
     straight = wigner_values(spec, params, *pts)
     worst = float(np.max(np.abs(straight - flipped)))
@@ -352,9 +375,7 @@ def _run_checks(quick: bool) -> list[tuple[str, bool, str]]:
     except ImaginaryResidueError:
         record("broken chi convention trips the residue guard", True, "ImaginaryResidueError raised")
 
-    # negativity identity on one integration
-    spec = BellCatSpec.from_label("phi-minus", 1.0)
-    result = integrate_negativity(spec, thermal_params(0.01, omega))
+    # negativity identity on the integration above
     rel = abs(result.nu - result.delta / (1.0 + result.delta)) / result.nu
     ok = rel < 1e-6 and abs(result.norm_check - 1.0) < 1e-3 and result.nu > 0
     record("negativity: norm and nu = delta/(1+delta)",

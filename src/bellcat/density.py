@@ -17,6 +17,9 @@ cross-validated in the test suite and by `bellcat validate`:
 * :func:`build_density_matrix` -- direct route.  Each element is the finite
   sum over shared thermal excitations (n1, n2) of the explicit coefficient
   formula, assembled from log-factorials.
+
+:func:`route_gap` compares the two routes element by element, one mode-1
+row of each at a time, without forming either matrix.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "TruncatedDensity",
     "build_density_operator",
     "build_density_matrix",
+    "route_gap",
     "mode_thermal_blocks",
     "effective_amplitude",
     "thermal_levels",
@@ -104,37 +108,48 @@ def _exp_creation(coefficient: complex, cutoff: int) -> tuple[np.ndarray, np.nda
     return plus, np.where(k % 2 == 0, plus, -plus)
 
 
+def _kron_row(terms, i: int, row: np.ndarray, scratch: np.ndarray) -> None:
+    """Mode-1 row i of sum_k w_k * kron(A_k, B_k), written into the (n, n, n) `row` as [k, j, l].
+
+    `row[k, j, l]` is element (i*n + k, j*n + l) of the whole matrix, rounded
+    as in the whole-matrix expression: w_k * (A_k[i, j] * B_k[k, l]), added
+    in term order.  `scratch` is a second (n, n, n) complex buffer.
+    """
+    for index, (w, a, b) in enumerate(terms):
+        dest = row if index == 0 else scratch
+        np.multiply(a[i][None, :, None], b[:, None, :], out=dest)
+        dest *= w
+        if index:
+            row += scratch
+
+
 def _kron_sum(terms) -> np.ndarray:
     """sum_k w_k * kron(A_k, B_k) over (w_k, A_k, B_k) terms of (n, n) blocks, in term order.
 
-    Written one mode-1 row i at a time into a (n, n, n, n) buffer indexed
-    [i, k, j, l] (row i*n + k, column j*n + l), so each row's products and
-    sums stay in cache.  Every element is rounded as in the whole-matrix
-    expression: w_k * (A_k[i, j] * B_k[k, l]), added in term order.
+    Written one mode-1 row at a time (:func:`_kron_row`) into a (n, n, n, n)
+    buffer indexed [i, k, j, l], so each row's products and sums stay in cache.
     """
     n = terms[0][1].shape[0]
     out = np.empty((n, n, n, n), dtype=complex)
-    term = np.empty((n, n, n), dtype=complex)
+    scratch = np.empty((n, n, n), dtype=complex)
     for i in range(n):
-        row = out[i]
-        for index, (w, a, b) in enumerate(terms):
-            dest = row if index == 0 else term
-            np.multiply(a[i][None, :, None], b[:, None, :], out=dest)
-            dest *= w
-            if index:
-                row += term
+        _kron_row(terms, i, out[i], scratch)
     return out.reshape(n * n, n * n)
 
 
-def _finish(matrix: np.ndarray, cutoff: int, enforce_trace_limit: bool) -> TruncatedDensity:
-    trace = float(np.real(np.trace(matrix)))
-    deficit = 1.0 - trace
+def _trace_deficit(trace: complex, cutoff: int, enforce_trace_limit: bool) -> float:
+    deficit = 1.0 - float(np.real(trace))
     if enforce_trace_limit and deficit > TRACE_DEFICIT_LIMIT:
         raise CutoffError(
             f"trace deficit {deficit:.3e} exceeds {TRACE_DEFICIT_LIMIT}; "
             f"cutoff {cutoff} is too small for these parameters"
         )
-    return TruncatedDensity(cutoff=cutoff, matrix=matrix, trace_deficit=deficit)
+    return deficit
+
+
+def _finish(matrix: np.ndarray, cutoff: int, enforce_trace_limit: bool) -> TruncatedDensity:
+    return TruncatedDensity(cutoff=cutoff, matrix=matrix,
+                            trace_deficit=_trace_deficit(np.trace(matrix), cutoff, enforce_trace_limit))
 
 
 def build_density_operator(spec: BellCatSpec, params: ThermalParams, cutoff: int,
@@ -150,12 +165,15 @@ def build_density_operator(spec: BellCatSpec, params: ThermalParams, cutoff: int
     routes stay entrywise exact at any cutoff, so formula cross-checks may
     run on deliberately small spaces.
     """
+    return _finish(_kron_sum(_operator_terms(spec, params, cutoff)), cutoff, enforce_trace_limit)
+
+
+def _operator_terms(spec: BellCatSpec, params: ThermalParams, cutoff: int) -> list:
+    """(w, A, B) Kronecker terms of the operator route, each branch next to its parity image."""
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     weights, blocks1, blocks2 = mode_thermal_blocks(spec, params, cutoff)
-    rho = _kron_sum([(weights[s, t], blocks1[s][t], blocks2[s][t])
-                     for s, t in ((0, 0), (1, 1), (0, 1), (1, 0))])
-    return _finish(rho, cutoff, enforce_trace_limit)
+    return [(weights[s, t], blocks1[s][t], blocks2[s][t]) for s, t in ((0, 0), (1, 1), (0, 1), (1, 0))]
 
 
 def _direct_mode_factor(gamma: complex, q: float, one_minus_q: float, sign_ket: int,
@@ -203,6 +221,14 @@ def build_density_matrix(spec: BellCatSpec, params: ThermalParams, cutoff: int,
     combined as Kronecker products.  For a fixed matrix element all index sums
     are finite, so the result is exact at any cutoff.
     """
+    terms, pref = _direct_terms(spec, params, cutoff)
+    rho = _kron_sum(terms)
+    rho *= pref
+    return _finish(rho, cutoff, enforce_trace_limit)
+
+
+def _direct_terms(spec: BellCatSpec, params: ThermalParams, cutoff: int) -> tuple[list, float]:
+    """(w, R1, R2) Kronecker terms of the direct route, one per sign branch, and their common prefactor."""
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     a2 = abs(spec.alpha) ** 2
@@ -212,12 +238,45 @@ def build_density_matrix(spec: BellCatSpec, params: ThermalParams, cutoff: int,
 
     g1, g2 = spec.alpha, spec.k * spec.alpha
     # u_i^{-(n+nbar)} in the printed formula equals (1-q_i)^{(n+nbar)/2}
-    rho = _kron_sum([(spec.sigma ** (s + t),
-                      _direct_mode_factor(g1, q1, om1, 1 - 2 * s, 1 - 2 * t, cutoff),
-                      _direct_mode_factor(g2, q2, om2, 1 - 2 * s, 1 - 2 * t, cutoff))
-                     for s in (0, 1) for t in (0, 1)])
-    rho *= pref
-    return _finish(rho, cutoff, enforce_trace_limit)
+    terms = [(spec.sigma ** (s + t),
+              _direct_mode_factor(g1, q1, om1, 1 - 2 * s, 1 - 2 * t, cutoff),
+              _direct_mode_factor(g2, q2, om2, 1 - 2 * s, 1 - 2 * t, cutoff))
+             for s in (0, 1) for t in (0, 1)]
+    return terms, pref
+
+
+def route_gap(spec: BellCatSpec, params: ThermalParams, cutoff: int,
+              enforce_trace_limit: bool = True) -> float:
+    """max |operator route - direct route| over all elements, without forming either matrix.
+
+    Both routes are streamed one mode-1 row at a time through the builders'
+    row kernel (:func:`_kron_row`), so every element, each trace and hence
+    the result equal those of the two built matrices bit for bit; only two
+    rows are held at once.  With `enforce_trace_limit` the trace-deficit gate
+    raises `CutoffError` exactly where :func:`build_density_operator` or
+    :func:`build_density_matrix` would.
+    """
+    op_terms = _operator_terms(spec, params, cutoff)
+    di_terms, pref = _direct_terms(spec, params, cutoff)
+    n = cutoff + 1
+    op_row, di_row, scratch = (np.empty((n, n, n), dtype=complex) for _ in range(3))
+    magnitude = np.empty((n, n, n))
+    op_diag, di_diag = np.empty((n, n), dtype=complex), np.empty((n, n), dtype=complex)
+    row_max = np.empty(n)
+    k = np.arange(n)
+    for i in range(n):
+        _kron_row(op_terms, i, op_row, scratch)
+        _kron_row(di_terms, i, di_row, scratch)
+        di_row *= pref
+        # diagonal element i*n + k of the whole matrix sits at [k, i, k]
+        op_diag[i] = op_row[k, i, k]
+        di_diag[i] = di_row[k, i, k]
+        np.subtract(op_row, di_row, out=op_row)
+        np.abs(op_row, out=magnitude)
+        row_max[i] = magnitude.max()
+    _trace_deficit(op_diag.sum(), cutoff, enforce_trace_limit)
+    _trace_deficit(di_diag.sum(), cutoff, enforce_trace_limit)
+    return float(row_max.max())
 
 
 def mode_thermal_blocks(spec: BellCatSpec, params: ThermalParams, cutoff: int):

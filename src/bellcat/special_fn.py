@@ -11,6 +11,7 @@ n ~ 10^3.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -26,6 +27,10 @@ def _two_sum(a: float, b: float) -> tuple[float, float]:
     return s, (a - (s - bb)) + (b - bb)
 
 
+# grown under _lock and never shrunk, so _hi/_lo always belong to _table;
+# readers slice the table they read, which a table another thread publishes
+# meanwhile cannot shorten
+_lock = threading.Lock()
 _table = np.zeros(1)
 _hi = 0.0
 _lo = 0.0
@@ -33,27 +38,30 @@ _lo = 0.0
 
 def _grow_table(nmax: int) -> None:
     global _table, _hi, _lo
-    old = _table.size - 1
-    if nmax <= old:
-        return
-    grown = np.empty(nmax + 1)
-    grown[: old + 1] = _table
-    hi, lo = _hi, _lo
-    for n in range(old + 1, nmax + 1):
-        s, e = _two_sum(hi, math.log(n))
-        lo += e
-        hi, lo = _two_sum(s, lo)
-        grown[n] = hi + lo
-    _table, _hi, _lo = grown, hi, lo
+    with _lock:
+        old = _table.size - 1
+        if nmax <= old:
+            return
+        grown = np.empty(nmax + 1)
+        grown[: old + 1] = _table
+        hi, lo = _hi, _lo
+        for n in range(old + 1, nmax + 1):
+            s, e = _two_sum(hi, math.log(n))
+            lo += e
+            hi, lo = _two_sum(s, lo)
+            grown[n] = hi + lo
+        _table, _hi, _lo = grown, hi, lo
 
 
 def log_factorial_table(nmax: int) -> np.ndarray:
-    """Read-only vector [ln(0!), ..., ln(nmax!)] for vectorized coefficient assembly."""
+    """Read-only vector [ln(0!), ..., ln(nmax!)] for vectorized coefficient assembly; thread-safe."""
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    if nmax >= _table.size:
-        _grow_table(max(nmax, 2 * _table.size))
-    view = _table[: nmax + 1]
+    table = _table
+    if nmax >= table.size:
+        _grow_table(max(nmax, 2 * table.size))
+        table = _table
+    view = table[: nmax + 1]
     view.flags.writeable = False
     return view
 

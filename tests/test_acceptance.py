@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from bellcat.cli import main as cli_main
-from bellcat.density import build_density_matrix, build_density_operator
+from bellcat.density import route_gap
 from bellcat.negativity import (
     default_half_width,
     default_inner_density,
@@ -118,16 +118,15 @@ def test_criterion_03_density_oracle_equivalence():
     # entrywise equality of the element-formula and operator builds is
     # cutoff-independent (both truncate identically), so the battery runs at
     # cutoff 30 with the trace gate off; the gate itself is covered in
-    # tests/test_density.py
+    # tests/test_density.py.  route_gap streams both builds row by row and
+    # returns their max entrywise difference bit for bit.
     worst = 0.0
     for label in ALL_LABELS:
         for alpha in PAPER_ALPHAS:
             for temp in (0.0, 0.3, 1.0):
                 spec = BellCatSpec.from_label(label, alpha)
                 params = params_for(temp)
-                op = build_density_operator(spec, params, 30, enforce_trace_limit=False)
-                di = build_density_matrix(spec, params, 30, enforce_trace_limit=False)
-                worst = max(worst, float(np.max(np.abs(op.matrix - di.matrix))))
+                worst = max(worst, route_gap(spec, params, 30, enforce_trace_limit=False))
     ok = worst < 1e-10
     report("03", ok, f"max entrywise |direct - operator| = {worst:.2e} over 36 configs, cutoff 30")
     assert ok

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import bellcat
+import bellcat.cli
 import bellcat.negativity
 from bellcat.cli import main
 from bellcat.errors import NormalizationError
@@ -394,3 +395,22 @@ class TestValidateCommand:
         assert [row[1].strip() for row in rows] == VALIDATE_CHECKS
         assert [row[0] for row in rows] == ["PASS"] * len(VALIDATE_CHECKS)
         assert lines[-1].startswith(f"{len(VALIDATE_CHECKS)}/{len(VALIDATE_CHECKS)} checks passed in ")
+
+    @pytest.mark.parametrize("flags", [[], ["--quick"]])
+    def test_report_does_not_depend_on_worker_count(self, flags, capsys, monkeypatch):
+        # random points are drawn before the pool starts and results are
+        # reduced in submission order, so every line but the timing agrees
+        assert main(["validate"] + flags) == 0
+        default = capsys.readouterr().out.splitlines()
+        for workers in (1, 3):
+            monkeypatch.setattr(bellcat.cli, "_worker_count", lambda: workers)
+            assert main(["validate"] + flags) == 0
+            assert capsys.readouterr().out.splitlines()[:-1] == default[:-1]
+
+    def test_import_does_not_load_thread_pool(self):
+        # validate imports concurrent.futures itself, so `import bellcat` stays cheaper
+        src = os.path.dirname(os.path.dirname(bellcat.__file__))
+        code = "import sys, bellcat; print('concurrent.futures' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+        assert out.strip() == "False"

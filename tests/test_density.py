@@ -9,6 +9,7 @@ from bellcat.density import (
     build_density_matrix,
     build_density_operator,
     mode_thermal_blocks,
+    route_gap,
 )
 from bellcat.errors import CutoffError
 from bellcat.states import BellCatSpec, bellcat_normalization, fock_coefficients
@@ -78,10 +79,7 @@ class TestOracleEquivalence:
     def test_direct_equals_operator(self, label, temp):
         spec = BellCatSpec.from_label(label, 1 + 1j)
         params = params_for(temp)
-        cutoff = 30
-        op = build_density_operator(spec, params, cutoff)
-        di = build_density_matrix(spec, params, cutoff)
-        assert np.max(np.abs(op.matrix - di.matrix)) < 1e-10
+        assert route_gap(spec, params, 30) < 1e-10
 
 
 class TestKroneckerSums:
@@ -115,6 +113,47 @@ class TestKroneckerSums:
         want *= math.exp(-2.0 * abs(spec.alpha) ** 2) * om1 * om2 / (2.0 * spec.parity_overlap)
         got = build_density_matrix(spec, params, cutoff, enforce_trace_limit=False).matrix
         assert np.array_equal(got, want)
+
+
+def trace_gate_outcome(build) -> str | None:
+    """The CutoffError message a build raises, or None."""
+    try:
+        build()
+    except CutoffError as exc:
+        return str(exc)
+    return None
+
+
+class TestRouteGap:
+    """route_gap streams both routes row by row and agrees with the two built matrices."""
+
+    @pytest.mark.parametrize("label", ["phi-plus", "phi-minus", "psi-plus", "psi-minus"])
+    @pytest.mark.parametrize("temp", [0.0, 0.5])
+    @pytest.mark.parametrize("alpha", [1.0, 1 + 1j])
+    @pytest.mark.parametrize("cutoff", [3, 12, 20, 30])
+    def test_equals_built_max_difference(self, label, temp, alpha, cutoff):
+        spec = BellCatSpec.from_label(label, alpha)
+        params = params_for(temp)
+        op = build_density_operator(spec, params, cutoff, enforce_trace_limit=False)
+        di = build_density_matrix(spec, params, cutoff, enforce_trace_limit=False)
+        want = float(np.max(np.abs(op.matrix - di.matrix)))
+        assert route_gap(spec, params, cutoff, enforce_trace_limit=False) == want
+
+    @pytest.mark.parametrize("label", ["phi-plus", "phi-minus", "psi-plus", "psi-minus"])
+    @pytest.mark.parametrize("temp", [0.0, 0.5])
+    @pytest.mark.parametrize("alpha", [1.0, 1 + 1j])
+    @pytest.mark.parametrize("cutoff", [3, 12, 20, 30])
+    def test_trace_gate_trips_where_builders_do(self, label, temp, alpha, cutoff):
+        spec = BellCatSpec.from_label(label, alpha)
+        params = params_for(temp)
+        built = trace_gate_outcome(lambda: (build_density_operator(spec, params, cutoff),
+                                            build_density_matrix(spec, params, cutoff)))
+        assert trace_gate_outcome(lambda: route_gap(spec, params, cutoff)) == built
+
+    def test_trace_gate_trips_below_needed_cutoff(self):
+        spec = BellCatSpec.from_label("psi-plus", 1 + 1j)
+        with pytest.raises(CutoffError, match=r"trace deficit 2\.288e-02 exceeds"):
+            route_gap(spec, params_for(0.5), 20)
 
 
 class TestDensityInvariants:

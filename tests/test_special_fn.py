@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from bellcat import special_fn
 from bellcat.special_fn import laguerre_envelope_table, log_factorial_table
 
 
@@ -52,6 +55,37 @@ class TestLogFactorial:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             log_factorial_table(-1)
+
+    def test_concurrent_growth_from_fresh_table(self, monkeypatch):
+        # 8 threads grow a fresh table at once; a 1 us switch interval makes
+        # them interleave inside the growth loop
+        monkeypatch.setattr(special_fn, "_table", np.zeros(1))
+        monkeypatch.setattr(special_fn, "_hi", 0.0)
+        monkeypatch.setattr(special_fn, "_lo", 0.0)
+        sizes = np.random.default_rng(20261018).integers(0, 601, size=(8, 25)).tolist()
+        barrier = threading.Barrier(len(sizes))
+        views: list[list] = [[] for _ in sizes]
+
+        def request(index: int) -> None:
+            barrier.wait()
+            views[index] = [log_factorial_table(n) for n in sizes[index]]
+
+        threads = [threading.Thread(target=request, args=(index,)) for index in range(len(sizes))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        exact = np.array([math.lgamma(n + 1) for n in range(601)])
+        for requested, got in zip(sizes, views):
+            assert [view.size for view in got] == [n + 1 for n in requested]
+            for n, view in zip(requested, got):
+                np.testing.assert_allclose(view, exact[: n + 1], rtol=1e-12, atol=0)
 
 
 class TestLaguerre:
