@@ -37,10 +37,8 @@ from .wigner import (
 from .series import TruncationConfig, series_values
 from .negativity import (
     NegativityResult,
-    QuadratureSpec,
     SweepEntry,
     integrate_negativity,
-    integrate_negativity_grid,
     temperature_sweep,
 )
 

@@ -48,9 +48,9 @@ OMEGA = 2 * math.pi * 5.5e9
 ALL_LABELS = sorted(STATE_LABELS)
 PAPER_LABELS = ("psi-plus", "phi-minus")
 PAPER_ALPHAS = (1.0, 1 + 1j, 2.0)
-# largest shift of nu at 0.01 K under simultaneous refinement of the 4D grid
-# rule's box, nodes and inner density and both series caps; the reduced
-# integral lies within it of the refined values (notes/decisions.md)
+# largest shift of nu at 0.01 K under simultaneous refinement of the former
+# 4D grid rule's box, nodes and inner density and both series caps; the
+# reduced integral lay within it of the refined values (notes/decisions.md)
 NU_REFINEMENT_SHIFT = 5e-4
 
 
@@ -284,8 +284,8 @@ def test_criterion_10_alpha_ordering_at_10mK(negativity_battery):
     # unchanged), so alpha = 1+i acts as sqrt(2); in the pure state nu rises
     # with |alpha| for both states.
     # Checked here: the integrand is the pure-state closed form on nodes of
-    # the reference grid rule (integrate_negativity_grid at its default
-    # box, nodes and inner density), and nu rises
+    # the 4D grid that the default_* policies size (box, Gauss-Legendre
+    # nodes and inner midpoint density), and nu rises
     # strictly with |alpha| with every gap at least 10x NU_REFINEMENT_SHIFT.
     # The paper's ordering is a finite-temperature effect (larger |alpha|
     # decoheres faster), checked by the companion test below; see

@@ -1,23 +1,21 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import bellcat.negativity
 from bellcat.errors import NonFiniteError, NormalizationError
 from bellcat.negativity import (
-    QuadratureSpec,
     default_half_width,
-    default_inner_density,
     default_nodes,
     integrate_negativity,
-    integrate_negativity_grid,
     temperature_sweep,
 )
 from bellcat.states import STATE_LABELS, BellCatSpec
 from bellcat.tfd import thermal_params
-from bellcat.wigner import factorize, fock_wigner_kernels, wigner_values
+from bellcat.wigner import fock_wigner_kernels, wigner_values
 
 OMEGA = 2 * math.pi * 5.5e9
 
@@ -27,13 +25,7 @@ def params_for(T):
 
 
 class TestQuadratureSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(nodes=4)
-        with pytest.raises(ValueError):
-            QuadratureSpec(half_width=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(inner_density=0.0)
+    """The default 4D box and node policies, which the benchmark's reference values and criterion 10 read."""
 
     def test_defaults_reduce_to_cold_values(self):
         spec = BellCatSpec.from_label("phi-minus", 1.0)
@@ -41,11 +33,6 @@ class TestQuadratureSpec:
         L = default_half_width(spec, params)
         assert L == pytest.approx(math.sqrt(2) + 7.0, abs=1e-12)
         assert default_nodes(spec, params, L) >= 48
-
-    def test_half_width_floor_enforced(self):
-        spec = BellCatSpec.from_label("phi-plus", 2.0)
-        with pytest.raises(ValueError):
-            integrate_negativity_grid(spec, params_for(0.0), QuadratureSpec(nodes=16, half_width=5.0))
 
 
 class TestVacuumKernelSanity:
@@ -81,26 +68,26 @@ class TestIntegration:
         hot = integrate_negativity(spec, params_for(2.0))
         assert hot.nu < 0.1 * cold.nu
 
-    def test_node_doubling_stability(self):
-        # the grid rule's delta moves by < 1e-3 relative when its Gauss-Legendre
-        # nodes double, one representative case per state
-        for label in ("phi-minus", "psi-plus", "phi-plus", "psi-minus"):
-            spec = BellCatSpec.from_label(label, 1.0)
-            params = params_for(0.3)
-            r1 = integrate_negativity_grid(spec, params)
-            r2 = integrate_negativity_grid(spec, params,
-                                           QuadratureSpec(nodes=2 * r1.nodes, half_width=r1.half_width))
-            assert abs(r1.delta - r2.delta) < 1e-3 * abs(r2.delta)
+    def test_node_doubling_stability(self, monkeypatch):
+        # delta moves by < 1e-12 relative when the reduced rule's s-nodes
+        # double, one representative case per state
+        params = params_for(0.3)
+        specs = [BellCatSpec.from_label(label, 1.0) for label in sorted(STATE_LABELS)]
+        default = [integrate_negativity(spec, params).delta for spec in specs]
+        monkeypatch.setattr(bellcat.negativity, "_S_NODES", 2 * bellcat.negativity._S_NODES)
+        for spec, delta in zip(specs, default):
+            assert abs(integrate_negativity(spec, params).delta - delta) < 1e-12 * delta
 
-    def test_full_refinement_stability(self):
-        # doubling the grid rule's inner density as well keeps delta within the same budget
+    def test_full_refinement_stability(self, monkeypatch):
+        # doubling both node counts and widening the reach from 7 to 9 keeps
+        # delta within the same budget
         spec = BellCatSpec.from_label("phi-minus", 1.0)
         params = params_for(0.3)
-        r1 = integrate_negativity_grid(spec, params)
-        refined = QuadratureSpec(nodes=2 * r1.nodes, half_width=r1.half_width,
-                                 inner_density=2.0 * r1.inner_nodes / (2.0 * r1.half_width))
-        r2 = integrate_negativity_grid(spec, params, refined)
-        assert abs(r1.delta - r2.delta) < 1e-3 * abs(r2.delta)
+        delta = integrate_negativity(spec, params).delta
+        monkeypatch.setattr(bellcat.negativity, "_S_NODES", 2 * bellcat.negativity._S_NODES)
+        monkeypatch.setattr(bellcat.negativity, "_T_NODES", 2 * bellcat.negativity._T_NODES)
+        monkeypatch.setattr(bellcat.negativity, "_REACH", 9.0)
+        assert abs(integrate_negativity(spec, params).delta - delta) < 1e-12 * delta
 
     def test_mode2_flip_invariance(self):
         params = params_for(0.3)
@@ -108,11 +95,11 @@ class TestIntegration:
         b = integrate_negativity(BellCatSpec.from_label("psi-plus", 1 + 1j), params)
         assert abs(a.nu - b.nu) < 1e-9
 
-    def test_normalization_failure_raises(self):
-        spec = BellCatSpec.from_label("phi-minus", 1.0)
+    def test_normalization_failure_raises(self, monkeypatch):
+        # far too few s-nodes: the lobe quadrature misses thermal mass
+        monkeypatch.setattr(bellcat.negativity, "_S_NODES", 2)
         with pytest.raises(NormalizationError):
-            # legal but far-too-coarse grid rule: the box misses thermal mass
-            integrate_negativity_grid(spec, params_for(2.0), QuadratureSpec(nodes=16, half_width=6.0))
+            integrate_negativity(BellCatSpec.from_label("phi-minus", 1.0), params_for(2.0))
 
 
 # the single-photon limit of the odd states: nu of the Fock state |1>,
@@ -120,12 +107,173 @@ class TestIntegration:
 NU_SINGLE_PHOTON = (4.0 * math.exp(-0.5) - 2.0) / (4.0 * math.exp(-0.5) - 1.0)
 
 
-def refined_grid_nu(spec, params):
-    """nu on the default grid rule and on the refined one (box +2, nodes x1.5, density x1.5)."""
-    coarse = integrate_negativity_grid(spec, params)
-    refined = QuadratureSpec(half_width=coarse.half_width + 2.0, nodes=math.ceil(1.5 * coarse.nodes),
-                             inner_density=1.5 * default_inner_density(spec, params))
-    return coarse.nu, integrate_negativity_grid(spec, params, refined).nu
+def scaled_lobes(spec, params):
+    """P_i = sqrt2 u_i gamma_i / sqrt(D_i) and D_i = (1 + q_i)/(1 - q_i) of both modes."""
+    lobes, widths = [], []
+    for gamma, q, one_minus_q in ((spec.alpha, params.exp1, params.one_minus_exp1),
+                                  (spec.k * spec.alpha, params.exp2, params.one_minus_exp2)):
+        d = (1.0 + q) / one_minus_q
+        lobes.append(math.sqrt(2.0) * gamma / math.sqrt(one_minus_q) / math.sqrt(d))
+        widths.append(d)
+    return np.array(lobes), np.array(widths)
+
+
+# ---------------------------------------------------------------------------
+# plane reference: W from wigner_values, integrated over the plane spanned by
+# P and iP.  A point (s, t) of the plane is zeta = (s - i t) P/a, z_i =
+# sqrt(D_i) zeta_i; W is a unit Gaussian across the plane
+# (test_reduced_form_is_the_wigner_function), so int W d^4z =
+# pi D1 D2 int ds dt W(z(s, t)).  The rule finds W's sign changes in t
+# numerically, integrates each sign-definite piece by Gauss-Legendre, and
+# grades its s panels toward the edges of the negative region, which it also
+# locates numerically.  It shares only P and D with the reduced route.
+# ---------------------------------------------------------------------------
+
+PLANE_REACH = 8.0    # in t, and in s beyond the lobes at +-a: e^{-64} of the Gaussian's peak
+PLANE_NODES = 8      # Gauss-Legendre nodes per panel, in s and in t
+PLANE_LEVELS = 10    # times the s panels halve toward each edge of the negative region
+GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def golden_minimum(f, lo, hi, iters=20):
+    """Position and value of the minimum of f on each [lo, hi], by golden section."""
+    x1, x2 = lo + GOLDEN * (hi - lo), hi - GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(iters):
+        left = f1 < f2
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+        x1, x2 = np.where(left, lo + GOLDEN * (hi - lo), x2), np.where(left, x1, hi - GOLDEN * (hi - lo))
+        f_new = f(np.where(left, x1, x2))
+        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+    left = f1 < f2
+    return np.where(left, x1, x2), np.where(left, f1, f2)
+
+
+def bisect_roots(f, lo, hi, iters=12):
+    """A zero of f in each sign-changing [lo, hi]: bisection, then the secant of the last bracket."""
+    f_lo, f_hi = f(lo), f(hi)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        right = np.sign(f_mid) == np.sign(f_lo)
+        lo, f_lo = np.where(right, mid, lo), np.where(right, f_mid, f_lo)
+        hi, f_hi = np.where(right, hi, mid), np.where(right, f_hi, f_mid)
+    return lo - f_lo * (hi - lo) / (f_hi - f_lo)
+
+
+def split(breaks, longest):
+    """The breakpoints with every gap longer than `longest` cut into equal parts."""
+    parts = np.ceil(np.diff(breaks) / longest).astype(int)
+    return np.append(np.concatenate([np.linspace(lo, hi, n, endpoint=False)
+                                     for lo, hi, n in zip(breaks[:-1], breaks[1:], parts)]), breaks[-1])
+
+
+def panel_rule(breaks):
+    """Gauss-Legendre nodes and weights on each panel between consecutive breakpoints (last axis)."""
+    x, w = np.polynomial.legendre.leggauss(PLANE_NODES)
+    half = 0.5 * np.diff(breaks, axis=-1)[..., None]
+    return 0.5 * (breaks[..., 1:] + breaks[..., :-1])[..., None] + half * x, half * w
+
+
+def plane_volumes(spec, params):
+    """I_+ and I_- of W by sign-resolved quadrature over the plane spanned by P and iP."""
+    lobes, widths = scaled_lobes(spec, params)
+    a = float(np.linalg.norm(lobes))
+    direction = np.sqrt(widths) * lobes / a
+
+    def w(s, t):
+        s, t = np.broadcast_arrays(s, t)
+        z = np.multiply.outer((s - 1j * t).ravel(), direction)
+        values = wigner_values(spec, params, z[:, 0].real, z[:, 0].imag, z[:, 1].real, z[:, 1].imag)
+        return values.reshape(s.shape)
+
+    # the t-scan takes 8 points per fringe period pi/a, and at least 8 per unit length
+    per_unit = max(8.0 * a / math.pi, 8.0)
+    scan = np.linspace(-PLANE_REACH, PLANE_REACH, 2 * math.ceil(PLANE_REACH * per_unit) + 1)
+
+    def brackets(s):
+        """(row, lo, hi): one t-interval around each sign change of W on the rows s."""
+        vals = w(s[:, None], scan)
+        row, k = np.nonzero((vals[:, 1:] < 0) != (vals[:, :-1] < 0))
+        # a positive local minimum of the samples may hide a dip below zero between them
+        mid = vals[:, 1:-1]
+        r, j = np.nonzero((mid >= 0) & (mid <= vals[:, :-2]) & (mid <= vals[:, 2:]))
+        t_min, w_min = golden_minimum(lambda t: w(s[r], t), scan[j], scan[j + 2])
+        r, j, t_min = r[w_min < 0], j[w_min < 0], t_min[w_min < 0]
+        return (np.concatenate([row, r, r]), np.concatenate([scan[k], scan[j], t_min]),
+                np.concatenate([scan[k + 1], t_min, scan[j + 2]]))
+
+    def edge(inside, outside):
+        """The outermost s between a row with negative values and one without, by 16-section."""
+        for _ in range(9):
+            s = np.linspace(inside, outside, 17)
+            row = brackets(s[1:-1])[0]
+            k = row.max() + 1 if row.size else 0
+            inside, outside = s[k], s[k + 1]
+        return inside
+
+    s_reach = a + PLANE_REACH
+    coarse = np.linspace(-s_reach, s_reach, 2 * math.ceil(8.0 * s_reach) + 1)
+    negative = np.unique(brackets(coarse)[0])
+    s_breaks = np.array([-s_reach, s_reach])
+    if negative.size:
+        lo_edge = edge(coarse[negative[0]], coarse[negative[0] - 1])
+        hi_edge = edge(coarse[negative[-1]], coarse[negative[-1] + 1])
+        middle = 0.5 * (lo_edge + hi_edge)
+        halving = np.append(0.5 ** np.arange(PLANE_LEVELS + 1), 0.0)
+        s_breaks = np.unique(np.concatenate([edge_at - (edge_at - start) * halving for start, edge_at in (
+            (-s_reach, lo_edge), (middle, lo_edge), (middle, hi_edge), (s_reach, hi_edge))]))
+    s, w_s = (v.ravel() for v in panel_rule(split(s_breaks, 1.0)))
+
+    # t-panels: a fixed grid of at most half a fringe period and 1/2, cut at every zero of W
+    row, lo, hi = brackets(s)
+    zeros = bisect_roots(lambda t: w(s[row], t), lo, hi)
+    order = np.argsort(row, kind="stable")
+    row, zeros = row[order], zeros[order]
+    padded = np.full((s.size, np.bincount(row).max(initial=0)), PLANE_REACH)
+    padded[row, np.arange(row.size) - np.searchsorted(row, row)] = zeros
+    grid = split(np.array([-PLANE_REACH, PLANE_REACH]), min(0.5 * math.pi / a, 0.5))
+    t_breaks = np.sort(np.concatenate([np.broadcast_to(grid, (s.size, grid.size)), padded], axis=1), axis=1)
+    t, w_t = panel_rule(t_breaks)
+    pieces = np.sum(w(s[:, None, None], t) * w_t, axis=-1)
+    scale = math.pi * widths[0] * widths[1]
+    return (scale * float(w_s @ np.sum(np.maximum(pieces, 0.0), axis=1)),
+            scale * float(w_s @ np.sum(np.maximum(-pieces, 0.0), axis=1)))
+
+
+# the eight configurations the former 4D rule was checked on, one above 1 K,
+# and one with omega2/omega1 != 1 above 1 K
+PLANE_CONFIGS = [
+    *[(label, alpha, 0.01, 1.0) for label in ("phi-minus", "psi-plus") for alpha in (1.0, 1 + 1j, 2.0)],
+    ("phi-minus", 1.0, 0.3, 1.3),
+    ("psi-plus", 1.0, 0.3, 1.3),
+    ("phi-minus", 1.0, 2.0, 1.0),
+    ("psi-plus", 1 + 1j, 1.5, 0.6),
+]
+# the plane reference's agreement with integrate_negativity: relative in nu, absolute in the norm
+PLANE_NU_GATE = 1e-10
+PLANE_NORM_GATE = 1e-12
+
+
+def plane_config(label, alpha, temp, ratio):
+    return BellCatSpec.from_label(label, alpha), thermal_params(temp, OMEGA, ratio * OMEGA)
+
+
+@pytest.fixture(scope="module")
+def plane_reference():
+    """nu and I_+ - I_- of the plane reference on every PLANE_CONFIGS entry."""
+    out = {}
+    for config in PLANE_CONFIGS:
+        i_plus, i_minus = plane_volumes(*plane_config(*config))
+        out[config] = (2.0 * i_minus / (i_plus + i_minus), i_plus - i_minus)
+    return out
+
+
+def plane_gaps(config, reference):
+    """Relative nu gap and absolute norm gap of integrate_negativity against the plane reference."""
+    nu, norm = reference
+    r = integrate_negativity(*plane_config(*config))
+    return abs(r.nu - nu) / nu, abs(r.norm_check - norm)
 
 
 class TestReducedRoute:
@@ -142,35 +290,31 @@ class TestReducedRoute:
         for label in STATE_LABELS:
             spec = BellCatSpec.from_label(label, alpha)
             a, c, _ = bellcat.negativity._reduced_parameters(spec, params)
-            inner = 0j
-            norm_sq = 0.0
-            d_prod = 1.0
-            modes = ((spec.alpha, params.exp1, params.one_minus_exp1, pts[0], pts[1]),
-                     (spec.k * spec.alpha, params.exp2, params.one_minus_exp2, pts[2], pts[3]))
-            for gamma, q, one_minus_q, x, y in modes:
-                d = (1.0 + q) / one_minus_q
-                zeta = (x + 1j * y) / math.sqrt(d)
-                lobe = math.sqrt(2.0) * gamma / math.sqrt(one_minus_q) / math.sqrt(d)
-                inner = inner + np.conj(lobe) * zeta
-                norm_sq = norm_sq + np.abs(zeta) ** 2
-                d_prod *= d
+            lobes, widths = scaled_lobes(spec, params)
+            zeta = (pts[[0, 2]] + 1j * pts[[1, 3]]) / np.sqrt(widths)[:, None]
+            inner = np.conj(lobes) @ zeta
+            norm_sq = np.sum(np.abs(zeta) ** 2, axis=0)
             s, t = inner.real / a, -inner.imag / a
             reduced = (np.exp(-norm_sq) * (np.exp(-a * a) * np.cosh(2 * a * s) + spec.sigma * math.exp(-c)
-                                           * np.cos(2 * a * t)) / (math.pi**2 * d_prod * spec.parity_overlap))
+                                           * np.cos(2 * a * t))
+                       / (math.pi**2 * np.prod(widths) * spec.parity_overlap))
             direct = wigner_values(spec, params, *pts)
             assert np.max(np.abs(reduced - direct)) <= 1e-13 * np.max(np.abs(direct))
 
-    @pytest.mark.parametrize("label, alpha, temp, ratio", [
-        *[(label, alpha, 0.01, 1.0) for label in ("phi-minus", "psi-plus") for alpha in (1.0, 1 + 1j, 2.0)],
-        ("phi-minus", 1.0, 0.3, 1.3),
-        ("psi-plus", 1.0, 0.3, 1.3),
-    ])
-    def test_agrees_with_refined_grid_rule(self, label, alpha, temp, ratio):
-        # within the refined grid rule's own measured shift from the default rule
-        spec = BellCatSpec.from_label(label, alpha)
-        params = thermal_params(temp, OMEGA, ratio * OMEGA)
-        coarse, refined = refined_grid_nu(spec, params)
-        assert abs(integrate_negativity(spec, params).nu - refined) <= abs(refined - coarse)
+    @pytest.mark.parametrize("label, alpha, temp, ratio", PLANE_CONFIGS)
+    def test_agrees_with_plane_reference(self, label, alpha, temp, ratio, plane_reference):
+        config = (label, alpha, temp, ratio)
+        nu_gap, norm_gap = plane_gaps(config, plane_reference[config])
+        assert nu_gap <= PLANE_NU_GATE
+        assert norm_gap <= PLANE_NORM_GATE
+        assert abs(plane_reference[config][1] - 1.0) <= PLANE_NORM_GATE
+
+    @pytest.mark.parametrize("name, value", [("_S_NODES", 16), ("_REACH", 3.0), ("_T_NODES", 4)])
+    def test_plane_gate_sees_seeded_defects(self, name, value, plane_reference, monkeypatch):
+        # each coarsened rule moves nu by 1e-9 to 5e-5 relative on every config
+        monkeypatch.setattr(bellcat.negativity, name, value)
+        gaps = [plane_gaps(config, reference) for config, reference in plane_reference.items()]
+        assert any(nu_gap > PLANE_NU_GATE or norm_gap > PLANE_NORM_GATE for nu_gap, norm_gap in gaps)
 
     @pytest.mark.parametrize("temp, ratio", [(0.0, 1.0), (0.01, 1.0), (0.3, 1.3), (2.0, 0.7)])
     @pytest.mark.parametrize("modulus", [0.5, 1.0, 2.0])
@@ -212,6 +356,45 @@ class TestReducedRoute:
         assert 0.0 <= r.nu < 1.0
         assert abs(r.norm_check - 1.0) <= 1e-12
 
+    def test_huge_amplitude_builds_no_large_rule(self, monkeypatch):
+        # no rule may grow with |alpha|: numpy builds an n-node Gauss-Legendre
+        # rule in O(n^3) time and O(n^2) memory, and n = 7a = 14000 here would
+        # need gigabytes
+        leggauss = np.polynomial.legendre.leggauss
+
+        def bounded(n):
+            if n > bellcat.negativity._S_NODES:
+                raise AssertionError(f"a {n}-node Gauss-Legendre rule")
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", bounded)
+        bellcat.negativity._leggauss.cache_clear()
+        r = integrate_negativity(BellCatSpec.from_label("psi-plus", 1000.0), params_for(0.01))
+        assert math.isfinite(r.nu)
+        assert abs(r.norm_check - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("thermal", [0.0, 0.3])
+    @pytest.mark.parametrize("a", [1e-4, 0.5, 2.0 * math.sqrt(2.0)])
+    @pytest.mark.parametrize("sigma", [-1, 1])
+    def test_total_volume_matches_mpmath(self, sigma, a, thermal):
+        # int ds dt e^{-s^2-t^2} [e^{-a^2} cosh(2as) + sigma e^{-c} cos(2at)], factor by factor
+        # at 30 digits, with c = thermal a^2
+        c = thermal * a * a
+        with mpmath.workdps(30):
+            a_mp, inf = mpmath.mpf(a), mpmath.inf
+            gauss = mpmath.quad(lambda x: mpmath.exp(-x * x), [-inf, inf])
+            lobe = mpmath.quad(lambda s: mpmath.exp(-s * s - a_mp * a_mp) * mpmath.cosh(2 * a_mp * s),
+                               [-inf, -a_mp, 0, a_mp, inf])
+            fringe = mpmath.quad(lambda t: mpmath.exp(-t * t) * mpmath.cos(2 * a_mp * t), [-inf, 0, inf])
+            total = float(gauss * (lobe + sigma * mpmath.exp(-mpmath.mpf(c)) * fringe))
+        got = bellcat.negativity._total_volume(sigma, a, c, a * a - c, bellcat.negativity._S_NODES)
+        assert abs(got - total) <= 5e-15 * total
+
+    def test_cached_rules_are_read_only(self):
+        for array in bellcat.negativity._leggauss(bellcat.negativity._S_NODES):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
     def test_metadata_describes_the_reduced_rule(self):
         spec = BellCatSpec.from_label("psi-plus", 1 + 1j)
         params = params_for(1.0)
@@ -232,74 +415,7 @@ class TestReducedRoute:
             integrate_negativity(BellCatSpec.from_label("phi-minus", 1.0), params_for(0.01))
 
 
-def brute_force_volumes(spec, params, result):
-    """I+ and I- from wigner_values on the full product grid of `result`'s rule."""
-    n, half_width = result.inner_nodes, result.half_width
-    step = 2.0 * half_width / n
-    inner = step * (np.arange(n) - 0.5 * (n - 1))
-    t, w = np.polynomial.legendre.leggauss(result.nodes)
-    x1, y1, x2, y2 = np.meshgrid(inner, inner, half_width * t, half_width * t, indexing="ij")
-    weights = step * step * np.multiply.outer(half_width * w, half_width * w)
-    values = wigner_values(spec, params, x1.ravel(), y1.ravel(), x2.ravel(), y2.ravel())
-    values = values.reshape(x1.shape) * weights
-    return float(np.sum(np.maximum(values, 0.0))), float(np.sum(np.maximum(-values, 0.0)))
-
-
-# amplitudes from each symmetry class: y-flip (real or imaginary alpha),
-# diagonal (|Re alpha| = |Im alpha|), parity only
-GRID_ALPHAS = [1.0, -2.0, 1j, 1 + 1j, -1 + 1j, 0.7 + 0.3j]
-
-
-class TestOrbitFold:
-    """The grid rule's blocked reduction equals the plain sum over its full product grid.
-
-    The class is named for the orbit fold it checked while the grid rule
-    summed one mode-1 point per symmetry orbit; the rule now sums every point.
-    """
-
-    @pytest.mark.parametrize("inner_nodes", [31])
-    @pytest.mark.parametrize("ratio", [1.0, 1.3])
-    @pytest.mark.parametrize("temp", [0.01, 1.0])
-    @pytest.mark.parametrize("alpha", GRID_ALPHAS)
-    def test_matches_full_grid_sum(self, alpha, temp, ratio, inner_nodes):
-        params = thermal_params(temp, OMEGA, ratio * OMEGA)
-        half_width = 7.5 if temp < 0.5 else 15.0
-        quad = QuadratureSpec(nodes=24, half_width=half_width,
-                              inner_density=(inner_nodes - 0.5) / (2.0 * half_width))
-        for label in STATE_LABELS:
-            spec = BellCatSpec.from_label(label, alpha)
-            r = integrate_negativity_grid(spec, params, quad)
-            assert r.inner_nodes == inner_nodes
-            i_plus, i_minus = brute_force_volumes(spec, params, r)
-            assert r.i_plus == pytest.approx(i_plus, rel=1e-12, abs=0.0)
-            assert r.i_minus == pytest.approx(i_minus, rel=1e-12, abs=0.0)
-
-
 class TestIntegrandGuards:
-    """The grid rule's guards fire through integrate_negativity_grid on every evaluated point."""
-
-    spec = BellCatSpec.from_label("phi-minus", 1.0)
-    quad = QuadratureSpec(nodes=24, half_width=7.5, inner_density=2.0)
-
-    def tampered(self, monkeypatch, edit):
-        def fake_factorize(*args, **kwargs):
-            fac = factorize(*args, **kwargs)
-            edit(fac.m1)
-            return fac
-        monkeypatch.setattr(bellcat.negativity, "factorize", fake_factorize)
-
-    def test_non_finite_table_raises(self, monkeypatch):
-        # one NaN or inf entry in any of the four real rows reaches the row sums
-        for row in range(4):
-            for bad in (np.nan, np.inf):
-                def poison(m1):
-                    assert m1.dtype == np.float64 and m1.shape[0] == 4
-                    m1[row, m1.shape[1] // 2] = bad
-                self.tampered(monkeypatch, poison)
-                # inf - inf in the row sums warns before the guard raises
-                with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
-                    integrate_negativity_grid(self.spec, params_for(0.01), self.quad)
-
     def test_repeated_calls_are_bit_identical(self):
         params = params_for(0.3)
         first, second = (dataclasses.asdict(integrate_negativity(BellCatSpec.from_label("psi-plus", 1 + 1j), params))
