@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p_validate = sub.add_parser("validate", help="run the oracle cross-validation suite")
-    p_validate.add_argument("--quick", action="store_true", help="smaller battery (0.15-0.3 s instead of 0.7-1.2 s on 2 CPUs)")
+    p_validate.add_argument("--quick", action="store_true", help="smaller battery (0.15-0.2 s instead of 0.5-1.0 s on 2 CPUs)")
 
     p_wigner = sub.add_parser("wigner", help="evaluate a 2D slice of the Wigner function to CSV")
     add_common(p_wigner)
@@ -287,11 +287,15 @@ def _three_route_gaps(spec: BellCatSpec, params, pts: np.ndarray) -> tuple[float
 def _run_checks(quick: bool) -> list[tuple[str, bool, str]]:
     """The validation battery, in report order.
 
-    The density and three-route configs run on a thread pool, one worker per
-    available CPU.  Every random point is drawn on the calling thread first,
-    in a fixed order, and the results are reduced in submission order, so
-    the report does not depend on the number of workers.
+    The density and three-route configs run on `_worker_count()` threads: the
+    calling thread and a pool of the others.  The calling thread first runs
+    the light checks, the series diagnostics among them, and then takes
+    configs from the same list as the pool, heaviest first.  Every random
+    point is drawn on the calling thread first, in a fixed order, and the
+    results are reduced in report order, so the report does not depend on
+    the number of workers.
     """
+    import threading
     from concurrent.futures import ThreadPoolExecutor    # here, so `import bellcat` does not pay for it
 
     omega = 2 * math.pi * _DEFAULT_FREQ
@@ -326,8 +330,33 @@ def _run_checks(quick: bool) -> list[tuple[str, bool, str]]:
     result = integrate_negativity(spec, thermal_params(0.01, omega))
 
     jobs = [(route_gap, job) for job in density_jobs] + [(_three_route_gaps, job) for job in route_jobs]
-    with ThreadPoolExecutor(max_workers=min(_worker_count(), len(jobs))) as pool:
-        gaps = [future.result() for future in [pool.submit(fn, *args) for fn, args in jobs]]
+
+    def rank(index: int) -> int:
+        # the warm three-route configs (oracle cutoff 128) first, then density, then the cold ones
+        if index < len(density_jobs):
+            return 1
+        return 2 if route_jobs[index - len(density_jobs)][1].is_zero_temperature else 0
+
+    pending = iter(sorted(range(len(jobs)), key=rank))
+    lock = threading.Lock()
+    gaps: list = [None] * len(jobs)
+
+    def drain() -> None:
+        while True:
+            with lock:
+                index = next(pending, None)
+            if index is None:
+                return
+            fn, args = jobs[index]
+            gaps[index] = fn(*args)
+
+    helpers = _worker_count() - 1
+    with ThreadPoolExecutor(max_workers=max(1, helpers)) as pool:
+        running = [pool.submit(drain) for _ in range(helpers)]
+        light = _light_checks(labels, cold_pts, pts, omega)
+        drain()
+        for future in running:
+            future.result()
 
     worst = float(np.max(gaps[:len(density_jobs)]))
     record("density element formula vs operator product", worst < 1e-10, f"max |diff| = {worst:.2e}")
@@ -336,6 +365,23 @@ def _run_checks(quick: bool) -> list[tuple[str, bool, str]]:
     for name, values in zip(names, zip(*gaps[len(density_jobs):])):
         worst = float(np.max(values))
         record(name, worst < 1e-8, f"max |diff| = {worst:.2e}")
+    checks += light
+
+    # negativity identity on the integration above
+    rel = abs(result.nu - result.delta / (1.0 + result.delta)) / result.nu
+    ok = rel < 1e-6 and abs(result.norm_check - 1.0) < 1e-3 and result.nu > 0
+    record("negativity: norm and nu = delta/(1+delta)",
+           ok, f"nu = {result.nu:.6f}, |norm-1| = {abs(result.norm_check - 1):.2e}, identity rel = {rel:.2e}")
+    return checks
+
+
+def _light_checks(labels: list[str], cold_pts: list[np.ndarray], pts: np.ndarray,
+                  omega: float) -> list[tuple[str, bool, str]]:
+    """The battery's checks at few points, in report order, the series diagnostics among them."""
+    checks: list[tuple[str, bool, str]] = []
+
+    def record(name: str, ok: bool, detail: str) -> None:
+        checks.append((name, bool(ok), detail))
 
     # parity value at the origin
     worst = 0.0
@@ -374,12 +420,6 @@ def _run_checks(quick: bool) -> list[tuple[str, bool, str]]:
         record("broken chi convention trips the residue guard", False, "no error raised")
     except ImaginaryResidueError:
         record("broken chi convention trips the residue guard", True, "ImaginaryResidueError raised")
-
-    # negativity identity on the integration above
-    rel = abs(result.nu - result.delta / (1.0 + result.delta)) / result.nu
-    ok = rel < 1e-6 and abs(result.norm_check - 1.0) < 1e-3 and result.nu > 0
-    record("negativity: norm and nu = delta/(1+delta)",
-           ok, f"nu = {result.nu:.6f}, |norm-1| = {abs(result.norm_check - 1):.2e}, identity rel = {rel:.2e}")
     return checks
 
 

@@ -18,8 +18,14 @@ cross-validated in the test suite and by `bellcat validate`:
   sum over shared thermal excitations (n1, n2) of the explicit coefficient
   formula, assembled from log-factorials.
 
-:func:`route_gap` compares the two routes element by element, one mode-1
-row of each at a time, without forming either matrix.
+Both are formed one mode-1 row at a time by a row kernel per route
+(:func:`_operator_row`, :func:`_direct_row`), with each element rounded as
+in the whole-matrix expression sum(w * np.kron(A, B)).  A row is laid out
+with the even-parity indices first (:func:`_parity_order`), so the operator
+route forms only its (+,+) and (+,-) products, on the half of the row that
+the parity selection rule allows, and writes exact zeros on the other half.
+:func:`route_gap` compares the two routes element by element through the
+same kernels, without forming either matrix.
 """
 
 from __future__ import annotations
@@ -108,32 +114,84 @@ def _exp_creation(coefficient: complex, cutoff: int) -> tuple[np.ndarray, np.nda
     return plus, np.where(k % 2 == 0, plus, -plus)
 
 
-def _kron_row(terms, i: int, row: np.ndarray, scratch: np.ndarray) -> None:
-    """Mode-1 row i of sum_k w_k * kron(A_k, B_k), written into the (n, n, n) `row` as [k, j, l].
+def _parity_order(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The builders' row layout: mode-1 columns j and flattened mode-2 indices k*n + l, even ones first.
 
-    `row[k, j, l]` is element (i*n + k, j*n + l) of the whole matrix, rounded
-    as in the whole-matrix expression: w_k * (A_k[i, j] * B_k[k, l]), added
-    in term order.  `scratch` is a second (n, n, n) complex buffer.
+    j_order lists the (n + 1) // 2 even j before the odd ones, and kl_order
+    the (n*n + 1) // 2 indices k*n + l with k + l even before the others.  In
+    a row laid out as [j_order, kl_order], the elements of mode-1 row i with
+    i + j + k + l even fill two rectangles, (j = i mod 2, k + l even) and
+    (j != i mod 2, k + l odd), and the odd ones fill the other two.
     """
-    for index, (w, a, b) in enumerate(terms):
+    kl = np.arange(n * n)
+    kl_even = (kl // n + kl % n) % 2 == 0
+    return np.r_[0:n:2, 1:n:2], np.concatenate([kl[kl_even], kl[~kl_even]])
+
+
+def _operator_row(terms, i: int, row: np.ndarray, scratch: np.ndarray) -> None:
+    """Operator-route mode-1 row i in the parity layout (:func:`_parity_order`), from two of its four terms.
+
+    `terms` holds the (+,+) and (+,-) terms (w, A[:, j_order], B.flat[kl_order]).
+    The (-,-) and (-,+) terms are their parity images bit for bit: the same
+    weight, and blocks equal to (-1)^(i+j) times these.  So the sum in the
+    order ((t++ + t--) + t+-) + t-+ is (2 t++ + t+-) + t+- on the elements
+    with i + j + k + l even and exactly 0 on the odd ones; each t is
+    w * (A[i, j] * B[k, l]), rounded as in sum(w * np.kron(A, B)).
+    `scratch` is a flat buffer of (n + 1) n^2 elements.
+    """
+    (w0, a0, b0), (w1, a1, b1) = terms
+    n = row.shape[0]
+    first, second = slice(0, (n + 1) // 2), slice((n + 1) // 2, n)
+    same, other = (first, second) if i % 2 == 0 else (second, first)
+    even, odd = slice(0, (n * n + 1) // 2), slice((n * n + 1) // 2, n * n)
+    row[same, odd] = 0.0
+    row[other, even] = 0.0
+    # each rectangle is summed in two contiguous pieces of `scratch`, where the
+    # elementwise passes run about twice as fast as on the strided view
+    for rows, cols in ((same, even), (other, odd)):
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        size = shape[0] * shape[1]
+        total, term = scratch[:size].reshape(shape), scratch[size:2 * size].reshape(shape)
+        np.multiply(a0[i, rows][:, None], b0[None, cols], out=total)
+        total *= w0
+        total += total
+        np.multiply(a1[i, rows][:, None], b1[None, cols], out=term)
+        term *= w1
+        total += term
+        total += term
+        row[rows, cols] = total
+
+
+def _direct_row(terms, i: int, row: np.ndarray, scratch: np.ndarray) -> None:
+    """Direct-route mode-1 row i in the parity layout: A[i, j] * B[k, l] summed over the terms in order.
+
+    `terms` holds (A[:, j_order], B.flat[kl_order]) pairs whose +-1 branch
+    weight is already in A, which is exact, so each product equals
+    w * (A[i, j] * B[k, l]) of the whole-matrix expression.  `scratch` is a
+    flat buffer of at least n^3 elements.
+    """
+    scratch = scratch[:row.size].reshape(row.shape)
+    for index, (a, b) in enumerate(terms):
         dest = row if index == 0 else scratch
-        np.multiply(a[i][None, :, None], b[:, None, :], out=dest)
-        dest *= w
+        np.multiply(a[i][:, None], b[None, :], out=dest)
         if index:
             row += scratch
 
 
-def _kron_sum(terms) -> np.ndarray:
-    """sum_k w_k * kron(A_k, B_k) over (w_k, A_k, B_k) terms of (n, n) blocks, in term order.
+def _kron_sum(row_kernel, terms, n: int) -> np.ndarray:
+    """The (n*n, n*n) matrix of a row kernel, one mode-1 row i at a time.
 
-    Written one mode-1 row at a time (:func:`_kron_row`) into a (n, n, n, n)
-    buffer indexed [i, k, j, l], so each row's products and sums stay in cache.
+    Each row is formed in the parity layout and gathered into a (n, n, n, n)
+    buffer indexed [i, k, j, l], element (i*n + k, j*n + l) of the matrix.
     """
-    n = terms[0][1].shape[0]
+    j_pos, kl_pos = map(np.argsort, _parity_order(n))
+    # element (i*n + k, j*n + l) sits at row[j_pos[j], kl_pos[k*n + l]] of row i
+    gather = j_pos[None, :, None] * (n * n) + kl_pos.reshape(n, 1, n)
     out = np.empty((n, n, n, n), dtype=complex)
-    scratch = np.empty((n, n, n), dtype=complex)
+    row, scratch = np.empty((n, n * n), dtype=complex), np.empty((n + 1) * n * n, dtype=complex)
     for i in range(n):
-        _kron_row(terms, i, out[i], scratch)
+        row_kernel(terms, i, row, scratch)
+        np.take(row, gather, out=out[i])
     return out.reshape(n * n, n * n)
 
 
@@ -159,21 +217,25 @@ def build_density_operator(spec: BellCatSpec, params: ThermalParams, cutoff: int
     Each branch is added right after its parity image, (+,+) with (-,-) and
     (+,-) with (-,+): the two agree bit for bit up to the sign (-1)^(N - Nbar)
     of the total excitation difference, so the elements the parity selection
-    rule forbids cancel to exact zeros.
+    rule forbids cancel to exact zeros (:func:`_operator_row` writes them as
+    such and forms the images' sums from the (+,+) and (+,-) products).
 
     `enforce_trace_limit=False` skips the 1% trace-deficit gate; the two build
     routes stay entrywise exact at any cutoff, so formula cross-checks may
     run on deliberately small spaces.
     """
-    return _finish(_kron_sum(_operator_terms(spec, params, cutoff)), cutoff, enforce_trace_limit)
+    return _finish(_kron_sum(_operator_row, _operator_terms(spec, params, cutoff), cutoff + 1),
+                   cutoff, enforce_trace_limit)
 
 
 def _operator_terms(spec: BellCatSpec, params: ThermalParams, cutoff: int) -> list:
-    """(w, A, B) Kronecker terms of the operator route, each branch next to its parity image."""
+    """The (+,+) and (+,-) Kronecker terms (w, A, B) of the operator route, in the parity layout."""
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     weights, blocks1, blocks2 = mode_thermal_blocks(spec, params, cutoff)
-    return [(weights[s, t], blocks1[s][t], blocks2[s][t]) for s, t in ((0, 0), (1, 1), (0, 1), (1, 0))]
+    j_order, kl_order = _parity_order(cutoff + 1)
+    return [(weights[0, t], np.take(blocks1[0][t], j_order, axis=1), blocks2[0][t].ravel()[kl_order])
+            for t in (0, 1)]
 
 
 def _direct_mode_factor(gamma: complex, q: float, one_minus_q: float, sign_ket: int,
@@ -222,13 +284,13 @@ def build_density_matrix(spec: BellCatSpec, params: ThermalParams, cutoff: int,
     are finite, so the result is exact at any cutoff.
     """
     terms, pref = _direct_terms(spec, params, cutoff)
-    rho = _kron_sum(terms)
+    rho = _kron_sum(_direct_row, terms, cutoff + 1)
     rho *= pref
     return _finish(rho, cutoff, enforce_trace_limit)
 
 
 def _direct_terms(spec: BellCatSpec, params: ThermalParams, cutoff: int) -> tuple[list, float]:
-    """(w, R1, R2) Kronecker terms of the direct route, one per sign branch, and their common prefactor."""
+    """(w R1, R2) Kronecker terms of the direct route in the parity layout, one per sign branch, and the prefactor."""
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     a2 = abs(spec.alpha) ** 2
@@ -237,11 +299,14 @@ def _direct_terms(spec: BellCatSpec, params: ThermalParams, cutoff: int) -> tupl
     pref = math.exp(-2.0 * a2) * om1 * om2 / (2.0 * spec.parity_overlap)
 
     g1, g2 = spec.alpha, spec.k * spec.alpha
-    # u_i^{-(n+nbar)} in the printed formula equals (1-q_i)^{(n+nbar)/2}
-    terms = [(spec.sigma ** (s + t),
-              _direct_mode_factor(g1, q1, om1, 1 - 2 * s, 1 - 2 * t, cutoff),
-              _direct_mode_factor(g2, q2, om2, 1 - 2 * s, 1 - 2 * t, cutoff))
-             for s in (0, 1) for t in (0, 1)]
+    j_order, kl_order = _parity_order(cutoff + 1)
+    terms = []
+    for s in (0, 1):
+        for t in (0, 1):
+            # u_i^{-(n+nbar)} in the printed formula equals (1-q_i)^{(n+nbar)/2}
+            r1 = np.take(_direct_mode_factor(g1, q1, om1, 1 - 2 * s, 1 - 2 * t, cutoff), j_order, axis=1)
+            r2 = _direct_mode_factor(g2, q2, om2, 1 - 2 * s, 1 - 2 * t, cutoff).ravel()[kl_order]
+            terms.append((r1 if spec.sigma ** (s + t) > 0 else -r1, r2))
     return terms, pref
 
 
@@ -250,27 +315,29 @@ def route_gap(spec: BellCatSpec, params: ThermalParams, cutoff: int,
     """max |operator route - direct route| over all elements, without forming either matrix.
 
     Both routes are streamed one mode-1 row at a time through the builders'
-    row kernel (:func:`_kron_row`), so every element, each trace and hence
-    the result equal those of the two built matrices bit for bit; only two
-    rows are held at once.  With `enforce_trace_limit` the trace-deficit gate
-    raises `CutoffError` exactly where :func:`build_density_operator` or
-    :func:`build_density_matrix` would.
+    row kernels (:func:`_operator_row`, :func:`_direct_row`), so every
+    element, each trace and hence the result equal those of the two built
+    matrices bit for bit; only two rows are held at once.  With
+    `enforce_trace_limit` the trace-deficit gate raises `CutoffError` exactly
+    where :func:`build_density_operator` or :func:`build_density_matrix` would.
     """
     op_terms = _operator_terms(spec, params, cutoff)
     di_terms, pref = _direct_terms(spec, params, cutoff)
     n = cutoff + 1
-    op_row, di_row, scratch = (np.empty((n, n, n), dtype=complex) for _ in range(3))
-    magnitude = np.empty((n, n, n))
+    op_row, di_row = np.empty((n, n * n), dtype=complex), np.empty((n, n * n), dtype=complex)
+    scratch = np.empty((n + 1) * n * n, dtype=complex)
+    magnitude = np.empty((n, n * n))
     op_diag, di_diag = np.empty((n, n), dtype=complex), np.empty((n, n), dtype=complex)
     row_max = np.empty(n)
-    k = np.arange(n)
+    # diagonal element i*n + k of the whole matrix sits at [j_pos[i], diagonal[k]] of row i
+    j_pos, kl_pos = map(np.argsort, _parity_order(n))
+    diagonal = kl_pos[np.arange(n) * (n + 1)]
     for i in range(n):
-        _kron_row(op_terms, i, op_row, scratch)
-        _kron_row(di_terms, i, di_row, scratch)
+        _operator_row(op_terms, i, op_row, scratch)
+        _direct_row(di_terms, i, di_row, scratch)
         di_row *= pref
-        # diagonal element i*n + k of the whole matrix sits at [k, i, k]
-        op_diag[i] = op_row[k, i, k]
-        di_diag[i] = di_row[k, i, k]
+        op_diag[i] = op_row[j_pos[i], diagonal]
+        di_diag[i] = di_row[j_pos[i], diagonal]
         np.subtract(op_row, di_row, out=op_row)
         np.abs(op_row, out=magnitude)
         row_max[i] = magnitude.max()

@@ -86,7 +86,13 @@ def laguerre_envelope_table(max_degree: int, max_order: int, x: np.ndarray) -> n
     if max_degree == 0:
         return out
     out[:, 1, :] = (1.0 + orders - x[None, :]) * env[None, :]
+    # L_{n+1} = ((2n + 1 + m - x) L_n - (n + m) L_{n-1}) / (n + 1), evaluated left to right
+    # through two reused buffers
+    step, lag = np.empty((2, max_order + 1, x.size))
     for n in range(1, max_degree):
-        out[:, n + 1, :] = ((2 * n + 1 + orders - x[None, :]) * out[:, n, :]
-                            - (n + orders) * out[:, n - 1, :]) / (n + 1)
+        np.subtract(2 * n + 1 + orders, x[None, :], out=step)
+        step *= out[:, n, :]
+        np.multiply(n + orders, out[:, n - 1, :], out=lag)
+        step -= lag
+        np.divide(step, n + 1, out=out[:, n + 1, :])
     return out

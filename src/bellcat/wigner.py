@@ -436,8 +436,10 @@ def _kernel_sum(nmax: int, x: np.ndarray, y: np.ndarray, s: np.ndarray, weight: 
     for lo in range(0, x.size, chunk):
         sl = slice(lo, min(lo + chunk, x.size))
         xs, ys = x[sl], y[sl]
-        psi_ket = hermite_functions(nmax, xs[:, None] - 0.5 * s[None, :])
-        psi_bra = hermite_functions(nmax, xs[:, None] + 0.5 * s[None, :])
+        # ket and bra tables from one recurrence over the stacked arguments x -+ s/2
+        psi_ket, psi_bra = hermite_functions(
+            nmax, np.stack([xs[:, None] - 0.5 * s[None, :], xs[:, None] + 0.5 * s[None, :]]),
+        ).transpose(1, 0, 2, 3)
         phase = np.exp(1j * s[None, :] * ys[:, None]) * weight[None, :]
         for b in range(xs.size):
             weighted = psi_ket[:, b, :] * phase[b][None, :]

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from bellcat.errors import NormalizationError
 from bellcat.negativity import integrate_negativity
 from bellcat.states import BellCatSpec
 from bellcat.tfd import HBAR, KB, thermal_params
-from bellcat.wigner import SliceDescriptor, wigner_grid
+from bellcat.wigner import CHI_KERNEL, SliceDescriptor, wigner_grid
 
 FAST_WIGNER = ["wigner", "--grid-count", "9", "--half-width", "4.0"]
 
@@ -406,6 +407,38 @@ class TestValidateCommand:
             monkeypatch.setattr(bellcat.cli, "_worker_count", lambda: workers)
             assert main(["validate"] + flags) == 0
             assert capsys.readouterr().out.splitlines()[:-1] == default[:-1]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_series_diagnostics_run_on_the_calling_thread(self, workers, capsys, monkeypatch):
+        # on a pool thread they raised the benchmark's peak RSS by about 1 MB
+        calls = []
+        series_values = bellcat.cli.series_values
+
+        def spy(*args, chi_mode=CHI_KERNEL, **kwargs):
+            calls.append((chi_mode, threading.current_thread()))
+            return series_values(*args, chi_mode=chi_mode, **kwargs)
+
+        monkeypatch.setattr(bellcat.cli, "series_values", spy)
+        monkeypatch.setattr(bellcat.cli, "_worker_count", lambda: workers)
+        assert main(["validate", "--quick"]) == 0
+        diagnostics = [thread for mode, thread in calls if mode != CHI_KERNEL]
+        assert len(diagnostics) == 2
+        assert all(thread is threading.current_thread() for thread in diagnostics)
+        assert sum(mode == CHI_KERNEL for mode, _ in calls) > 1
+
+    def test_shared_job_list_under_thread_switching(self, capsys, monkeypatch):
+        # more workers than CPUs or jobs, switching threads every microsecond: a
+        # config taken twice leaves another unrun, and its missing gap fails the reduction
+        assert main(["validate", "--quick"]) == 0
+        want = capsys.readouterr().out.splitlines()[:-1]
+        monkeypatch.setattr(bellcat.cli, "_worker_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert main(["validate", "--quick"]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert capsys.readouterr().out.splitlines()[:-1] == want
 
     def test_import_does_not_load_thread_pool(self):
         # validate imports concurrent.futures itself, so `import bellcat` stays cheaper

@@ -82,6 +82,43 @@ class TestOracleEquivalence:
         assert route_gap(spec, params, 30) < 1e-10
 
 
+def operator_kron_sum(spec, params, cutoff):
+    """The operator route as the whole-matrix expression sum(w * np.kron(a, b)), in the builder's term order."""
+    weights, b1, b2 = mode_thermal_blocks(spec, params, cutoff)
+    return sum(weights[s, t] * np.kron(b1[s][t], b2[s][t]) for s, t in ((0, 0), (1, 1), (0, 1), (1, 0)))
+
+
+def direct_kron_sum(spec, params, cutoff):
+    """The direct route as the whole-matrix expression, one sign branch after another, times its prefactor."""
+    q1, q2, om1, om2 = params.exp1, params.exp2, params.one_minus_exp1, params.one_minus_exp2
+    want = np.zeros(((cutoff + 1) ** 2,) * 2, dtype=complex)
+    for s in (0, 1):
+        for t in (0, 1):
+            r1 = _direct_mode_factor(spec.alpha, q1, om1, 1 - 2 * s, 1 - 2 * t, cutoff)
+            r2 = _direct_mode_factor(spec.k * spec.alpha, q2, om2, 1 - 2 * s, 1 - 2 * t, cutoff)
+            want += (spec.sigma ** (s + t)) * np.kron(r1, r2)
+    want *= math.exp(-2.0 * abs(spec.alpha) ** 2) * om1 * om2 / (2.0 * spec.parity_overlap)
+    return want
+
+
+class TestModeBlockParity:
+    """The operator route forms only the (+,+) and (+,-) products, because the other two are their parity images."""
+
+    @pytest.mark.parametrize("label", ["phi-plus", "phi-minus", "psi-plus", "psi-minus"])
+    @pytest.mark.parametrize("alpha, temp, ratio", [(1.0, 0.0, 1.0), (1 + 1j, 0.5, 1.0), (0.7 + 0.3j, 0.5, 1.3)])
+    @pytest.mark.parametrize("cutoff", [0, 3, 12, 30])
+    def test_minus_blocks_are_parity_images(self, label, alpha, temp, ratio, cutoff):
+        spec = BellCatSpec.from_label(label, alpha)
+        weights, b1, b2 = mode_thermal_blocks(spec, thermal_params(temp, OMEGA, ratio * OMEGA), cutoff)
+        i, j = np.indices((cutoff + 1, cutoff + 1))
+        odd = (i + j) % 2 == 1
+        for blocks in (b1, b2):
+            assert np.array_equal(blocks[1][1], np.where(odd, -blocks[0][0], blocks[0][0]))
+            assert np.array_equal(blocks[1][0], np.where(odd, -blocks[0][1], blocks[0][1]))
+        assert weights[1, 1] == weights[0, 0]
+        assert weights[1, 0] == weights[0, 1]
+
+
 class TestKroneckerSums:
     """Both builders equal the whole-matrix expression sum(w * np.kron(a, b)), bit for bit."""
 
@@ -113,6 +150,18 @@ class TestKroneckerSums:
         want *= math.exp(-2.0 * abs(spec.alpha) ** 2) * om1 * om2 / (2.0 * spec.parity_overlap)
         got = build_density_matrix(spec, params, cutoff, enforce_trace_limit=False).matrix
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("label", ["phi-plus", "phi-minus", "psi-plus", "psi-minus"])
+    @pytest.mark.parametrize("temp", [0.0, 0.5])
+    @pytest.mark.parametrize("cutoff", [0, 3, 12, 20])
+    def test_both_routes_with_unequal_modes(self, label, temp, cutoff):
+        # omega2 / omega1 = 1.3 and a complex alpha give the two modes different blocks
+        spec = BellCatSpec.from_label(label, 0.7 + 0.3j)
+        params = thermal_params(temp, OMEGA, 1.3 * OMEGA)
+        got = build_density_operator(spec, params, cutoff, enforce_trace_limit=False).matrix
+        assert np.array_equal(got, operator_kron_sum(spec, params, cutoff))
+        got = build_density_matrix(spec, params, cutoff, enforce_trace_limit=False).matrix
+        assert np.array_equal(got, direct_kron_sum(spec, params, cutoff))
 
 
 def trace_gate_outcome(build) -> str | None:
@@ -146,6 +195,20 @@ class TestRouteGap:
     def test_trace_gate_trips_where_builders_do(self, label, temp, alpha, cutoff):
         spec = BellCatSpec.from_label(label, alpha)
         params = params_for(temp)
+        built = trace_gate_outcome(lambda: (build_density_operator(spec, params, cutoff),
+                                            build_density_matrix(spec, params, cutoff)))
+        assert trace_gate_outcome(lambda: route_gap(spec, params, cutoff)) == built
+
+    @pytest.mark.parametrize("label", ["phi-plus", "phi-minus", "psi-plus", "psi-minus"])
+    @pytest.mark.parametrize("temp", [0.0, 0.5])
+    @pytest.mark.parametrize("cutoff", [0, 3, 12, 20, 30])
+    def test_unequal_modes_match_built_matrices(self, label, temp, cutoff):
+        spec = BellCatSpec.from_label(label, 0.7 + 0.3j)
+        params = thermal_params(temp, OMEGA, 1.3 * OMEGA)
+        op = build_density_operator(spec, params, cutoff, enforce_trace_limit=False)
+        di = build_density_matrix(spec, params, cutoff, enforce_trace_limit=False)
+        want = float(np.max(np.abs(op.matrix - di.matrix)))
+        assert route_gap(spec, params, cutoff, enforce_trace_limit=False) == want
         built = trace_gate_outcome(lambda: (build_density_operator(spec, params, cutoff),
                                             build_density_matrix(spec, params, cutoff)))
         assert trace_gate_outcome(lambda: route_gap(spec, params, cutoff)) == built

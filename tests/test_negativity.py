@@ -415,6 +415,26 @@ class TestReducedRoute:
             integrate_negativity(BellCatSpec.from_label("phi-minus", 1.0), params_for(0.01))
 
 
+def direct_comb(u, sigma, a):
+    """Theta(u) summed term by term with math.fsum over every centre with |t_j| <= 40 + pi/(4a)."""
+    phi = 0.0 if sigma < 0 else 0.5 * math.pi
+    reach = (40.0 * a + 0.25 * math.pi) / math.pi
+    js = range(math.floor(-reach), math.ceil(reach) + 2)
+    return np.array([math.fsum(math.exp(-((j * math.pi - phi) / a + v) ** 2) for j in js) for v in u.ravel()])
+
+
+class TestTheta:
+    @pytest.mark.parametrize("a", [0.3, 1.18, 2.0, 4.0, 40.0])
+    @pytest.mark.parametrize("sigma", [-1, 1])
+    def test_matches_direct_comb(self, sigma, a):
+        # the centres are summed below a ~ 1.75 and the Poisson dual above it; both are the same comb
+        u = np.linspace(0.0, math.pi / (4.0 * a), 65)[:-1].reshape(4, 16)
+        got = bellcat.negativity._theta(u, sigma, a)
+        assert got.shape == u.shape
+        want = direct_comb(u, sigma, a)
+        assert np.max(np.abs(got.ravel() - want) / want) <= 1e-15
+
+
 class TestIntegrandGuards:
     def test_repeated_calls_are_bit_identical(self):
         params = params_for(0.3)

@@ -27,6 +27,21 @@ def laguerre(max_degree: int, max_order: int, x) -> np.ndarray:
     return laguerre_envelope_table(max_degree, max_order, x) * np.exp(0.5 * x)
 
 
+def laguerre_one_line(max_degree: int, max_order: int, x: np.ndarray) -> np.ndarray:
+    """The envelope-scaled table with each recurrence step written as one expression."""
+    env = np.exp(-0.5 * x)
+    orders = np.arange(max_order + 1, dtype=float)[:, None]
+    out = np.empty((max_order + 1, max_degree + 1, x.size))
+    out[:, 0, :] = env[None, :]
+    if max_degree == 0:
+        return out
+    out[:, 1, :] = (1.0 + orders - x[None, :]) * env[None, :]
+    for n in range(1, max_degree):
+        out[:, n + 1, :] = ((2 * n + 1 + orders - x[None, :]) * out[:, n, :]
+                            - (n + orders) * out[:, n - 1, :]) / (n + 1)
+    return out
+
+
 class TestLogFactorial:
     def test_zero_and_one(self):
         table = log_factorial_table(1)
@@ -123,6 +138,13 @@ class TestLaguerre:
                 assert got == pytest.approx(exact, abs=1e-9)
             else:
                 assert got == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize("max_degree, max_order, top", [(0, 0, 1.0), (1, 3, 5.0), (2, 0, 9.0),
+                                                            (60, 20, 100.0), (250, 40, 300.0)])
+    def test_buffered_recurrence_is_bit_identical(self, max_degree, max_order, top):
+        x = np.random.default_rng(max_degree).uniform(0.0, top, 37)
+        assert np.array_equal(laguerre_envelope_table(max_degree, max_order, x),
+                              laguerre_one_line(max_degree, max_order, x))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

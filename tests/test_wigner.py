@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import bellcat.wigner
 from bellcat.errors import BellCatError, ImaginaryResidueError, QuadratureError, TruncationError
 from bellcat.series import TruncationConfig, _mode_h_tables, series_values
 from bellcat.special_fn import log_factorial_table
@@ -124,6 +125,27 @@ class TestNestedKernelRefinement:
         with pytest.raises(QuadratureError, match=f"by {nodes} nodes"):
             fock_wigner_kernels(5, np.array([0.9]), np.array([0.3]), tol=0.0, max_doublings=doublings)
 
+
+def kernel_sum_two_calls(nmax, x, y, s, weight):
+    """The oracle's quadrature sum with separate Hermite tables for ket and bra and a complex weighted product."""
+    out = np.empty((x.size, nmax + 1, nmax + 1), dtype=complex)
+    for p in range(x.size):
+        ket = hermite_functions(nmax, x[p] - 0.5 * s)
+        bra = hermite_functions(nmax, x[p] + 0.5 * s)
+        weighted = ket * (np.exp(1j * s * y[p]) * weight)
+        half = (weighted.real @ bra.T + 1j * (weighted.imag @ bra.T)) / (2.0 * math.pi)
+        out[p] = half + half.conj().T
+    return out
+
+
+class TestKernelSumTables:
+    @pytest.mark.parametrize("nmax", [0, 5, 40, 128])
+    def test_bit_identical_to_separate_tables(self, nmax, monkeypatch):
+        x = np.array([0.0, 0.9, -2.5, 4.0, 1.3])
+        y = np.array([0.0, 0.3, 1.7, -3.2, -0.6])
+        got = fock_wigner_kernels(nmax, x, y)
+        monkeypatch.setattr(bellcat.wigner, "_kernel_sum", kernel_sum_two_calls)
+        assert np.array_equal(got, fock_wigner_kernels(nmax, x, y))
 
 def scattered_h_tables(gamma, q, one_minus_q, cat_cap, thermal_cap):
     """The series' contraction tables as per-band scatter-adds, one thermal row at a time."""
