@@ -1,9 +1,9 @@
 """Command-line front end: validation suite, grid export, negativity, sweeps.
 
 Units at the boundary: frequencies in Hz, temperatures in kelvin, alpha as two
-reals; conversion to internal dimensionless quantities happens exactly once,
-in config resolution.  Arrays go to CSV, scalar summaries to JSON, so figure
-reproduction needs no binary tooling.
+reals; `_resolve` fills in unset flags once, and `_spec` and `_params` convert
+to internal dimensionless quantities.  Arrays go to CSV, scalar summaries to
+JSON, so figure reproduction needs no binary tooling.
 
 Exit codes: 0 success, 1 computation or validation failure, 2 usage error.
 """
@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +40,8 @@ from .wigner import (
 )
 
 _DEFAULT_FREQ = 5.5e9
+# the value of each preset-able flag that neither the command line nor a preset sets
+_DEFAULTS = {"state": "phi-minus", "alpha_re": 1.0, "alpha_im": 0.0, "temp": 0.01, "freq1": _DEFAULT_FREQ}
 _PRESETS = {
     # the published parameter sets: one per figure
     "fig1": {"alpha_re": 1.0, "alpha_im": 0.0, "temp": 0.01},
@@ -49,31 +50,6 @@ _PRESETS = {
     "fig4": {"alpha_re": 1.0, "alpha_im": 0.0,
              "temp_min": 0.01, "temp_max": 2.0, "temp_count": 40},
 }
-
-
-@dataclass
-class RunConfig:
-    state: str
-    alpha_re: float
-    alpha_im: float
-    temp: float
-    temp_min: float | None
-    temp_max: float | None
-    temp_count: int | None
-    freq1: float
-    freq2: float
-    slice_axes: tuple[str, str]
-    grid_count: int
-    half_width: float
-    fixed: dict[str, float]
-    out: str | None
-
-    def spec(self) -> BellCatSpec:
-        return BellCatSpec.from_label(self.state, complex(self.alpha_re, self.alpha_im))
-
-    def params(self, temperature: float | None = None):
-        temp = self.temp if temperature is None else temperature
-        return thermal_params(temp, 2 * math.pi * self.freq1, 2 * math.pi * self.freq2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,41 +101,25 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    preset = dict(_PRESETS.get(getattr(args, "preset", None) or "", {}))
+def _resolve(args: argparse.Namespace) -> None:
+    """Fill each flag left at its None default from the preset, then `_DEFAULTS`; freq2 falls back to freq1.
 
-    def pick(name: str, fallback):
-        explicit = getattr(args, name, None)
-        if explicit is not None:
-            return explicit
-        if name in preset:
-            return preset[name]
-        return fallback
+    Presets cannot go in through `parse_args(namespace=...)`, whose subparser
+    writes its defaults over them, or `set_defaults`, which changes the shared parser.
+    """
+    for name, value in {**_DEFAULTS, **_PRESETS.get(args.preset, {})}.items():
+        if getattr(args, name, None) is None:
+            setattr(args, name, value)
+    if args.freq2 is None:
+        args.freq2 = args.freq1
 
-    slice_raw = getattr(args, "slice", "x1,x2")
-    axes = tuple(part.strip() for part in slice_raw.split(","))
-    if len(axes) != 2:
-        parser.error(f"--slice must name two comma-separated coordinates, got {slice_raw!r}")
-    freq1 = pick("freq1", _DEFAULT_FREQ)
-    grid_count = getattr(args, "grid_count", 61)
-    if grid_count < 2:
-        parser.error("--grid-count must be >= 2")
-    return RunConfig(
-        state=pick("state", "phi-minus"),
-        alpha_re=pick("alpha_re", 1.0),
-        alpha_im=pick("alpha_im", 0.0),
-        temp=pick("temp", 0.01),
-        temp_min=pick("temp_min", None),
-        temp_max=pick("temp_max", None),
-        temp_count=pick("temp_count", None),
-        freq1=freq1,
-        freq2=pick("freq2", freq1),
-        slice_axes=axes,  # validated by SliceDescriptor
-        grid_count=grid_count,
-        half_width=getattr(args, "half_width", 6.0),
-        fixed={c: getattr(args, f"fix_{c}", 0.0) for c in ("x1", "y1", "x2", "y2")},
-        out=args.out,
-    )
+
+def _spec(args: argparse.Namespace) -> BellCatSpec:
+    return BellCatSpec.from_label(args.state, complex(args.alpha_re, args.alpha_im))
+
+
+def _params(args: argparse.Namespace):
+    return thermal_params(args.temp, 2 * math.pi * args.freq1, 2 * math.pi * args.freq2)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -186,11 +146,16 @@ def _csv_lines(columns) -> list[str]:
     return list(map(",".join, zip(*columns)))
 
 
-def cmd_wigner(cfg: RunConfig) -> int:
-    spec = cfg.spec()
-    params = cfg.params()
-    fixed = {name: cfg.fixed[name] for name in ("x1", "y1", "x2", "y2") if name not in cfg.slice_axes}
-    slice_ = SliceDescriptor.centered(cfg.slice_axes, cfg.half_width, cfg.grid_count, fixed)
+def cmd_wigner(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    axes = tuple(part.strip() for part in args.slice.split(","))
+    if len(axes) != 2:
+        parser.error(f"--slice must name two comma-separated coordinates, got {args.slice!r}")
+    if args.grid_count < 2:
+        parser.error("--grid-count must be >= 2")
+    spec, params = _spec(args), _params(args)
+    # the axis names are validated by SliceDescriptor
+    fixed = {name: getattr(args, f"fix_{name}") for name in ("x1", "y1", "x2", "y2") if name not in axes}
+    slice_ = SliceDescriptor.centered(axes, args.half_width, args.grid_count, fixed)
     grid = wigner_grid(spec, params, slice_)
 
     # axis-major rows: the first axis is constant along a run of n1 rows, the second repeats per run
@@ -202,31 +167,31 @@ def cmd_wigner(cfg: RunConfig) -> int:
     w = _fmt_all(grid.values.ravel().tolist())
 
     lines = ["# bellcat-wigner v2",
-             f"# state = {cfg.state}",
-             f"# alpha_re = {_fmt(cfg.alpha_re)}",
-             f"# alpha_im = {_fmt(cfg.alpha_im)}",
-             f"# temperature_k = {_fmt(cfg.temp)}",
-             f"# freq1_hz = {_fmt(cfg.freq1)}",
-             f"# freq2_hz = {_fmt(cfg.freq2)}",
-             f"# slice = {cfg.slice_axes[0]},{cfg.slice_axes[1]}",
-             f"# half_width = {_fmt(cfg.half_width)}",
-             f"# grid_count = {cfg.grid_count}",
+             f"# state = {args.state}",
+             f"# alpha_re = {_fmt(args.alpha_re)}",
+             f"# alpha_im = {_fmt(args.alpha_im)}",
+             f"# temperature_k = {_fmt(args.temp)}",
+             f"# freq1_hz = {_fmt(args.freq1)}",
+             f"# freq2_hz = {_fmt(args.freq2)}",
+             f"# slice = {axes[0]},{axes[1]}",
+             f"# half_width = {_fmt(args.half_width)}",
+             f"# grid_count = {args.grid_count}",
              "x1,y1,x2,y2,w"]
     lines += _csv_lines([column["x1"], column["y1"], column["x2"], column["y2"], w])
-    _write(cfg.out, "\n".join(lines) + "\n")
+    _write(args.out, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_negativity(cfg: RunConfig) -> int:
+def cmd_negativity(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    result = integrate_negativity(cfg.spec(), cfg.params())
+    result = integrate_negativity(_spec(args), _params(args))
     payload = {
-        "state": cfg.state,
-        "alpha_re": cfg.alpha_re,
-        "alpha_im": cfg.alpha_im,
-        "temperature_k": cfg.temp,
-        "freq1_hz": cfg.freq1,
-        "freq2_hz": cfg.freq2,
+        "state": args.state,
+        "alpha_re": args.alpha_re,
+        "alpha_im": args.alpha_im,
+        "temperature_k": args.temp,
+        "freq1_hz": args.freq1,
+        "freq2_hz": args.freq2,
         "delta": result.delta,
         "nu": result.nu,
         "i_plus": result.i_plus,
@@ -236,21 +201,18 @@ def cmd_negativity(cfg: RunConfig) -> int:
                  "inner_nodes": result.inner_nodes},
         "runtime_s": round(time.perf_counter() - t0, 3),
     }
-    _write(cfg.out, json.dumps(payload, indent=2) + "\n")
+    _write(args.out, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
-    if cfg.temp_min is None or cfg.temp_max is None:
+def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if args.temp_min is None or args.temp_max is None:
         parser.error("sweep requires --temp-min and --temp-max (or --preset fig4)")
-    count = 40 if cfg.temp_count is None else cfg.temp_count
+    count = 40 if args.temp_count is None else args.temp_count
     if count < 1:
         parser.error("--temp-count must be >= 1")
-    if count == 1:
-        temps = [cfg.temp_min]
-    else:
-        temps = list(np.linspace(cfg.temp_min, cfg.temp_max, count))
-    entries = temperature_sweep(cfg.spec(), temps, 2 * math.pi * cfg.freq1, 2 * math.pi * cfg.freq2)
+    temps = [args.temp_min] if count == 1 else list(np.linspace(args.temp_min, args.temp_max, count))
+    entries = temperature_sweep(_spec(args), temps, 2 * math.pi * args.freq1, 2 * math.pi * args.freq2)
     fields = ("delta", "nu", "i_plus", "i_minus", "norm_check")
     columns = [_fmt_all(entry.temperature for entry in entries)]
     columns += [[_fmt(getattr(entry.result, name)) if entry.ok else "nan" for entry in entries]
@@ -259,7 +221,7 @@ def cmd_sweep(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
     for entry in failed:
         print(f"warning: T={entry.temperature} failed: {entry.error}", file=sys.stderr)
     lines = ["temperature_k," + ",".join(fields)] + _csv_lines(columns)
-    _write(cfg.out, "\n".join(lines) + "\n")
+    _write(args.out, "\n".join(lines) + "\n")
     return 1 if failed else 0
 
 
@@ -443,22 +405,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "validate":
         return cmd_validate(args.quick)
-    cfg = _resolve_config(args, parser)
+    _resolve(args)
     try:
         if args.command == "wigner":
-            return cmd_wigner(cfg)
+            return cmd_wigner(args, parser)
         if args.command == "negativity":
-            return cmd_negativity(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, parser)
+            return cmd_negativity(args)
+        return cmd_sweep(args, parser)
     except BellCatError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
-
 
 if __name__ == "__main__":
     sys.exit(main())

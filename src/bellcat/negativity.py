@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +63,8 @@ import numpy as np
 from .errors import BellCatError, NonFiniteError, NormalizationError
 from .states import BellCatSpec
 from .tfd import ThermalParams, thermal_params
-from .wigner import effective_amplitude, mode_constants
+from .density import effective_amplitude
+from .wigner import mode_constants
 
 __all__ = [
     "NegativityResult",
@@ -89,9 +89,10 @@ _NORM_TOL = 0.01
 class NegativityResult:
     """Negativity metrics and the quadrature metadata behind them.
 
-    `nodes` counts the Gauss-Legendre nodes in s (through tau,
-    s = s* - tau^2), `inner_nodes` those in t per negative interval, and
-    `half_width` is the phase-space reach of the reduced rule,
+    Every field is deterministic (no wall-clock time), so two calls on the
+    same inputs compare equal.  `nodes` counts the Gauss-Legendre nodes in s
+    (through tau, s = s* - tau^2), `inner_nodes` those in t per negative
+    interval, and `half_width` is the phase-space reach of the reduced rule,
     sqrt2 |alpha| max(u1, u2) + 7 max(sqrt(D1), sqrt(D2)), which covers the
     lobes and their spread.
     """
@@ -104,29 +105,6 @@ class NegativityResult:
     nodes: int
     inner_nodes: int
     half_width: float
-    seconds: float
-
-
-def _finish(i_plus: float, i_minus: float, nodes: int, inner_nodes: int, half_width: float,
-            t0: float) -> NegativityResult:
-    """Apply the 1% norm gate and form delta and nu from the two volumes."""
-    norm_check = i_plus - i_minus
-    if abs(norm_check - 1.0) > _NORM_TOL:
-        raise NormalizationError(
-            f"I+ - I- = {norm_check:.6f} deviates from 1 by more than 1%: "
-            f"nodes={nodes}, inner={inner_nodes}, half_width={half_width:.3f}"
-        )
-    return NegativityResult(
-        delta=2.0 * i_minus / norm_check,
-        nu=2.0 * i_minus / (i_plus + i_minus),
-        i_plus=i_plus,
-        i_minus=i_minus,
-        norm_check=norm_check,
-        nodes=nodes,
-        inner_nodes=inner_nodes,
-        half_width=half_width,
-        seconds=time.perf_counter() - t0,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +214,6 @@ def integrate_negativity(spec: BellCatSpec, params: ThermalParams) -> Negativity
     raised, and a non-finite volume raises NonFiniteError.  The rule is
     fixed, so results are bit-reproducible.
     """
-    t0 = time.perf_counter()
     a, c, y = _reduced_parameters(spec, params)
     scale = 1.0 / (math.pi * spec.parity_overlap)
     i_minus = scale * math.exp(-c) * _negative_volume(spec.sigma, a, y, _S_NODES, _T_NODES)
@@ -244,7 +221,16 @@ def integrate_negativity(spec: BellCatSpec, params: ThermalParams) -> Negativity
     if not (math.isfinite(i_minus) and math.isfinite(norm)):
         raise NonFiniteError(f"reduced negativity volumes are not finite: I- = {i_minus}, I+ - I- = {norm}")
     half_width = math.sqrt(2.0) * effective_amplitude(spec, params) + _REACH * _thermal_scale(params)
-    return _finish(norm + i_minus, i_minus, _S_NODES, _T_NODES, half_width, t0)
+    # the norm check is taken back out of I_+ = norm + I_-, which can differ from norm in the last
+    # bit; delta and nu are formed from it
+    i_plus = norm + i_minus
+    norm_check = i_plus - i_minus
+    if abs(norm_check - 1.0) > _NORM_TOL:
+        raise NormalizationError(f"I+ - I- = {norm_check:.6f} deviates from 1 by more than 1%: "
+                                 f"nodes={_S_NODES}, inner={_T_NODES}, half_width={half_width:.3f}")
+    return NegativityResult(delta=2.0 * i_minus / norm_check, nu=2.0 * i_minus / (i_plus + i_minus),
+                            i_plus=i_plus, i_minus=i_minus, norm_check=norm_check,
+                            nodes=_S_NODES, inner_nodes=_T_NODES, half_width=half_width)
 
 
 # ---------------------------------------------------------------------------

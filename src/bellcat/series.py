@@ -11,9 +11,9 @@ it factorizes per mode; for each mode the thermal excitation sum is
 contracted with the band coefficients *before* any phase-space point is
 touched, leaving a dense (order, degree) x (degree, point) contraction
 against an envelope-scaled Laguerre table.  The Gaussian envelope is absorbed
-into the Laguerre recurrence; the thermal weights (n+n1)!/n1! q^n1 are not,
-and overflow at a few kelvin for |alpha| >= 2, where the tail guard and the
-finite-value check raise instead of returning NaN.
+into the Laguerre recurrence.  The thermal weights (n+n1)!/n1! q^n1 of each
+band are divided by their largest, which the band's coherent factors carry in
+log space, so no thermal weight exceeds 1 at any temperature.
 
 Convention note: the series' chi factors follow the kernel actually produced
 by the Wigner transform, chi = x - i y when the ket index exceeds the bra
@@ -99,20 +99,22 @@ def _mode_h_tables(gamma: complex, q: float, one_minus_q: float, cat_cap: int, t
     lf = log_factorial_table(cat_cap + thermal_cap)
     n = np.arange(cat_cap + 1)
 
+    # thermal weights (-1)^{j0+n1} q^{n1} (n1+j0)!/n1! laid out per j0, each row divided by its
+    # largest, e^{peak[j0]}; at q = 0 only the n1 = 0 term is left
+    n1 = np.arange(thermal_cap + 1)
+    log_q = math.log(q) if q > 0.0 else -math.inf
+    log_power = np.concatenate(([0.0], n1[1:] * log_q))
+    log_t = log_power[None, :] + lf[n[:, None] + n1[None, :]] - lf[n1][None, :]
+    peak = log_t.max(axis=1)
+    therm = np.exp(log_t - peak[:, None])
+    therm *= np.where((n[:, None] + n1[None, :]) % 2 == 0, 1.0, -1.0)
+
+    # coherent factors of element (ket, bra); every product below pairs one with the thermal row
+    # j0 = min(ket, bra), so that row's e^{peak[j0]} moves into the element
     log_scale = math.log(abs(gamma)) + 0.5 * math.log(one_minus_q)
     log_mag = log_scale * (n[:, None] + n[None, :]) - lf[: cat_cap + 1][:, None] - lf[: cat_cap + 1][None, :]
     phi = cmath.phase(gamma)
-    base = np.exp(log_mag) * np.exp(1j * phi * (n[:, None] - n[None, :]))
-
-    # thermal weights (-1)^{j0+n1} q^{n1} (n1+j0)!/n1! laid out per j0
-    n1 = np.arange(thermal_cap + 1)
-    if q > 0.0:
-        log_t = n1[None, :] * math.log(q) + lf[n[:, None] + n1[None, :]] - lf[n1][None, :]
-        therm = np.exp(log_t)
-    else:
-        therm = np.zeros((cat_cap + 1, thermal_cap + 1))
-        therm[:, 0] = np.exp(lf[: cat_cap + 1])
-    therm *= np.where((n[:, None] + n1[None, :]) % 2 == 0, 1.0, -1.0)
+    base = np.exp(log_mag + peak[np.minimum.outer(n, n)]) * np.exp(1j * phi * (n[:, None] - n[None, :]))
 
     # shifted thermal matrix shift[j0, N] = therm[j0, N - j0]: band j0 starts at column j0
     nmax = cat_cap + thermal_cap
@@ -226,8 +228,7 @@ def series_values(spec: BellCatSpec, params: ThermalParams,
     The per-mode factor tables pass a tail check first: the outermost
     coherent band's contribution, a conservative overestimate of the mass
     the caps left out, against the tolerance.  A bound above 100 epsilon, or
-    one that is not a number because the thermal weights overflowed, raises
-    TruncationError.  The four branch products are then summed as complex
+    one that is not a number, raises TruncationError.  The four branch products are then summed as complex
     numbers, and the imaginary-residue guard checks that they pair up.
     """
     arrays = [np.atleast_1d(np.asarray(v, dtype=float)) for v in (x1, y1, x2, y2)]

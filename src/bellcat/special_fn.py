@@ -5,13 +5,14 @@ coefficients in log space and exponentiates once per term; the log-factorial
 table here is therefore the single source of those logs.  The table is built
 by double-double accumulation of ln(k) so that entries are correctly rounded
 and adjacent differences stay consistent with ln(n+1) to ~1e-12 even at
-n ~ 10^3.
+n ~ 10^3.  A pure builder makes it, and `functools.cache` keeps one read-only
+table per power-of-two size; the module holds no other state.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 
 import numpy as np
 
@@ -27,43 +28,29 @@ def _two_sum(a: float, b: float) -> tuple[float, float]:
     return s, (a - (s - bb)) + (b - bb)
 
 
-# grown under _lock and never shrunk, so _hi/_lo always belong to _table;
-# readers slice the table they read, which a table another thread publishes
-# meanwhile cannot shorten
-_lock = threading.Lock()
-_table = np.zeros(1)
-_hi = 0.0
-_lo = 0.0
-
-
-def _grow_table(nmax: int) -> None:
-    global _table, _hi, _lo
-    with _lock:
-        old = _table.size - 1
-        if nmax <= old:
-            return
-        grown = np.empty(nmax + 1)
-        grown[: old + 1] = _table
-        hi, lo = _hi, _lo
-        for n in range(old + 1, nmax + 1):
-            s, e = _two_sum(hi, math.log(n))
-            lo += e
-            hi, lo = _two_sum(s, lo)
-            grown[n] = hi + lo
-        _table, _hi, _lo = grown, hi, lo
+@functools.cache
+def _log_factorials(size: int) -> np.ndarray:
+    """Read-only [ln(0!), ..., ln((size - 1)!)], accumulated in double-double from ln(0!) = 0."""
+    table = np.zeros(size)
+    hi = lo = 0.0
+    for n in range(1, size):
+        s, e = _two_sum(hi, math.log(n))
+        lo += e
+        hi, lo = _two_sum(s, lo)
+        table[n] = hi + lo
+    table.flags.writeable = False
+    return table
 
 
 def log_factorial_table(nmax: int) -> np.ndarray:
-    """Read-only vector [ln(0!), ..., ln(nmax!)] for vectorized coefficient assembly; thread-safe."""
+    """Read-only vector [ln(0!), ..., ln(nmax!)] for vectorized coefficient assembly; thread-safe.
+
+    A view of the cached table of the next power-of-two size, whose entries
+    match every other table's bit for bit; two threads may build it twice.
+    """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    table = _table
-    if nmax >= table.size:
-        _grow_table(max(nmax, 2 * table.size))
-        table = _table
-    view = table[: nmax + 1]
-    view.flags.writeable = False
-    return view
+    return _log_factorials(1 << int(nmax).bit_length())[: nmax + 1]
 
 
 def laguerre_envelope_table(max_degree: int, max_order: int, x: np.ndarray) -> np.ndarray:

@@ -54,7 +54,6 @@ evaluation to the series.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -74,7 +73,6 @@ __all__ = [
     "SliceDescriptor",
     "WignerGrid",
     "default_cat_cap",
-    "effective_amplitude",
     "wigner_point",
     "wigner_values",
     "wigner_grid",
@@ -189,13 +187,9 @@ class ModeFactorization:
     m1: np.ndarray = field(repr=False)   # (4, P1)
     m2: np.ndarray = field(repr=False)   # (4, P2)
 
-    def combine_block(self, rows: slice | None = None, out: np.ndarray | None = None) -> np.ndarray:
-        """W over (mode-1 rows) x (all mode-2 points): one real matrix product.
-
-        `out` takes a C-contiguous (rows, P2) buffer to write the block into.
-        """
-        m1 = self.m1[:, rows] if rows is not None else self.m1
-        return np.matmul(m1.T, self.m2, out=out)
+    def combine_block(self) -> np.ndarray:
+        """W over (all mode-1 points) x (all mode-2 points): one real matrix product."""
+        return np.matmul(self.m1.T, self.m2)
 
     def combine_paired(self) -> np.ndarray:
         """W at paired points (mode-1 point i with mode-2 point i)."""
@@ -317,13 +311,10 @@ class SliceDescriptor:
 
 @dataclass
 class WignerGrid:
-    """Real Wigner values on a 2D slice, plus evaluation metadata."""
+    """Real Wigner values on a 2D slice, values[i, j] at the i-th value of axis 0 and the j-th of axis 1."""
 
     slice_: SliceDescriptor
     values: np.ndarray = field(repr=False)
-    spec: BellCatSpec
-    params: ThermalParams
-    stats: dict
 
     def axis_values(self, index: int) -> np.ndarray:
         return self.slice_.axes[index].values()
@@ -338,7 +329,6 @@ def wigner_grid(spec: BellCatSpec, params: ThermalParams, slice_: SliceDescripto
     the block, laid out as (mode-1 axes, mode-2 axes), and one transpose puts
     it in slice order.
     """
-    t0 = time.perf_counter()
     axes = slice_.axes
     order: list[int] = []     # slice axes in the block's layout
     points = []
@@ -350,12 +340,7 @@ def wigner_grid(spec: BellCatSpec, params: ThermalParams, slice_: SliceDescripto
         order += varying
     block = factorize(spec, params, *points).combine_block()
     block = block.reshape([axes[i].count for i in order]).transpose(np.argsort(order))
-    values = _finite(np.ascontiguousarray(block), "wigner_grid")
-    stats = {
-        "n_points": int(values.size),
-        "seconds": time.perf_counter() - t0,
-    }
-    return WignerGrid(slice_=slice_, values=values, spec=spec, params=params, stats=stats)
+    return WignerGrid(slice_=slice_, values=_finite(np.ascontiguousarray(block), "wigner_grid"))
 
 
 # ---------------------------------------------------------------------------

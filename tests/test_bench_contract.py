@@ -6,7 +6,8 @@ benchmark does (`bellcat.cli.main`, `BellCatSpec`, `thermal_params` and
 that removes or renames one of these names fail the test suite, not only the
 benchmark run.  Likewise every nu the benchmark integrates must stay inside
 the band of `bench/reference_nu.json`, so a change that moves nu out of it
-fails here first.
+fails here first.  And every name the benchmark's tracer patches must exist
+and be the one the commands call, so `negativity_s` keeps timing calls.
 """
 
 import json
@@ -17,6 +18,8 @@ from pathlib import Path
 
 import pytest
 
+import bellcat
+import bellcat.cli
 from bellcat.negativity import integrate_negativity
 from bellcat.states import BellCatSpec
 from bellcat.tfd import thermal_params
@@ -41,3 +44,23 @@ def test_nu_inside_benchmark_reference_band(key):
     spec = BellCatSpec.from_label(ref["state"], complex(ref["alpha_re"], ref["alpha_im"]))
     params = thermal_params(ref["temperature_k"], 2 * math.pi * BENCH_FREQ_HZ)
     assert abs(integrate_negativity(spec, params).nu - ref["nu"]) <= ref["tolerance"]
+
+
+def test_tracer_targets_exist_and_see_every_integration(tmp_path, capsys, monkeypatch):
+    # Tracer.installed skips a name it cannot find, so a renamed one would leave
+    # negativity_s with nothing to time and no run would fail
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import tracing
+
+    targets = tracing.integration_targets(bellcat)
+    assert [(owner, attr) for owner, attr, _, _ in targets if not hasattr(owner, attr)] == []
+    tracer = tracing.Tracer()
+    commands = [["negativity", "--out", str(tmp_path / "n.json")],
+                ["sweep", "--preset", "fig4", "--temp-count", "2", "--out", str(tmp_path / "s.csv")],
+                ["validate", "--quick"]]
+    with tracer.installed(targets):
+        for argv in commands:
+            before = len(tracer.integrations)
+            assert bellcat.cli.main(argv) == 0
+            assert len(tracer.integrations) > before, argv
+    capsys.readouterr()

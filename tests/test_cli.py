@@ -316,6 +316,40 @@ class TestPresets:
         assert "# alpha_re = 1.5000000000000000e+00" in read(out)
 
 
+def echoed(preset_argv, key, tmp_path):
+    """The value of preset key `key` that a command reports: sweep's temperatures, negativity's JSON otherwise."""
+    out = tmp_path / "out"
+    if key in ("temp_min", "temp_max", "temp_count"):
+        assert main(["sweep", *preset_argv, "--out", str(out)]) == 0
+        temps = [float(line.split(",")[0]) for line in read(out).splitlines()[1:]]
+        return {"temp_min": temps[0], "temp_max": temps[-1], "temp_count": len(temps)}[key]
+    assert main(["negativity", *preset_argv, "--out", str(out)]) == 0
+    return json.loads(read(out))["temperature_k" if key == "temp" else key]
+
+
+PRESET_KEYS = [(preset, key) for preset, values in sorted(bellcat.cli._PRESETS.items()) for key in values]
+
+
+class TestPresetPrecedence:
+    @pytest.mark.parametrize("preset,key", PRESET_KEYS)
+    def test_preset_value_unless_flag_given(self, preset, key, tmp_path):
+        value = bellcat.cli._PRESETS[preset][key]
+        assert echoed(["--preset", preset], key, tmp_path) == value
+        # another valid value: 3 temperatures, or the preset's value plus 0.25
+        explicit = 3 if key == "temp_count" else value + 0.25
+        flag = "--" + key.replace("_", "-")
+        assert echoed(["--preset", preset, flag, repr(explicit)], key, tmp_path) == explicit
+
+    @pytest.mark.parametrize("preset", [[], ["--preset", "fig2"]])
+    def test_freq1_alone_sets_freq2(self, preset, tmp_path):
+        out = tmp_path / "n.json"
+        assert main(["negativity", "--freq1", "6e9", "--out", str(out)] + preset) == 0
+        payload = json.loads(read(out))
+        assert payload["freq1_hz"] == payload["freq2_hz"] == 6e9
+        assert main(["negativity", "--freq1", "6e9", "--freq2", "7e9", "--out", str(out)] + preset) == 0
+        assert json.loads(read(out))["freq2_hz"] == 7e9
+
+
 class TestDeterminism:
     def test_wigner_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

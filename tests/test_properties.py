@@ -70,8 +70,7 @@ def test_agrees_with_series_where_its_caps_are_feasible(cfg):
         assume(False)   # beyond the series' hard thermal cap
     assume((cat_cap + 1) * (cat_cap + thermal_cap + 1) <= SERIES_TERM_BUDGET)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            reference = series_values(spec, params, *pts)
+        reference = series_values(spec, params, *pts)
     except (TruncationError, NonFiniteError):
         assume(False)   # the series' own tail guard or finite check declined
     # the series' tail guard admits up to 100 x its epsilon = 1e-10

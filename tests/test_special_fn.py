@@ -71,12 +71,10 @@ class TestLogFactorial:
         with pytest.raises(ValueError):
             log_factorial_table(-1)
 
-    def test_concurrent_growth_from_fresh_table(self, monkeypatch):
-        # 8 threads grow a fresh table at once; a 1 us switch interval makes
-        # them interleave inside the growth loop
-        monkeypatch.setattr(special_fn, "_table", np.zeros(1))
-        monkeypatch.setattr(special_fn, "_hi", 0.0)
-        monkeypatch.setattr(special_fn, "_lo", 0.0)
+    def test_concurrent_growth_from_fresh_table(self):
+        # 8 threads build fresh tables at once; a 1 us switch interval makes
+        # them interleave inside the build loop
+        special_fn._log_factorials.cache_clear()
         sizes = np.random.default_rng(20261018).integers(0, 601, size=(8, 25)).tolist()
         barrier = threading.Barrier(len(sizes))
         views: list[list] = [[] for _ in sizes]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bellcat.wigner
-from bellcat.errors import BellCatError, ImaginaryResidueError, QuadratureError, TruncationError
+from bellcat.errors import ImaginaryResidueError, QuadratureError, TruncationError
 from bellcat.series import TruncationConfig, _mode_h_tables, series_values
 from bellcat.special_fn import log_factorial_table
 from bellcat.states import STATE_LABELS, BellCatSpec
@@ -345,15 +345,15 @@ class TestTruncationConfig:
         b = series_values(spec, params, *pts, trunc=double)
         assert np.max(np.abs(a - b)) < 1e-8
 
-    def test_thermal_overflow_raises(self):
+    def test_hot_thermal_weights_stay_finite(self):
         # psi-plus, alpha = 2 at 5 K (caps 159/493): the thermal weights
-        # (n+n1)!/n1! q^n1 overflow, which once came out as NaN values
+        # (n+n1)!/n1! q^n1 overflowed here before each band was scaled by its
+        # largest; an overflow warning now fails the test
         spec = BellCatSpec.from_label("psi-plus", 2.0)
         x = np.linspace(-3, 3, 5)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BellCatError):
-            series_values(spec, params_for(5.0), x, 0 * x, x, 0 * x)
-        # the production form is finite there
-        assert np.all(np.isfinite(wigner_values(spec, params_for(5.0), x, 0 * x, x, 0 * x)))
+        got = series_values(spec, params_for(5.0), x, 0 * x, x, 0 * x)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - wigner_values(spec, params_for(5.0), x, 0 * x, x, 0 * x))) <= 1e-8
 
 
 class TestGrids:
