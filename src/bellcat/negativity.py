@@ -27,7 +27,9 @@ intervals sum to one:
 
 Then I_- = (e^{-c}/(pi N)) 2 int_0^{s*} ds e^{-s^2} g(s), by Gauss-Legendre in
 tau with s = s* - tau^2 (g rises as (s* - s)^{3/2}, which is analytic in tau)
-and Gauss-Legendre in u on [0, h].  The lobe term is carried as
+and Gauss-Legendre in u on [0, h].  The tau-nodes are laid out from the edge,
+tau = sqrt(s*) - r, and s is formed as r (2 sqrt(s*) - r), which stays exact
+when s* ~ |alpha| is far beyond the reach.  The lobe term is carried as
 e^{-y+2as} expm1(-2as)^2 / 2, so nothing overflows at |alpha| = 20 and small
 |alpha| keeps full relative accuracy.
 
@@ -136,9 +138,12 @@ def _reduced_parameters(spec: BellCatSpec, params: ThermalParams) -> tuple[float
 
 
 def _thermal_scale(params: ThermalParams) -> float:
-    """sqrt((1+q)/(1-q)), the thermal widening of the vacuum Gaussian (1 at T=0)."""
-    q = max(params.exp1, params.exp2)
-    return math.sqrt((1.0 + q) / (1.0 - q))
+    """sqrt((1+q)/(1-q)), the thermal widening of the vacuum Gaussian (1 at T=0), of the hotter mode.
+
+    1 - q is the cached expm1 value, which stays positive where q itself rounds to 1.
+    """
+    one_minus_q = min(params.one_minus_exp1, params.one_minus_exp2)
+    return math.sqrt((2.0 - one_minus_q) / one_minus_q)
 
 
 def _theta(u: np.ndarray, sigma: int, a: float) -> np.ndarray:
@@ -182,8 +187,12 @@ def _negative_volume(sigma: int, a: float, y: float, s_nodes: int, t_nodes: int)
         return 0.0
     # cosh(2 a s*) = e^y; arccosh(e^y) = y + log1p(sqrt(1 - e^{-2y})) never overflows
     s_star = (y + math.log1p(math.sqrt(-math.expm1(-2.0 * y)))) / (2.0 * a)
-    tau, w_tau = _legendre(s_nodes, math.sqrt(max(0.0, s_star - _REACH)), math.sqrt(s_star))
-    s = s_star - tau * tau
+    # tau = sqrt(s*) - r, with Gauss-Legendre in r from the edge: s = s* - tau^2 = r (2 sqrt(s*) - r)
+    # keeps full precision where s* is so large that s* - tau^2 would cancel
+    root = math.sqrt(s_star)
+    r, w_r = _legendre(s_nodes, 0.0, min(s_star, _REACH) / (root + math.sqrt(max(0.0, s_star - _REACH))))
+    tau = root - r
+    s = r * (2.0 * root - r)
     # m = m0 - l(s), with l(s) = e^{-y} 2 sinh^2(a s) = e^{2as - y} expm1(-2as)^2 / 2 and 2as - y <= log 2
     m = -math.expm1(-y) - 0.5 * np.exp(2.0 * a * s - y) * np.expm1(-2.0 * a * s) ** 2
     h = np.arcsin(np.sqrt(0.5 * np.maximum(m, 0.0))) / a
@@ -191,8 +200,8 @@ def _negative_volume(sigma: int, a: float, y: float, s_nodes: int, t_nodes: int)
     ah = a * h[:, None]
     depth = 2.0 * np.sin(ah * (1.0 - x)) * np.sin(ah * (1.0 + x))
     g = 2.0 * h * ((depth * _theta(h[:, None] * x, sigma, a)) @ w_x)
-    # both signs of s, and ds = 2 tau dtau
-    return float((4.0 * w_tau * tau * np.exp(-s * s)) @ g)
+    # both signs of s, and ds = 2 tau dr
+    return float((4.0 * w_r * tau * np.exp(-s * s)) @ g)
 
 
 def _total_volume(sigma: int, a: float, c: float, y: float, nodes: int) -> float:

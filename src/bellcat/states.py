@@ -58,12 +58,13 @@ class BellCatSpec:
             raise ValueError(f"sigma must be +1 or -1, got {self.sigma!r}")
         if not (math.isfinite(self.alpha.real) and math.isfinite(self.alpha.imag)):
             raise ValueError("alpha must be finite")
-        if abs(self.alpha) == 0.0:
+        modulus = abs(self.alpha)
+        if modulus == 0.0:
             # alpha = 0 with sigma = -1 is the null vector; with sigma = +1 the
             # state degenerates to the two-mode vacuum.  Both are rejected here
             # so that a constructed spec always names a genuine superposition.
             raise DegenerateStateError("alpha = 0 does not define a Bell-Cat state")
-        if self.sigma < 0 and abs(self.alpha) ** 2 < sys.float_info.min:
+        if self.sigma < 0 and modulus * modulus < sys.float_info.min:
             # an odd state's normalization 1 - e^{-4|alpha|^2} is about 4|alpha|^2: once
             # |alpha|^2 is subnormal it loses precision and its reciprocal overflows, and
             # at |alpha|^2 = 0 the state is the null vector
@@ -98,8 +99,12 @@ class BellCatSpec:
 
 
 def parity_overlap(alpha: complex, sigma: int) -> float:
-    """1 + sigma e^{-4|alpha|^2}, without cancellation when sigma = -1 and |alpha| is small."""
-    a2 = abs(complex(alpha)) ** 2
+    """1 + sigma e^{-4|alpha|^2}, without cancellation when sigma = -1 and |alpha| is small.
+
+    |alpha|^2 is a product, not a power: where it overflows to inf the overlap term is 0.
+    """
+    modulus = abs(complex(alpha))
+    a2 = modulus * modulus
     return 1.0 + math.exp(-4.0 * a2) if sigma > 0 else -math.expm1(-4.0 * a2)
 
 
@@ -115,7 +120,8 @@ def bellcat_normalization(alpha: complex, sigma: int) -> float:
 
 def coherent_overlap_sq(alpha: complex) -> float:
     """|<alpha|-alpha>|^2 = e^{-4|alpha|^2}; ~1.13e-7 already at |alpha| = 2."""
-    return math.exp(-4.0 * abs(complex(alpha)) ** 2)
+    modulus = abs(complex(alpha))
+    return math.exp(-4.0 * modulus * modulus)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import NonFiniteError
+
 __all__ = ["HBAR", "KB", "ThermalParams", "thermal_params", "gibbs_weight"]
 
 # CODATA: reduced Planck constant (J s) and Boltzmann constant (J/K)
@@ -77,7 +79,9 @@ def thermal_params(temperature: float, omega1: float, omega2: float | None = Non
     `omega2` defaults to `omega1`.  Negative temperatures and nonpositive
     frequencies are rejected, and so is a positive temperature so small that
     k_B T underflows to 0; `temperature == 0` selects the exact
-    zero-temperature flag (u_i = 1, v_i = 0, z = 1).
+    zero-temperature flag (u_i = 1, v_i = 0, z = 1).  A temperature so high,
+    or a frequency so low, that the partition function overflows (or
+    1 - e^{-beta hbar omega} underflows to 0) raises NonFiniteError.
     """
     if omega2 is None:
         omega2 = omega1
@@ -103,9 +107,14 @@ def thermal_params(temperature: float, omega1: float, omega2: float | None = Non
         om1 = -math.expm1(-beta * HBAR * omega1)
         om2 = -math.expm1(-beta * HBAR * omega2)
 
+    # (1/om1)(1/om2): the product om1 om2 underflows long before z overflows.  Each mode's
+    # widening 1 + 2n = (1 + q)/(1 - q) is below 2z, so a finite 2z keeps it finite too
+    z = (1.0 / om1) * (1.0 / om2) if om1 > 0.0 and om2 > 0.0 else math.inf
+    if not math.isfinite(2.0 * z):
+        raise NonFiniteError(f"T = {temperature!r} K with omega = ({omega1!r}, {omega2!r}) rad/s is out of range: "
+                             "1 - e^{-beta hbar omega} is too small for the partition function to be finite")
     u1, v1 = _uv(exp1, om1)
     u2, v2 = _uv(exp2, om2)
-    z = 1.0 / (om1 * om2)
     return ThermalParams(
         temperature=float(temperature),
         omega1=float(omega1),

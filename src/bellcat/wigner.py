@@ -133,15 +133,25 @@ class ModeConstants(NamedTuple):
 
 
 def mode_constants(spec: BellCatSpec, params: ThermalParams) -> tuple[ModeConstants, ModeConstants]:
-    """The constants of mode 1 (gamma = alpha) and of mode 2 (gamma = k alpha)."""
+    """The constants of mode 1 (gamma = alpha) and of mode 2 (gamma = k alpha).
+
+    Raises NonFiniteError where 4 |P|^2, with |P|^2 = |P1|^2 + |P2|^2, or c
+    overflows: the tables and the reduced negativity form no exponent larger
+    than those, so below that bound no evaluation overflows.
+    """
     modes = []
     for gamma, q, one_minus_q in ((spec.alpha, params.exp1, params.one_minus_exp1),
                                   (spec.k * spec.alpha, params.exp2, params.one_minus_exp2)):
         n = q / one_minus_q
         d = 1.0 + 2.0 * n
-        g2 = abs(gamma) ** 2
+        modulus = abs(gamma)
+        g2 = modulus * modulus
         modes.append(ModeConstants(d=d, p=math.sqrt(2.0 / (one_minus_q * d)) * gamma,
                                    c=2.0 * n * g2 / d, y=2.0 * g2 / d))
+    lobe_sq = sum(m.p.real * m.p.real + m.p.imag * m.p.imag for m in modes)
+    if not math.isfinite(4.0 * lobe_sq + modes[0].c + modes[1].c):
+        raise NonFiniteError(f"|alpha| = {abs(spec.alpha):.3g} is out of range at T = {params.temperature:g} K: "
+                             f"the scaled lobe |P|^2 = {lobe_sq:.3g} is too large to evaluate")
     return modes[0], modes[1]
 
 

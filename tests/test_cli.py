@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import bellcat.negativity
 from bellcat.cli import main
 from bellcat.errors import NormalizationError
 from bellcat.negativity import integrate_negativity
-from bellcat.states import BellCatSpec
+from bellcat.states import STATE_LABELS, BellCatSpec
 from bellcat.tfd import HBAR, KB, thermal_params
 from bellcat.wigner import CHI_KERNEL, SliceDescriptor, wigner_grid
 
@@ -292,6 +293,56 @@ class TestSweepCommand:
         assert exc.value.code == 2
 
 
+def finite_or_clean_error(code, out, err):
+    """Exit 0 with finite output, or exit 1 with one `error: <BellCatError subclass>: ...` line and no output."""
+    if code == 0:
+        text = read(out)
+        if text.startswith("{"):
+            numbers = [v for v in json.loads(text).values() if isinstance(v, float)]
+        else:
+            numbers = np.loadtxt(out, delimiter=",", comments="#", skiprows=11).ravel().tolist()
+        assert numbers and all(math.isfinite(v) for v in numbers)
+        return None
+    assert code == 1 and not out.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    name = err.split(":")[1].strip()
+    assert issubclass(getattr(bellcat, name), bellcat.BellCatError)
+    return name
+
+
+class TestOutOfRangeInputs:
+    # no traceback and, with warnings raised as errors, no floating-point warning
+    @pytest.mark.parametrize("state", sorted(STATE_LABELS))
+    @pytest.mark.parametrize("amplitude", ["1e100", "1e150", "5e153", "1e154", "1.4e154", "1e300"])
+    @pytest.mark.parametrize("command", [["negativity"], FAST_WIGNER])
+    def test_large_amplitude(self, command, amplitude, state, tmp_path, capsys):
+        # up to 1e150 the values are finite (W and nu underflow to 0 at 0.01 K); from 5e153
+        # on, 4 |P|^2 overflows and mode_constants raises
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(command + ["--state", state, "--alpha-re", amplitude, "--out", str(out)])
+        name = finite_or_clean_error(code, out, capsys.readouterr().err)
+        assert name == (None if float(amplitude) <= 1e150 else "NonFiniteError")
+
+    @pytest.mark.parametrize("flags", [["--temp", "1e300"], ["--freq1", "1e-300"]])
+    @pytest.mark.parametrize("command", [["negativity"], FAST_WIGNER])
+    def test_partition_function_overflow(self, command, flags, tmp_path, capsys):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(command + flags + ["--out", str(out)])
+        assert finite_or_clean_error(code, out, capsys.readouterr().err) == "NonFiniteError"
+
+    def test_sweep_writes_nan_row_for_overflowing_temperature(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--temp-min", "1", "--temp-max", "1e300", "--temp-count", "2", "--out", str(out)]) == 1
+        rows = [line.split(",") for line in read(out).splitlines()[1:]]
+        assert all(math.isfinite(float(v)) for v in rows[0])
+        assert rows[1][1:] == ["nan"] * 5
+        assert "T=1e+300 failed: NonFiniteError" in capsys.readouterr().err
+
+
 class TestPresets:
     def test_fig4_defines_sweep_range(self, tmp_path):
         # temp-min comes from the preset; the explicit flags trim the hot end
@@ -459,6 +510,21 @@ class TestValidateCommand:
         assert len(diagnostics) == 2
         assert all(thread is threading.current_thread() for thread in diagnostics)
         assert sum(mode == CHI_KERNEL for mode, _ in calls) > 1
+
+    @pytest.mark.parametrize("flags, pairs", [([], 2), (["--quick"], 1)])
+    def test_one_kernel_pair_per_config(self, flags, pairs, capsys, monkeypatch):
+        # the four states of each (alpha, T) config share one point set and one pair of Fock kernels
+        cutoffs = []
+        fock_wigner_kernels = bellcat.wigner.fock_wigner_kernels
+
+        def spy(nmax, *args, **kwargs):
+            cutoffs.append(nmax)
+            return fock_wigner_kernels(nmax, *args, **kwargs)
+
+        monkeypatch.setattr(bellcat.wigner, "fock_wigner_kernels", spy)
+        assert main(["validate"] + flags) == 0
+        assert len(cutoffs) == 2 * pairs
+        assert len(set(cutoffs)) == pairs
 
     def test_shared_job_list_under_thread_switching(self, capsys, monkeypatch):
         # more workers than CPUs or jobs, switching threads every microsecond: a

@@ -436,6 +436,24 @@ class TestTheta:
 
 
 class TestIntegrandGuards:
+    def test_cold_plateau_holds_to_huge_amplitudes(self):
+        # at T = 0, nu has reached its large-|alpha| limit by |alpha| = 20; the s-nodes are placed
+        # from the edge s* of the negative set, so s stays exact where s* ~ |alpha| dwarfs the reach
+        params = params_for(0.0)
+        for label in ("phi-plus", "psi-minus"):
+            limit = integrate_negativity(BellCatSpec.from_label(label, 20.0), params).nu
+            for amplitude in (1e3, 1e6, 1e10, 1e50, 1e150, 3e153):
+                nu = integrate_negativity(BellCatSpec.from_label(label, amplitude), params).nu
+                assert abs(nu - limit) <= 1e-15 * limit
+
+    @pytest.mark.parametrize("temp", [1e17, 1e100, 1e150])
+    def test_hot_tail_is_finite(self, temp):
+        # nu T^2 tends to 9.743e-3 K^2 for phi-minus, alpha = 1, at 5.5 GHz; the widening
+        # (1 + q)/(1 - q) takes 1 - q from its expm1 value, as q rounds to 1 from about 2e15 K
+        r = integrate_negativity(BellCatSpec.from_label("phi-minus", 1.0), params_for(temp))
+        assert abs(r.nu * temp**2 - 9.7434403e-3) <= 1e-9
+        assert math.isfinite(r.half_width) and abs(r.norm_check - 1.0) <= 1e-12
+
     def test_repeated_calls_are_bit_identical(self):
         params = params_for(0.3)
         first, second = (dataclasses.asdict(integrate_negativity(BellCatSpec.from_label("psi-plus", 1 + 1j), params))

@@ -2,7 +2,8 @@
 
 label x complex alpha (|alpha| <= 3) x T in [0, 20] K x omega2/omega1 in
 [0.5, 2], at points spread over the thermally amplified lobes, of the reduced
-negativity integral over the same box, and of the two density builds over
+negativity integral over the same box, of nu falling with T (|alpha| <= 20,
+T in [1 mK, 1000 K]), and of the two density builds over
 label x complex alpha (|alpha| <= 2) x T in [0, 2] K x omega2/omega1 in
 [0.5, 2].  Examples are derandomized, so every run checks the same cases.
 """
@@ -90,6 +91,17 @@ def test_reduced_negativity_is_normalized_and_converged(cfg):
         mp.setattr(bellcat.negativity, "_T_NODES", 2 * bellcat.negativity._T_NODES)
         doubled = integrate_negativity(spec, params)
     assert abs(doubled.nu - result.nu) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sigma=st.sampled_from([1, -1]), modulus=st.floats(0.05, 20.0), ratio=st.floats(0.5, 1.3),
+       log_temps=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2, unique=True))
+def test_nu_never_rises_with_temperature(sigma, modulus, ratio, log_temps):
+    # what makes "the temperature at which nu falls to x nu(0)" well defined; T from 1 mK to 1000 K
+    spec = BellCatSpec(alpha=modulus, k=1, sigma=sigma)
+    cold, hot = (integrate_negativity(spec, thermal_params(10.0**x, OMEGA, ratio * OMEGA)).nu
+                 for x in sorted(log_temps))
+    assert hot <= cold * (1.0 + 1e-12)
 
 
 density_configs = st.fixed_dictionaries({

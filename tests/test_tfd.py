@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bellcat.errors import NonFiniteError
 from bellcat.tfd import HBAR, KB, ThermalParams, gibbs_weight, thermal_params
 
 OMEGA_5P5_GHZ = 2 * math.pi * 5.5e9
@@ -87,6 +88,20 @@ class TestThermalParams:
         assert KB * 1e-320 == 0.0
         with pytest.raises(ValueError, match="underflows"):
             thermal_params(1e-320, OMEGA_5P5_GHZ)
+
+    def test_hot_partition_function_stays_finite(self):
+        # z = 1/((1 - q1)(1 - q2)) ~ (k_B T / hbar omega)^2 is formed as (1/om1)(1/om2)
+        p = thermal_params(1e150, OMEGA_5P5_GHZ)
+        x = HBAR * OMEGA_5P5_GHZ / (KB * 1e150)
+        assert p.z == pytest.approx(1.0 / x**2, rel=1e-12)
+        assert p.u1 == pytest.approx(1.0 / math.sqrt(x), rel=1e-12)
+
+    @pytest.mark.parametrize("temp, omega", [(1e300, OMEGA_5P5_GHZ), (1e160, OMEGA_5P5_GHZ),
+                                             (0.01, 2 * math.pi * 1e-300), (1e3, 1e-320)])
+    def test_overflowing_partition_function_raises(self, temp, omega):
+        # z would pass the float range, or 1 - e^{-beta hbar omega} underflows to 0
+        with pytest.raises(NonFiniteError, match="out of range"):
+            thermal_params(temp, omega)
 
 
 class TestGibbsWeight:

@@ -21,6 +21,7 @@ from bellcat.wigner import (
     default_cat_cap,
     fock_wigner_kernels,
     hermite_functions,
+    oracle_cutoff,
     wigner_grid,
     wigner_oracle_values,
     wigner_point,
@@ -257,6 +258,18 @@ class TestOracleAgreement:
         ws = wigner_values(spec, params, *pts)
         wo = wigner_oracle_values(spec, params, *pts)
         assert np.max(np.abs(ws - wo)) < 1e-8
+
+    def test_shared_kernels_are_bit_identical(self):
+        # `bellcat validate` and criterion 04 hand one pair of kernels to the four states of an (alpha, T)
+        params = params_for(1.0)
+        pts = np.random.default_rng(7).uniform(-3, 3, size=(4, 5))
+        cutoff = oracle_cutoff(BellCatSpec.from_label("phi-plus", 1 + 1j), params)
+        kernels = (fock_wigner_kernels(cutoff, pts[0], pts[1]), fock_wigner_kernels(cutoff, pts[2], pts[3]))
+        for label in STATE_LABELS:
+            spec = BellCatSpec.from_label(label, 1 + 1j)
+            assert oracle_cutoff(spec, params) == cutoff
+            shared = wigner_oracle_values(spec, params, *pts, cutoff=cutoff, kernels=kernels)
+            assert np.array_equal(shared, wigner_oracle_values(spec, params, *pts))
 
     def test_lobe_point(self):
         spec = BellCatSpec.from_label("phi-minus", 1.0)
