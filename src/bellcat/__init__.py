@@ -27,14 +27,12 @@ from .wigner import (
     PhasePoint,
     SliceDescriptor,
     WignerGrid,
-    closed_form_zero_temperature,
-    fock_wigner_kernels,
-    hermite_functions,
     wigner_grid,
     wigner_point,
     wigner_values,
 )
 from .series import TruncationConfig, series_values
+from .oracle import closed_form_zero_temperature, fock_wigner_kernels, hermite_functions
 from .negativity import (
     NegativityResult,
     SweepEntry,

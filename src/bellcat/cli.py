@@ -20,25 +20,15 @@ import time
 
 import numpy as np
 
-from . import __version__, wigner
+from . import __version__, oracle
 from .density import route_gap
 from .errors import BellCatError, ImaginaryResidueError
 from .negativity import integrate_negativity, temperature_sweep
-from .series import series_values
+from .oracle import closed_form_zero_temperature, oracle_cutoff, wigner_oracle_values
+from .series import CHI_BROKEN, CHI_PRINTED, series_values
 from .states import STATE_LABELS, BellCatSpec
 from .tfd import thermal_params
-from .wigner import (
-    CHI_BROKEN,
-    CHI_PRINTED,
-    PhasePoint,
-    SliceDescriptor,
-    closed_form_zero_temperature,
-    oracle_cutoff,
-    wigner_grid,
-    wigner_oracle_values,
-    wigner_point,
-    wigner_values,
-)
+from .wigner import PhasePoint, SliceDescriptor, wigner_grid, wigner_point, wigner_values
 
 _DEFAULT_FREQ = 5.5e9
 # the value of each preset-able flag that neither the command line nor a preset sets
@@ -243,12 +233,12 @@ def _route_config_gaps(labels: list[str], alpha: complex, params, pts: np.ndarra
     """max |diff| of Gaussian vs oracle, series vs oracle and Gaussian vs series, over the states at one point set.
 
     The oracle's cutoff depends only on |alpha| and T, so one pair of Fock
-    kernels serves every state.  They are looked up on `bellcat.wigner`, so a
+    kernels serves every state.  They are looked up on `bellcat.oracle`, so a
     wrapper installed there sees these calls too.
     """
     cutoff = oracle_cutoff(BellCatSpec.from_label(labels[0], alpha), params)
-    kernels = (wigner.fock_wigner_kernels(cutoff, pts[0], pts[1]),
-               wigner.fock_wigner_kernels(cutoff, pts[2], pts[3]))
+    kernels = (oracle.fock_wigner_kernels(cutoff, pts[0], pts[1]),
+               oracle.fock_wigner_kernels(cutoff, pts[2], pts[3]))
     worst = [0.0, 0.0, 0.0]
     for label in labels:
         spec = BellCatSpec.from_label(label, alpha)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CutoffError
+from .errors import CutoffError, TruncationError
 from .special_fn import log_factorial_table
 from .states import BellCatSpec, bellcat_normalization
 from .tfd import ThermalParams, gibbs_weight
@@ -47,11 +47,11 @@ __all__ = [
     "build_density_matrix",
     "route_gap",
     "mode_thermal_blocks",
-    "effective_amplitude",
     "thermal_levels",
 ]
 
 TRACE_DEFICIT_LIMIT = 0.01
+HARD_THERMAL_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -70,21 +70,13 @@ class TruncatedDensity:
         self.matrix.flags.writeable = False
 
 
-def effective_amplitude(spec: BellCatSpec, params: ThermalParams) -> float:
-    """Thermally amplified coherent amplitude |alpha| max(u1, u2).
-
-    The dressing construction displaces the Gibbs state by alpha u(beta), not
-    alpha: the mean field of the thermal Bell-Cat grows as the temperature
-    rises, and every cap/box policy must follow it.
-    """
-    return abs(spec.alpha) * max(params.u1, params.u2)
-
-
 def thermal_levels(params: ThermalParams, epsilon: float) -> int:
     """Levels needed before the per-mode Gibbs tail drops below `epsilon`.
 
     The geometric tail above level N is e^{-(N+1) beta hbar omega}/(1 - q), so
     N = ceil(ln(1/(epsilon (1-q)))/(beta hbar omega)) guarantees tail <= epsilon.
+    Past `HARD_THERMAL_CAP` levels, or where q rounds to 1, raises TruncationError:
+    both reference routes hold tables of that many levels.
     """
     if params.is_zero_temperature:
         return 0
@@ -93,7 +85,11 @@ def thermal_levels(params: ThermalParams, epsilon: float) -> int:
         q = params.exp_factor(mode)
         if q == 0.0:
             continue  # Gibbs factor underflowed: the mode is effectively frozen
-        need = math.ceil(math.log(1.0 / (epsilon * params.one_minus_exp_factor(mode))) / -math.log(q))
+        rate = -math.log(q)
+        need = math.ceil(math.log(1.0 / (epsilon * params.one_minus_exp_factor(mode))) / rate) if rate else math.inf
+        if need > HARD_THERMAL_CAP:
+            raise TruncationError(f"thermal tail needs {need} levels to reach {epsilon:g}, "
+                                  f"beyond the hard cap {HARD_THERMAL_CAP}")
         levels = max(levels, need)
     return levels
 

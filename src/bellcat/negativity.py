@@ -64,8 +64,7 @@ import numpy as np
 
 from .errors import BellCatError, NonFiniteError, NormalizationError
 from .states import BellCatSpec
-from .tfd import ThermalParams, thermal_params
-from .density import effective_amplitude
+from .tfd import ThermalParams, effective_amplitude, thermal_params
 from .wigner import mode_constants
 
 __all__ = [

@@ -1,0 +1,187 @@
+"""The Fock-kernel oracle and the zero-temperature closed form: reference routes.
+
+The oracle evaluates W from per-mode Fock kernels K(j, l; x, y), obtained by
+direct numerical integration of the Wigner transform with Hermite-function
+position wavefunctions, contracted against the operator-route density blocks
+(`bellcat.density.mode_thermal_blocks`).  It never sees a Laguerre polynomial
+or a sign convention, so it arbitrates them.  The zero-temperature closed form
+sums the coherent cross-Wigner functions of the pure state.  Both sum complex
+terms, so they check that the imaginary part cancels (`ImaginaryResidueError`).
+
+Tests and `bellcat validate` compare these with the production Gaussian form
+(`bellcat.wigner`) and the Laguerre series (`bellcat.series`), whose cap
+policy `default_cat_cap` sizes the oracle's cutoff.  Nothing on the
+production path calls them.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .density import mode_thermal_blocks, thermal_levels
+from .errors import QuadratureError
+from .series import _to_real, default_cat_cap
+from .states import BellCatSpec
+from .tfd import ThermalParams
+
+__all__ = [
+    "hermite_functions",
+    "fock_wigner_kernels",
+    "oracle_cutoff",
+    "wigner_oracle_values",
+    "closed_form_zero_temperature",
+]
+
+
+def hermite_functions(nmax: int, xi: np.ndarray) -> np.ndarray:
+    """Normalized oscillator eigenfunctions psi_n(xi), n = 0..nmax.
+
+    Two-term recurrence on the functions themselves (never the bare Hermite
+    polynomials), so magnitudes stay bounded for n of a few hundred.
+    """
+    xi = np.asarray(xi, dtype=float)
+    out = np.empty((nmax + 1,) + xi.shape)
+    out[0] = math.pi ** -0.25 * np.exp(-0.5 * xi * xi)
+    if nmax == 0:
+        return out
+    out[1] = math.sqrt(2.0) * xi * out[0]
+    for n in range(1, nmax):
+        out[n + 1] = (math.sqrt(2.0 / (n + 1)) * xi * out[n]
+                      - math.sqrt(n / (n + 1)) * out[n - 1])
+    return out
+
+
+def fock_wigner_kernels(nmax: int, x: np.ndarray, y: np.ndarray,
+                        tol: float = 1e-10, max_doublings: int = 8) -> np.ndarray:
+    """Dimensionless one-mode Wigner kernels K[j, l](x, y) of |j><l|, j, l <= nmax.
+
+    Direct trapezoid quadrature of
+        K = (1/2 pi) int ds e^{i s y} psi_j(x - s/2) psi_l(x + s/2)
+    refined by doubling until two successive refinements agree below `tol`.
+    The refinements are nested: each doubling evaluates only the new
+    midpoints and adds them to half the previous sum.  Each level runs over
+    the nodes s >= 0 only; the nodes -s add the conjugate transpose.
+    Returns shape (npoints, nmax+1, nmax+1).
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if x.shape != y.shape:
+        raise ValueError("x and y must share a shape")
+    turning = math.sqrt(2.0 * nmax + 1.0)
+    half_range = 2.0 * (turning + float(np.max(np.abs(x), initial=0.0))) + 10.0
+    freq = turning + float(np.max(np.abs(y), initial=0.0)) + 1.0
+    npts = 256
+    while npts < half_range * freq / math.pi * 1.3:
+        npts *= 2
+
+    # nodes s = step * k, k = -npts/2 .. npts/2, folded onto s >= 0: the node
+    # s = 0 and the endpoint pair carry half of the trapezoid weight each
+    step = 2.0 * half_range / npts
+    weight = np.full(npts // 2 + 1, step)
+    weight[0] *= 0.5
+    weight[-1] *= 0.5
+    prev = _kernel_sum(nmax, x, y, step * np.arange(npts // 2 + 1), weight)
+    for _ in range(max_doublings):
+        step *= 0.5
+        midpoints = step * np.arange(1, npts, 2)
+        current = 0.5 * prev + _kernel_sum(nmax, x, y, midpoints, np.full(npts // 2, step))
+        if float(np.max(np.abs(current - prev))) < tol:
+            return current
+        prev = current
+        npts *= 2
+    raise QuadratureError(
+        f"Fock kernel quadrature did not converge to {tol:g} by {npts} nodes"
+    )
+
+
+def _kernel_sum(nmax: int, x: np.ndarray, y: np.ndarray, s: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Quadrature sum of the kernel integrand over the nodes +-s (s >= 0) at each point (x, y).
+
+    The (j, l) integrand at -s, psi_j(x + s/2) psi_l(x - s/2) e^{-i s y}, is
+    the conjugate of the (l, j) integrand at s, so the sum is M + M^H with M
+    the sum over the nodes s alone.
+    """
+    out = np.empty((x.size, nmax + 1, nmax + 1), dtype=complex)
+    chunk = max(1, int(4e6 / ((nmax + 1) * s.size)))
+    for lo in range(0, x.size, chunk):
+        sl = slice(lo, min(lo + chunk, x.size))
+        xs, ys = x[sl], y[sl]
+        # ket and bra tables from one recurrence over the stacked arguments x -+ s/2
+        psi_ket, psi_bra = hermite_functions(
+            nmax, np.stack([xs[:, None] - 0.5 * s[None, :], xs[:, None] + 0.5 * s[None, :]]),
+        ).transpose(1, 0, 2, 3)
+        phase = np.exp(1j * s[None, :] * ys[:, None]) * weight[None, :]
+        for b in range(xs.size):
+            weighted = psi_ket[:, b, :] * phase[b][None, :]
+            half = (weighted.real @ psi_bra[:, b, :].T
+                    + 1j * (weighted.imag @ psi_bra[:, b, :].T)) / (2.0 * math.pi)
+            out[lo + b] = half + half.conj().T
+    return out
+
+
+_ORACLE_MASS_EPSILON = 1e-9
+
+
+def oracle_cutoff(spec: BellCatSpec, params: ThermalParams) -> int:
+    """Per-mode Fock cutoff the oracle needs to hold ~1e-9 of the state's mass."""
+    return default_cat_cap(spec, params) + thermal_levels(params, _ORACLE_MASS_EPSILON)
+
+
+def wigner_oracle_values(spec: BellCatSpec, params: ThermalParams,
+                         x1, y1, x2, y2,
+                         cutoff: int | None = None,
+                         kernels: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Oracle W values: quadrature kernels contracted with operator-route density blocks.
+
+    `kernels` may carry precomputed (k1, k2) tables for these points (they
+    depend only on the cutoff and the coordinates, so states sharing both can
+    share them).
+    """
+    arrays = [np.atleast_1d(np.asarray(v, dtype=float)) for v in (x1, y1, x2, y2)]
+    if cutoff is None:
+        cutoff = oracle_cutoff(spec, params)
+    weights, blocks1, blocks2 = mode_thermal_blocks(spec, params, cutoff)
+    if kernels is not None:
+        k1, k2 = kernels
+        if k1.shape[1] != cutoff + 1:
+            raise ValueError(f"precomputed kernels sized for nmax {k1.shape[1] - 1}, need {cutoff}")
+    else:
+        k1 = fock_wigner_kernels(cutoff, arrays[0], arrays[1])
+        k2 = fock_wigner_kernels(cutoff, arrays[2], arrays[3])
+    total = np.zeros(arrays[0].size, dtype=complex)
+    for s in (0, 1):
+        for t in (0, 1):
+            c1 = np.einsum("pnm,nm->p", k1, blocks1[s][t])
+            c2 = np.einsum("pnm,nm->p", k2, blocks2[s][t])
+            total += weights[s, t] * c1 * c2
+    return _to_real(total, "wigner_oracle")
+
+
+def closed_form_zero_temperature(spec: BellCatSpec, x1, y1, x2, y2) -> np.ndarray:
+    """W of the pure Bell-Cat state from the coherent cross-Wigner identity.
+
+    W_{|u><w|}(x, y) = (1/pi) e^{-x^2-y^2} e^{-(|u|^2+|w|^2)/2}
+                       exp(sqrt2 u zbar + sqrt2 conj(w) z - u conj(w)),
+    z = x + i y.  Summing the four branch pairs of |psi><psi| gives the state.
+    """
+    arrays = [np.atleast_1d(np.asarray(v, dtype=float)) for v in (x1, y1, x2, y2)]
+    z1 = arrays[0] + 1j * arrays[1]
+    z2 = arrays[2] + 1j * arrays[3]
+    alpha, k, sigma = spec.alpha, spec.k, spec.sigma
+    norm_sq = 1.0 / (2.0 * spec.parity_overlap)
+
+    def cross(u: complex, w: complex, z: np.ndarray) -> np.ndarray:
+        return np.exp(math.sqrt(2.0) * u * np.conj(z) + math.sqrt(2.0) * np.conj(w) * z
+                      - u * np.conj(w) - 0.5 * (abs(u) ** 2 + abs(w) ** 2))
+
+    total = np.zeros(z1.shape, dtype=complex)
+    for bra_sign in (1, -1):
+        for ket_sign in (1, -1):
+            weight = sigma ** ((ket_sign < 0) + (bra_sign < 0))
+            total += weight * (cross(ket_sign * alpha, bra_sign * alpha, z1)
+                               * cross(ket_sign * k * alpha, bra_sign * k * alpha, z2))
+    envelope = np.exp(-(np.abs(z1) ** 2 + np.abs(z2) ** 2))
+    values = norm_sq / math.pi**2 * envelope * total
+    return _to_real(values, "closed_form_zero_temperature")

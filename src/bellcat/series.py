@@ -4,7 +4,9 @@ The production evaluator (`bellcat.wigner`) uses the closed Gaussian form of
 the same function.  This module keeps the paper's route, a closed-form series
 over the six summation indices of the thermal density elements, so that tests
 and `bellcat validate` can check the two against each other and against the
-Fock-kernel oracle.  Nothing on the production path calls it.
+Fock-kernel oracle (`bellcat.oracle`).  Nothing on the production path calls
+it.  The coherent cap policy `default_cat_cap` and the imaginary-residue
+guard `_to_real` live here and serve the oracle too, which imports them.
 
 The parity brackets split the sum into four sign branches (s, t), under which
 it factorizes per mode; for each mode the thermal excitation sum is
@@ -33,31 +35,61 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import thermal_levels
-from .errors import TruncationError
+from .errors import ImaginaryResidueError, NonFiniteError, TruncationError
 from .special_fn import laguerre_envelope_table, log_factorial_table
 from .states import BellCatSpec
-from .tfd import ThermalParams
-from .wigner import CHI_BROKEN, CHI_KERNEL, CHI_PRINTED, _to_real, default_cat_cap
+from .tfd import ThermalParams, effective_amplitude
 
 __all__ = [
-    "HARD_THERMAL_CAP",
+    "CHI_KERNEL",
+    "CHI_PRINTED",
+    "CHI_BROKEN",
     "TruncationConfig",
+    "default_cat_cap",
     "default_thermal_cap",
     "series_values",
 ]
 
-HARD_THERMAL_CAP = 2000
+CHI_KERNEL = "kernel"
+CHI_PRINTED = "printed"
+CHI_BROKEN = "always-plus"
 _CHI_MODES = (CHI_KERNEL, CHI_PRINTED, CHI_BROKEN)
+
+IMAG_RESIDUE_TOL = 1e-9
+
+
+def default_cat_cap(spec: BellCatSpec, params: ThermalParams) -> int:
+    """Fock reach of the coherent branches: ceil(a^2 + 8a + 10) at a = |alpha| u.
+
+    The series caps its four coherent-branch indices here, and the oracle
+    sizes its Fock cutoff from it.
+    """
+    a = effective_amplitude(spec, params)
+    return math.ceil(a * a + 8.0 * a + 10.0)
 
 
 def default_thermal_cap(params: ThermalParams, epsilon: float) -> int:
-    """Thermal index cap with geometric tail <= epsilon (`thermal_levels`), at least 1."""
-    cap = max(1, thermal_levels(params, epsilon))
-    if cap > HARD_THERMAL_CAP:
-        raise TruncationError(
-            f"thermal tail needs {cap} levels to reach {epsilon:g}, beyond the hard cap {HARD_THERMAL_CAP}"
-        )
-    return cap
+    """Thermal index cap with geometric tail <= epsilon, at least 1; `thermal_levels` enforces the hard cap."""
+    return max(1, thermal_levels(params, epsilon))
+
+
+def _to_real(values: np.ndarray, context: str) -> np.ndarray:
+    """Real part of a complex term sum, after the finite check and the imaginary-residue guard."""
+    if not np.all(np.isfinite(values)):
+        bad = int(np.count_nonzero(~np.isfinite(values)))
+        raise NonFiniteError(f"{context}: {bad} of {values.size} values are not finite")
+    max_resid = float(np.max(np.abs(values.imag), initial=0.0))
+    if max_resid > IMAG_RESIDUE_TOL:
+        # the global bound failed; apply the pointwise |im| <= tol (1 + |re|)
+        resid = np.abs(values.imag)
+        bound = IMAG_RESIDUE_TOL * (1.0 + np.abs(values.real))
+        if np.any(resid > bound):
+            worst = float(np.max(resid / bound))
+            raise ImaginaryResidueError(
+                f"{context}: imaginary residue exceeds {IMAG_RESIDUE_TOL:g}*(1+|re|) "
+                f"by a factor {worst:.3g}; the term sum lost its Hermitian pairing"
+            )
+    return np.ascontiguousarray(values.real)
 
 
 @dataclass(frozen=True)

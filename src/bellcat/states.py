@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateStateError
+from .errors import DegenerateStateError, NonFiniteError
 from .special_fn import log_factorial_table
 
 __all__ = [
@@ -58,7 +58,9 @@ class BellCatSpec:
             raise ValueError(f"sigma must be +1 or -1, got {self.sigma!r}")
         if not (math.isfinite(self.alpha.real) and math.isfinite(self.alpha.imag)):
             raise ValueError("alpha must be finite")
-        modulus = abs(self.alpha)
+        modulus = math.hypot(self.alpha.real, self.alpha.imag)   # inf where abs() raises OverflowError
+        if modulus == math.inf:
+            raise NonFiniteError(f"alpha = {self.alpha} is out of range: |alpha| passes the float range")
         if modulus == 0.0:
             # alpha = 0 with sigma = -1 is the null vector; with sigma = +1 the
             # state degenerates to the two-mode vacuum.  Both are rejected here

@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonFiniteError
+from .states import BellCatSpec
 
-__all__ = ["HBAR", "KB", "ThermalParams", "thermal_params", "gibbs_weight"]
+__all__ = ["HBAR", "KB", "ThermalParams", "thermal_params", "gibbs_weight", "effective_amplitude"]
 
 # CODATA: reduced Planck constant (J s) and Boltzmann constant (J/K)
 HBAR = 1.054571817e-34
@@ -140,3 +141,13 @@ def gibbs_weight(params: ThermalParams, mode: int, n: int) -> float:
     if e == 0.0:
         return 1.0 if n == 0 else 0.0
     return params.one_minus_exp_factor(mode) * e ** int(n)
+
+
+def effective_amplitude(spec: BellCatSpec, params: ThermalParams) -> float:
+    """Thermally amplified coherent amplitude |alpha| max(u1, u2).
+
+    The dressing construction displaces the Gibbs state by alpha u(beta), not
+    alpha: the mean field of the thermal Bell-Cat grows as the temperature
+    rises, and every cap/box policy must follow it.
+    """
+    return abs(spec.alpha) * max(params.u1, params.u2)

@@ -30,25 +30,12 @@ about 4|alpha|^2.  Every exponent is <= 0 (the lobe rows are
 e^{-|zeta_i -+ P_i|^2} times a factor of at most 1), so no table entry
 overflows at any |alpha| or temperature.
 
-Reference routes (tests and `bellcat validate` use them; production does not):
-
-* the paper's Laguerre series, `bellcat.series`;
-* the Fock-kernel oracle below: per-mode Fock kernels K(j, l; x, y) obtained
-  by direct numerical integration of the Wigner transform with
-  Hermite-function position wavefunctions, contracted against the
-  operator-route density blocks.  The oracle never sees a Laguerre
-  polynomial or a sign convention, so it arbitrates them.
-
-Both sum complex terms, as does the zero-temperature closed form, so they
-check that the imaginary part cancels (`ImaginaryResidueError`).
+The reference routes, the Laguerre series and the Fock-kernel oracle, are
+`bellcat.series` and `bellcat.oracle`; this module imports neither.
 
 Dimensionless coordinates throughout: x = q/b, y = p b/hbar with
 b^2 = hbar/(m omega); the reported function is hbar^2 W, normalized so its
 4D phase-space integral is 1.
-
-`chi_mode` selects one of the series' conventions (see `bellcat.series`);
-the Gaussian form is the kernel convention, so any other value routes an
-evaluation to the series.
 """
 
 from __future__ import annotations
@@ -59,37 +46,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .density import effective_amplitude, mode_thermal_blocks, thermal_levels
-from .errors import ImaginaryResidueError, NonFiniteError, QuadratureError
+from .errors import NonFiniteError
 from .states import BellCatSpec
 from .tfd import ThermalParams
 
 __all__ = [
-    "CHI_KERNEL",
-    "CHI_PRINTED",
-    "CHI_BROKEN",
     "PhasePoint",
     "GridAxis",
     "SliceDescriptor",
     "WignerGrid",
-    "default_cat_cap",
     "wigner_point",
     "wigner_values",
     "wigner_grid",
     "ModeFactorization",
     "factorize",
-    "hermite_functions",
-    "fock_wigner_kernels",
-    "oracle_cutoff",
-    "wigner_oracle_values",
-    "closed_form_zero_temperature",
 ]
 
-CHI_KERNEL = "kernel"
-CHI_PRINTED = "printed"
-CHI_BROKEN = "always-plus"
-
-IMAG_RESIDUE_TOL = 1e-9
 _COORDS = ("x1", "y1", "x2", "y2")
 
 
@@ -106,21 +78,6 @@ class PhasePoint:
         for name in _COORDS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-
-
-def default_cat_cap(spec: BellCatSpec, params: ThermalParams) -> int:
-    """Fock reach of the coherent branches: ceil(a^2 + 8a + 10) at a = |alpha| u.
-
-    The series caps its four coherent-branch indices here, and the oracle
-    sizes its Fock cutoff from it.
-    """
-    a = effective_amplitude(spec, params)
-    return math.ceil(a * a + 8.0 * a + 10.0)
-
-
-# ---------------------------------------------------------------------------
-# production path
-# ---------------------------------------------------------------------------
 
 
 class ModeConstants(NamedTuple):
@@ -213,8 +170,11 @@ def factorize(spec: BellCatSpec, params: ThermalParams,
     mode1, mode2 = mode_constants(spec, params)
     x1, y1 = (np.asarray(v, dtype=float) for v in mode1_points)
     x2, y2 = (np.asarray(v, dtype=float) for v in mode2_points)
-    m1 = _mode_tables(mode1, spec.sigma, x1, y1, second=False)
-    m2 = _mode_tables(mode2, spec.sigma, x2, y2, second=True)
+    # a square past the float range is inf, and e^{-inf} = 0 is exact; an inf - inf, only where
+    # |P| |zeta| passes that range too, leaves a NaN that the callers' finite check reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        m1 = _mode_tables(mode1, spec.sigma, x1, y1, second=False)
+        m2 = _mode_tables(mode2, spec.sigma, x2, y2, second=True)
     m2 *= 1.0 / (math.pi**2 * mode1.d * mode2.d * spec.parity_overlap)
     return ModeFactorization(m1=m1, m2=m2)
 
@@ -226,32 +186,17 @@ def _finite(values: np.ndarray, context: str) -> np.ndarray:
     return values
 
 
-def _to_real(values: np.ndarray, context: str) -> np.ndarray:
-    """Real part of a complex term sum, after the finite check and the imaginary-residue guard."""
-    _finite(values, context)
-    max_resid = float(np.max(np.abs(values.imag), initial=0.0))
-    if max_resid > IMAG_RESIDUE_TOL:
-        # the global bound failed; apply the pointwise |im| <= tol (1 + |re|)
-        resid = np.abs(values.imag)
-        bound = IMAG_RESIDUE_TOL * (1.0 + np.abs(values.real))
-        if np.any(resid > bound):
-            worst = float(np.max(resid / bound))
-            raise ImaginaryResidueError(
-                f"{context}: imaginary residue exceeds {IMAG_RESIDUE_TOL:g}*(1+|re|) "
-                f"by a factor {worst:.3g}; the term sum lost its Hermitian pairing"
-            )
-    return np.ascontiguousarray(values.real)
-
-
 def wigner_values(spec: BellCatSpec, params: ThermalParams,
                   x1, y1, x2, y2,
-                  chi_mode: str = CHI_KERNEL) -> np.ndarray:
+                  chi_mode: str = "kernel") -> np.ndarray:
     """Dimensionless thermal Wigner function at paired coordinate arrays.
 
     Any `chi_mode` other than the kernel convention is a series diagnostic
     and is evaluated by `bellcat.series.series_values` at its default caps.
     """
-    if chi_mode != CHI_KERNEL:
+    if chi_mode != "kernel":
+        # the one reference import of this module; it stays until the benchmark's
+        # printed-convention control calls series_values itself
         from .series import series_values
 
         return series_values(spec, params, x1, y1, x2, y2, chi_mode=chi_mode)
@@ -286,6 +231,8 @@ class GridAxis:
             raise ValueError("axis count must be >= 2")
         if not (self.maximum > self.minimum):
             raise ValueError("axis maximum must exceed minimum")
+        if not math.isfinite(self.maximum - self.minimum):
+            raise ValueError("axis span must be finite")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.minimum, self.maximum, self.count)
@@ -351,165 +298,3 @@ def wigner_grid(spec: BellCatSpec, params: ThermalParams, slice_: SliceDescripto
     block = factorize(spec, params, *points).combine_block()
     block = block.reshape([axes[i].count for i in order]).transpose(np.argsort(order))
     return WignerGrid(slice_=slice_, values=_finite(np.ascontiguousarray(block), "wigner_grid"))
-
-
-# ---------------------------------------------------------------------------
-# Fock-kernel oracle
-# ---------------------------------------------------------------------------
-
-
-def hermite_functions(nmax: int, xi: np.ndarray) -> np.ndarray:
-    """Normalized oscillator eigenfunctions psi_n(xi), n = 0..nmax.
-
-    Two-term recurrence on the functions themselves (never the bare Hermite
-    polynomials), so magnitudes stay bounded for n of a few hundred.
-    """
-    xi = np.asarray(xi, dtype=float)
-    out = np.empty((nmax + 1,) + xi.shape)
-    out[0] = math.pi ** -0.25 * np.exp(-0.5 * xi * xi)
-    if nmax == 0:
-        return out
-    out[1] = math.sqrt(2.0) * xi * out[0]
-    for n in range(1, nmax):
-        out[n + 1] = (math.sqrt(2.0 / (n + 1)) * xi * out[n]
-                      - math.sqrt(n / (n + 1)) * out[n - 1])
-    return out
-
-
-def fock_wigner_kernels(nmax: int, x: np.ndarray, y: np.ndarray,
-                        tol: float = 1e-10, max_doublings: int = 8) -> np.ndarray:
-    """Dimensionless one-mode Wigner kernels K[j, l](x, y) of |j><l|, j, l <= nmax.
-
-    Direct trapezoid quadrature of
-        K = (1/2 pi) int ds e^{i s y} psi_j(x - s/2) psi_l(x + s/2)
-    refined by doubling until two successive refinements agree below `tol`.
-    The refinements are nested: each doubling evaluates only the new
-    midpoints and adds them to half the previous sum.  Each level runs over
-    the nodes s >= 0 only; the nodes -s add the conjugate transpose.
-    Returns shape (npoints, nmax+1, nmax+1).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape:
-        raise ValueError("x and y must share a shape")
-    turning = math.sqrt(2.0 * nmax + 1.0)
-    half_range = 2.0 * (turning + float(np.max(np.abs(x), initial=0.0))) + 10.0
-    freq = turning + float(np.max(np.abs(y), initial=0.0)) + 1.0
-    npts = 256
-    while npts < half_range * freq / math.pi * 1.3:
-        npts *= 2
-
-    # nodes s = step * k, k = -npts/2 .. npts/2, folded onto s >= 0: the node
-    # s = 0 and the endpoint pair carry half of the trapezoid weight each
-    step = 2.0 * half_range / npts
-    weight = np.full(npts // 2 + 1, step)
-    weight[0] *= 0.5
-    weight[-1] *= 0.5
-    prev = _kernel_sum(nmax, x, y, step * np.arange(npts // 2 + 1), weight)
-    for _ in range(max_doublings):
-        step *= 0.5
-        midpoints = step * np.arange(1, npts, 2)
-        current = 0.5 * prev + _kernel_sum(nmax, x, y, midpoints, np.full(npts // 2, step))
-        if float(np.max(np.abs(current - prev))) < tol:
-            return current
-        prev = current
-        npts *= 2
-    raise QuadratureError(
-        f"Fock kernel quadrature did not converge to {tol:g} by {npts} nodes"
-    )
-
-
-def _kernel_sum(nmax: int, x: np.ndarray, y: np.ndarray, s: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Quadrature sum of the kernel integrand over the nodes +-s (s >= 0) at each point (x, y).
-
-    The (j, l) integrand at -s, psi_j(x + s/2) psi_l(x - s/2) e^{-i s y}, is
-    the conjugate of the (l, j) integrand at s, so the sum is M + M^H with M
-    the sum over the nodes s alone.
-    """
-    out = np.empty((x.size, nmax + 1, nmax + 1), dtype=complex)
-    chunk = max(1, int(4e6 / ((nmax + 1) * s.size)))
-    for lo in range(0, x.size, chunk):
-        sl = slice(lo, min(lo + chunk, x.size))
-        xs, ys = x[sl], y[sl]
-        # ket and bra tables from one recurrence over the stacked arguments x -+ s/2
-        psi_ket, psi_bra = hermite_functions(
-            nmax, np.stack([xs[:, None] - 0.5 * s[None, :], xs[:, None] + 0.5 * s[None, :]]),
-        ).transpose(1, 0, 2, 3)
-        phase = np.exp(1j * s[None, :] * ys[:, None]) * weight[None, :]
-        for b in range(xs.size):
-            weighted = psi_ket[:, b, :] * phase[b][None, :]
-            half = (weighted.real @ psi_bra[:, b, :].T
-                    + 1j * (weighted.imag @ psi_bra[:, b, :].T)) / (2.0 * math.pi)
-            out[lo + b] = half + half.conj().T
-    return out
-
-
-_ORACLE_MASS_EPSILON = 1e-9
-
-
-def oracle_cutoff(spec: BellCatSpec, params: ThermalParams) -> int:
-    """Per-mode Fock cutoff the oracle needs to hold ~1e-9 of the state's mass."""
-    return default_cat_cap(spec, params) + thermal_levels(params, _ORACLE_MASS_EPSILON)
-
-
-def wigner_oracle_values(spec: BellCatSpec, params: ThermalParams,
-                         x1, y1, x2, y2,
-                         cutoff: int | None = None,
-                         kernels: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Oracle W values: quadrature kernels contracted with operator-route density blocks.
-
-    `kernels` may carry precomputed (k1, k2) tables for these points (they
-    depend only on the cutoff and the coordinates, so states sharing both can
-    share them).
-    """
-    arrays = [np.atleast_1d(np.asarray(v, dtype=float)) for v in (x1, y1, x2, y2)]
-    if cutoff is None:
-        cutoff = oracle_cutoff(spec, params)
-    weights, blocks1, blocks2 = mode_thermal_blocks(spec, params, cutoff)
-    if kernels is not None:
-        k1, k2 = kernels
-        if k1.shape[1] != cutoff + 1:
-            raise ValueError(f"precomputed kernels sized for nmax {k1.shape[1] - 1}, need {cutoff}")
-    else:
-        k1 = fock_wigner_kernels(cutoff, arrays[0], arrays[1])
-        k2 = fock_wigner_kernels(cutoff, arrays[2], arrays[3])
-    total = np.zeros(arrays[0].size, dtype=complex)
-    for s in (0, 1):
-        for t in (0, 1):
-            c1 = np.einsum("pnm,nm->p", k1, blocks1[s][t])
-            c2 = np.einsum("pnm,nm->p", k2, blocks2[s][t])
-            total += weights[s, t] * c1 * c2
-    return _to_real(total, "wigner_oracle")
-
-
-# ---------------------------------------------------------------------------
-# zero-temperature closed form (coherent-state algebra; independent of both paths)
-# ---------------------------------------------------------------------------
-
-
-def closed_form_zero_temperature(spec: BellCatSpec, x1, y1, x2, y2) -> np.ndarray:
-    """W of the pure Bell-Cat state from the coherent cross-Wigner identity.
-
-    W_{|u><w|}(x, y) = (1/pi) e^{-x^2-y^2} e^{-(|u|^2+|w|^2)/2}
-                       exp(sqrt2 u zbar + sqrt2 conj(w) z - u conj(w)),
-    z = x + i y.  Summing the four branch pairs of |psi><psi| gives the state.
-    """
-    arrays = [np.atleast_1d(np.asarray(v, dtype=float)) for v in (x1, y1, x2, y2)]
-    z1 = arrays[0] + 1j * arrays[1]
-    z2 = arrays[2] + 1j * arrays[3]
-    alpha, k, sigma = spec.alpha, spec.k, spec.sigma
-    norm_sq = 1.0 / (2.0 * spec.parity_overlap)
-
-    def cross(u: complex, w: complex, z: np.ndarray) -> np.ndarray:
-        return np.exp(math.sqrt(2.0) * u * np.conj(z) + math.sqrt(2.0) * np.conj(w) * z
-                      - u * np.conj(w) - 0.5 * (abs(u) ** 2 + abs(w) ** 2))
-
-    total = np.zeros(z1.shape, dtype=complex)
-    for bra_sign in (1, -1):
-        for ket_sign in (1, -1):
-            weight = sigma ** ((ket_sign < 0) + (bra_sign < 0))
-            total += weight * (cross(ket_sign * alpha, bra_sign * alpha, z1)
-                               * cross(ket_sign * k * alpha, bra_sign * k * alpha, z2))
-    envelope = np.exp(-(np.abs(z1) ** 2 + np.abs(z2) ** 2))
-    values = norm_sq / math.pi**2 * envelope * total
-    return _to_real(values, "closed_form_zero_temperature")

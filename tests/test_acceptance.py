@@ -29,20 +29,11 @@ from bellcat.negativity import (
     integrate_negativity,
     temperature_sweep,
 )
+from bellcat.oracle import closed_form_zero_temperature, fock_wigner_kernels, oracle_cutoff, wigner_oracle_values
 from bellcat.series import series_values
 from bellcat.states import STATE_LABELS, BellCatSpec, coherent_overlap_sq
 from bellcat.tfd import HBAR, KB, thermal_params
-from bellcat.wigner import (
-    PhasePoint,
-    SliceDescriptor,
-    closed_form_zero_temperature,
-    fock_wigner_kernels,
-    oracle_cutoff,
-    wigner_grid,
-    wigner_oracle_values,
-    wigner_point,
-    wigner_values,
-)
+from bellcat.wigner import PhasePoint, SliceDescriptor, wigner_grid, wigner_point, wigner_values
 
 OMEGA = 2 * math.pi * 5.5e9
 ALL_LABELS = sorted(STATE_LABELS)

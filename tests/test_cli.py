@@ -18,7 +18,8 @@ from bellcat.errors import NormalizationError
 from bellcat.negativity import integrate_negativity
 from bellcat.states import STATE_LABELS, BellCatSpec
 from bellcat.tfd import HBAR, KB, thermal_params
-from bellcat.wigner import CHI_KERNEL, SliceDescriptor, wigner_grid
+from bellcat.series import CHI_KERNEL
+from bellcat.wigner import SliceDescriptor, wigner_grid
 
 FAST_WIGNER = ["wigner", "--grid-count", "9", "--half-width", "4.0"]
 
@@ -313,17 +314,21 @@ def finite_or_clean_error(code, out, err):
 class TestOutOfRangeInputs:
     # no traceback and, with warnings raised as errors, no floating-point warning
     @pytest.mark.parametrize("state", sorted(STATE_LABELS))
-    @pytest.mark.parametrize("amplitude", ["1e100", "1e150", "5e153", "1e154", "1.4e154", "1e300"])
+    @pytest.mark.parametrize("amplitude", ["1e100", "1e150", "5e153", "1e154", "1.4e154", "1e300",
+                                           "1.5e308+1.5e308j"])
     @pytest.mark.parametrize("command", [["negativity"], FAST_WIGNER])
     def test_large_amplitude(self, command, amplitude, state, tmp_path, capsys):
         # up to 1e150 the values are finite (W and nu underflow to 0 at 0.01 K); from 5e153
-        # on, 4 |P|^2 overflows and mode_constants raises
+        # on, 4 |P|^2 overflows and mode_constants raises; past the float range |alpha|
+        # itself overflows and BellCatSpec raises
+        alpha = complex(amplitude)
+        imag = ["--alpha-im", repr(alpha.imag)] if alpha.imag else []
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(command + ["--state", state, "--alpha-re", amplitude, "--out", str(out)])
+            code = main(command + ["--state", state, "--alpha-re", repr(alpha.real), *imag, "--out", str(out)])
         name = finite_or_clean_error(code, out, capsys.readouterr().err)
-        assert name == (None if float(amplitude) <= 1e150 else "NonFiniteError")
+        assert name == (None if alpha.real <= 1e150 else "NonFiniteError")
 
     @pytest.mark.parametrize("flags", [["--temp", "1e300"], ["--freq1", "1e-300"]])
     @pytest.mark.parametrize("command", [["negativity"], FAST_WIGNER])
@@ -333,6 +338,22 @@ class TestOutOfRangeInputs:
             warnings.simplefilter("error")
             code = main(command + flags + ["--out", str(out)])
         assert finite_or_clean_error(code, out, capsys.readouterr().err) == "NonFiniteError"
+
+    @pytest.mark.parametrize("flags", [["--half-width", "1e200"], ["--fix-y2", "1e160"]])
+    def test_huge_coordinates(self, flags, tmp_path, capsys):
+        # the squares of the coordinates overflow to inf, and e^{-inf} = 0 is the exact value
+        out = tmp_path / "w.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["wigner", "--grid-count", "3", *flags, "--out", str(out)])
+        assert finite_or_clean_error(code, out, capsys.readouterr().err) is None
+        w = np.loadtxt(out, delimiter=",", comments="#", skiprows=11)[:, 4]
+        assert np.count_nonzero(w) == (1 if flags[0] == "--half-width" else 0)
+
+    @pytest.mark.parametrize("width", ["1e308", "inf"])
+    def test_axis_span_past_float_range_is_usage_error(self, width, capsys):
+        assert main(["wigner", "--grid-count", "3", "--half-width", width]) == 2
+        assert capsys.readouterr().err == "usage error: axis span must be finite\n"
 
     def test_sweep_writes_nan_row_for_overflowing_temperature(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
@@ -515,13 +536,13 @@ class TestValidateCommand:
     def test_one_kernel_pair_per_config(self, flags, pairs, capsys, monkeypatch):
         # the four states of each (alpha, T) config share one point set and one pair of Fock kernels
         cutoffs = []
-        fock_wigner_kernels = bellcat.wigner.fock_wigner_kernels
+        fock_wigner_kernels = bellcat.oracle.fock_wigner_kernels
 
         def spy(nmax, *args, **kwargs):
             cutoffs.append(nmax)
             return fock_wigner_kernels(nmax, *args, **kwargs)
 
-        monkeypatch.setattr(bellcat.wigner, "fock_wigner_kernels", spy)
+        monkeypatch.setattr(bellcat.oracle, "fock_wigner_kernels", spy)
         assert main(["validate"] + flags) == 0
         assert len(cutoffs) == 2 * pairs
         assert len(set(cutoffs)) == pairs

@@ -270,7 +270,7 @@ class TestCutoffPolicy:
     def test_default_cutoff_keeps_deficit_small(self):
         # full matrices at the default cutoff get large at T = 1 K; the trace
         # of a Kronecker sum factorizes, so check the deficit via mode blocks
-        from bellcat.wigner import default_cat_cap
+        from bellcat.series import default_cat_cap
         from bellcat.density import thermal_levels
 
         for temp in (0.0, 0.3, 1.0):

@@ -1,0 +1,68 @@
+"""The production modules import no reference route.
+
+`bellcat.wigner` and `bellcat.negativity` hold the production evaluator.  The
+density builds (`bellcat.density`), the Laguerre series (`bellcat.series`) and
+the Fock-kernel oracle (`bellcat.oracle`) are reference routes beside them,
+and their dependency runs one way, density <- series <- oracle: the series
+imports neither the production module nor the oracle.  The imports are read
+from the source at every nesting depth, so a function-local import counts.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import bellcat
+
+PACKAGE = Path(bellcat.__file__).parent
+REFERENCE = {"density", "series", "oracle"}
+# the one exception: `wigner_values(chi_mode=...)` hands a series diagnostic to
+# `series_values`, because bench/controls.py calls `bellcat.wigner_values(..., chi_mode="printed")`
+ALLOWED = {("wigner", "wigner_values", "series", ("series_values",))}
+
+
+def package_imports(module: str) -> list[tuple[str | None, str, tuple[str, ...]]]:
+    """(enclosing function, bellcat module, imported names) of each package import in `module`."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                for alias in child.names:
+                    if alias.name.startswith("bellcat."):
+                        found.append((function, alias.name.split(".")[1], ()))
+            elif isinstance(child, ast.ImportFrom):
+                names = tuple(alias.name for alias in child.names)
+                source = child.module or ""
+                if child.level == 0:
+                    if source != "bellcat" and not source.startswith("bellcat."):
+                        continue
+                    source = source.removeprefix("bellcat").lstrip(".")
+                if source:
+                    found.append((function, source.split(".")[0], names))
+                else:       # from . import series
+                    found.extend((function, name, (name,)) for name in names)
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            visit(child, inner)
+
+    visit(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")), None)
+    return found
+
+
+@pytest.mark.parametrize("module", ["wigner", "negativity"])
+def test_production_modules_import_no_reference_route(module):
+    bad = [(function, source, names) for function, source, names in package_imports(module)
+           if source in REFERENCE and (module, function, source, names) not in ALLOWED]
+    assert bad == []
+
+
+def test_series_imports_neither_the_production_module_nor_the_oracle():
+    assert {source for _, source, _ in package_imports("series")} & {"wigner", "negativity", "oracle"} == set()
+
+
+def test_scanner_sees_local_and_module_level_imports():
+    # the allowed exception is function-local; the oracle imports both routes it builds on
+    assert (None, "series", ("_to_real", "default_cat_cap")) in package_imports("oracle")
+    assert (None, "density", ("mode_thermal_blocks", "thermal_levels")) in package_imports("oracle")
+    assert ("wigner_values", "series", ("series_values",)) in package_imports("wigner")

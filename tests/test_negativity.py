@@ -15,7 +15,8 @@ from bellcat.negativity import (
 )
 from bellcat.states import STATE_LABELS, BellCatSpec
 from bellcat.tfd import thermal_params
-from bellcat.wigner import fock_wigner_kernels, wigner_values
+from bellcat.oracle import fock_wigner_kernels
+from bellcat.wigner import wigner_values
 
 OMEGA = 2 * math.pi * 5.5e9
 

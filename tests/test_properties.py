@@ -19,10 +19,10 @@ import bellcat.negativity
 from bellcat.density import build_density_matrix, build_density_operator
 from bellcat.errors import NonFiniteError, TruncationError
 from bellcat.negativity import integrate_negativity
-from bellcat.series import default_thermal_cap, series_values
+from bellcat.series import default_cat_cap, default_thermal_cap, series_values
 from bellcat.states import STATE_LABELS, BellCatSpec
 from bellcat.tfd import thermal_params
-from bellcat.wigner import default_cat_cap, wigner_values
+from bellcat.wigner import wigner_values
 
 OMEGA = 2 * math.pi * 5.5e9
 # series evaluations above this many table terms per point take seconds each

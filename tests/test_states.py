@@ -13,7 +13,7 @@ from bellcat.states import (
     fock_coefficients,
 )
 from bellcat.tfd import thermal_params
-from bellcat.wigner import default_cat_cap
+from bellcat.series import default_cat_cap
 
 mpmath.mp.dps = 40
 

@@ -5,28 +5,27 @@ import math
 import numpy as np
 import pytest
 
-import bellcat.wigner
+import bellcat.oracle
 from bellcat.errors import ImaginaryResidueError, QuadratureError, TruncationError
-from bellcat.series import TruncationConfig, _mode_h_tables, series_values
-from bellcat.special_fn import log_factorial_table
-from bellcat.states import STATE_LABELS, BellCatSpec
-from bellcat.tfd import thermal_params
-from bellcat.wigner import (
-    CHI_BROKEN,
-    CHI_PRINTED,
-    GridAxis,
-    PhasePoint,
-    SliceDescriptor,
+from bellcat.oracle import (
     closed_form_zero_temperature,
-    default_cat_cap,
     fock_wigner_kernels,
     hermite_functions,
     oracle_cutoff,
-    wigner_grid,
     wigner_oracle_values,
-    wigner_point,
-    wigner_values,
 )
+from bellcat.series import (
+    CHI_BROKEN,
+    CHI_PRINTED,
+    TruncationConfig,
+    _mode_h_tables,
+    default_cat_cap,
+    series_values,
+)
+from bellcat.special_fn import log_factorial_table
+from bellcat.states import STATE_LABELS, BellCatSpec
+from bellcat.tfd import thermal_params
+from bellcat.wigner import GridAxis, PhasePoint, SliceDescriptor, wigner_grid, wigner_point, wigner_values
 
 OMEGA = 2 * math.pi * 5.5e9
 T0 = thermal_params(0.0, OMEGA)
@@ -145,7 +144,7 @@ class TestKernelSumTables:
         x = np.array([0.0, 0.9, -2.5, 4.0, 1.3])
         y = np.array([0.0, 0.3, 1.7, -3.2, -0.6])
         got = fock_wigner_kernels(nmax, x, y)
-        monkeypatch.setattr(bellcat.wigner, "_kernel_sum", kernel_sum_two_calls)
+        monkeypatch.setattr(bellcat.oracle, "_kernel_sum", kernel_sum_two_calls)
         assert np.array_equal(got, fock_wigner_kernels(nmax, x, y))
 
 def scattered_h_tables(gamma, q, one_minus_q, cat_cap, thermal_cap):
@@ -367,6 +366,15 @@ class TestTruncationConfig:
         got = series_values(spec, params_for(5.0), x, 0 * x, x, 0 * x)
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - wigner_values(spec, params_for(5.0), x, 0 * x, x, 0 * x))) <= 1e-8
+
+    @pytest.mark.parametrize("temp", [1e6, 1e17])
+    @pytest.mark.parametrize("route", [series_values, wigner_oracle_values])
+    def test_levels_past_the_hard_cap_raise(self, route, temp):
+        # at 1e6 K the Gibbs tail needs about 1.4e8 levels; at 1e17 K q = e^{-beta hbar omega}
+        # rounds to 1, and the level count divided by -log q = 0
+        spec = BellCatSpec.from_label("phi-minus", 1.0)
+        with pytest.raises(TruncationError, match="hard cap 2000"):
+            route(spec, params_for(temp), 0.0, 0.0, 0.0, 0.0)
 
 
 class TestGrids:
