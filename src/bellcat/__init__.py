@@ -21,7 +21,6 @@ from .states import (
     fock_coefficients,
 )
 from .tfd import HBAR, KB, ThermalParams, gibbs_weight, thermal_params
-from .density import TruncatedDensity, build_density_matrix, build_density_operator
 from .wigner import (
     GridAxis,
     PhasePoint,

@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p_validate = sub.add_parser("validate", help="run the oracle cross-validation suite")
-    p_validate.add_argument("--quick", action="store_true", help="smaller battery (0.15-0.2 s instead of 0.5-0.8 s on 2 CPUs)")
+    p_validate.add_argument("--quick", action="store_true", help="smaller battery (0.1-0.15 s instead of 0.3-0.5 s on 2 CPUs)")
 
     p_wigner = sub.add_parser("wigner", help="evaluate a 2D slice of the Wigner function to CSV")
     add_common(p_wigner)
@@ -253,13 +253,13 @@ def _route_config_gaps(labels: list[str], alpha: complex, params, pts: np.ndarra
 def _run_checks(quick: bool) -> list[tuple[str, bool, str]]:
     """The validation battery, in report order.
 
-    The density and three-route configs run on `_worker_count()` threads: the
-    calling thread and a pool of the others.  The calling thread first runs
-    the light checks, the series diagnostics among them, and then takes
-    configs from the same list as the pool, heaviest first.  Every random
-    point is drawn on the calling thread first, in a fixed order, and the
-    results are reduced in report order, so the report does not depend on
-    the number of workers.
+    The three-route configs run on `_worker_count()` threads: the calling
+    thread and a pool of the others.  The calling thread first runs the
+    light checks, the density configs and the series diagnostics among
+    them, and then takes configs from the same list as the pool, heaviest
+    first.  Every random point is drawn on the calling thread first, in a
+    fixed order, and the results are reduced in report order, so the report
+    does not depend on the number of workers.
     """
     import threading
     from concurrent.futures import ThreadPoolExecutor    # here, so `import bellcat` does not pay for it
@@ -294,17 +294,10 @@ def _run_checks(quick: bool) -> list[tuple[str, bool, str]]:
     spec = BellCatSpec.from_label("phi-minus", 1.0)
     result = integrate_negativity(spec, thermal_params(0.01, omega))
 
-    jobs = [(route_gap, job) for job in density_jobs] + [(_route_config_gaps, job) for job in route_jobs]
-
-    def rank(index: int) -> int:
-        # the warm three-route config (oracle cutoff 128) first, then density, then the cold one
-        if index < len(density_jobs):
-            return 1
-        return 2 if route_jobs[index - len(density_jobs)][2].is_zero_temperature else 0
-
-    pending = iter(sorted(range(len(jobs)), key=rank))
+    # the warm config (oracle cutoff 128) first, then the cold one
+    pending = iter(sorted(range(len(route_jobs)), key=lambda index: route_jobs[index][2].is_zero_temperature))
     lock = threading.Lock()
-    gaps: list = [None] * len(jobs)
+    gaps: list = [None] * len(route_jobs)
 
     def drain() -> None:
         while True:
@@ -312,22 +305,21 @@ def _run_checks(quick: bool) -> list[tuple[str, bool, str]]:
                 index = next(pending, None)
             if index is None:
                 return
-            fn, args = jobs[index]
-            gaps[index] = fn(*args)
+            gaps[index] = _route_config_gaps(*route_jobs[index])
 
     helpers = _worker_count() - 1
     with ThreadPoolExecutor(max_workers=max(1, helpers)) as pool:
         running = [pool.submit(drain) for _ in range(helpers)]
+        worst = max(route_gap(*job) for job in density_jobs)
         light = _light_checks(labels, cold_pts, pts, omega)
         drain()
         for future in running:
             future.result()
 
-    worst = float(np.max(gaps[:len(density_jobs)]))
-    record("density element formula vs operator product", worst < 1e-10, f"max |diff| = {worst:.2e}")
+    record("density element formula vs operator product", worst < 1e-10, f"max |diff| <= {worst:.2e}")
     names = ("Gaussian vs Fock-kernel oracle", "Laguerre series vs Fock-kernel oracle",
              "Gaussian vs Laguerre series")
-    for name, values in zip(names, zip(*gaps[len(density_jobs):])):
+    for name, values in zip(names, zip(*gaps)):
         worst = float(np.max(values))
         record(name, worst < 1e-8, f"max |diff| = {worst:.2e}")
     checks += light

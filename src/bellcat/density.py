@@ -1,9 +1,10 @@
-"""Thermal density operator of the Bell-Cat states over a truncated two-mode Fock basis.
+"""Thermal density operator of the Bell-Cat states over a truncated two-mode Fock basis, by per-mode factors.
 
-Two independent constructions of the same operator are provided and
-cross-validated in the test suite and by `bellcat validate`:
+The density operator is a sum of four Kronecker products of per-mode
+matrices, one per parity branch (s, t), and two independent constructions
+give those factors:
 
-* :func:`build_density_operator` -- operator route.  The dressing operator
+* operator route (:func:`mode_thermal_blocks`).  The dressing operator
 
       f = N e^{-|alpha|^2} sum_{n,m} alpha^{n+m} k^m [1 + sigma (-1)^{n+m}]
           (a1^dag)^n (a2^dag)^m / (n! m! u1^n u2^m)
@@ -11,28 +12,27 @@ cross-validated in the test suite and by `bellcat validate`:
   splits over the two parity branches into products of per-mode creation
   exponentials, f = C [E(g1) x E(g2) + sigma E(-g1) x E(-g2)] with
   E(g) = e^{g a^dag}, and the Gibbs matrix rho_beta is a product of per-mode
-  diagonals, so f rho_beta f^dag is a sum of four Kronecker products of the
-  per-mode blocks E(+-g) rho_beta E(+-g)^dag (:func:`mode_thermal_blocks`).
+  diagonals, so f rho_beta f^dag = sum_{s,t} w_st B1(s,t) x B2(s,t) with
+  B_i(s,t) = E(+-g_i) rho_beta,i E(+-g_i)^dag.
 
-* :func:`build_density_matrix` -- direct route.  Each element is the finite
-  sum over shared thermal excitations (n1, n2) of the explicit coefficient
-  formula, assembled from log-factorials.
+* direct route (:func:`_direct_terms`).  Each element is the finite sum over
+  shared thermal excitations (n1, n2) of the explicit coefficient formula;
+  expanding its parity brackets over the four sign branches factorizes it
+  into per-mode matrices R_i(s,t) (:func:`_direct_mode_factor`), assembled
+  from log-factorials, so rho = sum_{s,t} w'_st Q1(s,t) x Q2(s,t) with
+  Q_i = (1 - q_i) R_i.
 
-Both are formed one mode-1 row at a time by a row kernel per route
-(:func:`_operator_row`, :func:`_direct_row`), with each element rounded as
-in the whole-matrix expression sum(w * np.kron(A, B)).  A row is laid out
-with the even-parity indices first (:func:`_parity_order`), so the operator
-route forms only its (+,+) and (+,-) products, on the half of the row that
-the parity selection rule allows, and writes exact zeros on the other half.
-:func:`route_gap` compares the two routes element by element through the
-same kernels, without forming either matrix.
+Nothing here forms the (cutoff+1)^2-dimensional matrix.  :func:`route_gap`
+compares the two routes on their factors: the largest |entry| of a
+Kronecker product is the product of the factors' largest |entries|, which
+bounds the two-mode max |operator - direct| from per-mode matrices alone,
+and tr(A x B) = tr A tr B gives each route's trace.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,9 +42,6 @@ from .states import BellCatSpec, bellcat_normalization
 from .tfd import ThermalParams, gibbs_weight
 
 __all__ = [
-    "TruncatedDensity",
-    "build_density_operator",
-    "build_density_matrix",
     "route_gap",
     "mode_thermal_blocks",
     "thermal_levels",
@@ -52,22 +49,7 @@ __all__ = [
 
 TRACE_DEFICIT_LIMIT = 0.01
 HARD_THERMAL_CAP = 2000
-
-
-@dataclass(frozen=True)
-class TruncatedDensity:
-    """Hermitian density matrix on the (cutoff+1)^2-dimensional truncated space.
-
-    Rows/columns are flattened two-mode indices N1*(cutoff+1) + N2.  The trace
-    deficit 1 - tr(rho) reports the thermal/coherent mass lost to truncation.
-    """
-
-    cutoff: int
-    matrix: np.ndarray = field(repr=False)
-    trace_deficit: float
-
-    def __post_init__(self):
-        self.matrix.flags.writeable = False
+_BRANCHES = ((0, 0), (1, 1), (0, 1), (1, 0))
 
 
 def thermal_levels(params: ThermalParams, epsilon: float) -> int:
@@ -100,7 +82,7 @@ def _exp_creation(coefficient: complex, cutoff: int) -> tuple[np.ndarray, np.nda
     The shift matrix is nilpotent, so the exponential series terminates and
     is exact: entry (i, j) is g^{i-j} sqrt(i!/j!) / (i-j)! for i >= j, filled
     from log-factorials.  E(-g) is E(g) with the sign (-1)^{i-j}, bit for bit,
-    so the parity images of the operator build cancel exactly.
+    so the parity images of the operator route cancel exactly.
     """
     i, j = np.indices((cutoff + 1, cutoff + 1))
     k = np.maximum(i - j, 0)
@@ -108,87 +90,6 @@ def _exp_creation(coefficient: complex, cutoff: int) -> tuple[np.ndarray, np.nda
     log_mag = k * math.log(abs(coefficient)) + 0.5 * (lf[i] - lf[j]) - lf[k]
     plus = np.where(i >= j, np.exp(log_mag + 1j * cmath.phase(coefficient) * k), 0.0)
     return plus, np.where(k % 2 == 0, plus, -plus)
-
-
-def _parity_order(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The builders' row layout: mode-1 columns j and flattened mode-2 indices k*n + l, even ones first.
-
-    j_order lists the (n + 1) // 2 even j before the odd ones, and kl_order
-    the (n*n + 1) // 2 indices k*n + l with k + l even before the others.  In
-    a row laid out as [j_order, kl_order], the elements of mode-1 row i with
-    i + j + k + l even fill two rectangles, (j = i mod 2, k + l even) and
-    (j != i mod 2, k + l odd), and the odd ones fill the other two.
-    """
-    kl = np.arange(n * n)
-    kl_even = (kl // n + kl % n) % 2 == 0
-    return np.r_[0:n:2, 1:n:2], np.concatenate([kl[kl_even], kl[~kl_even]])
-
-
-def _operator_row(terms, i: int, row: np.ndarray, scratch: np.ndarray) -> None:
-    """Operator-route mode-1 row i in the parity layout (:func:`_parity_order`), from two of its four terms.
-
-    `terms` holds the (+,+) and (+,-) terms (w, A[:, j_order], B.flat[kl_order]).
-    The (-,-) and (-,+) terms are their parity images bit for bit: the same
-    weight, and blocks equal to (-1)^(i+j) times these.  So the sum in the
-    order ((t++ + t--) + t+-) + t-+ is (2 t++ + t+-) + t+- on the elements
-    with i + j + k + l even and exactly 0 on the odd ones; each t is
-    w * (A[i, j] * B[k, l]), rounded as in sum(w * np.kron(A, B)).
-    `scratch` is a flat buffer of (n + 1) n^2 elements.
-    """
-    (w0, a0, b0), (w1, a1, b1) = terms
-    n = row.shape[0]
-    first, second = slice(0, (n + 1) // 2), slice((n + 1) // 2, n)
-    same, other = (first, second) if i % 2 == 0 else (second, first)
-    even, odd = slice(0, (n * n + 1) // 2), slice((n * n + 1) // 2, n * n)
-    row[same, odd] = 0.0
-    row[other, even] = 0.0
-    # each rectangle is summed in two contiguous pieces of `scratch`, where the
-    # elementwise passes run about twice as fast as on the strided view
-    for rows, cols in ((same, even), (other, odd)):
-        shape = (rows.stop - rows.start, cols.stop - cols.start)
-        size = shape[0] * shape[1]
-        total, term = scratch[:size].reshape(shape), scratch[size:2 * size].reshape(shape)
-        np.multiply(a0[i, rows][:, None], b0[None, cols], out=total)
-        total *= w0
-        total += total
-        np.multiply(a1[i, rows][:, None], b1[None, cols], out=term)
-        term *= w1
-        total += term
-        total += term
-        row[rows, cols] = total
-
-
-def _direct_row(terms, i: int, row: np.ndarray, scratch: np.ndarray) -> None:
-    """Direct-route mode-1 row i in the parity layout: A[i, j] * B[k, l] summed over the terms in order.
-
-    `terms` holds (A[:, j_order], B.flat[kl_order]) pairs whose +-1 branch
-    weight is already in A, which is exact, so each product equals
-    w * (A[i, j] * B[k, l]) of the whole-matrix expression.  `scratch` is a
-    flat buffer of at least n^3 elements.
-    """
-    scratch = scratch[:row.size].reshape(row.shape)
-    for index, (a, b) in enumerate(terms):
-        dest = row if index == 0 else scratch
-        np.multiply(a[i][:, None], b[None, :], out=dest)
-        if index:
-            row += scratch
-
-
-def _kron_sum(row_kernel, terms, n: int) -> np.ndarray:
-    """The (n*n, n*n) matrix of a row kernel, one mode-1 row i at a time.
-
-    Each row is formed in the parity layout and gathered into a (n, n, n, n)
-    buffer indexed [i, k, j, l], element (i*n + k, j*n + l) of the matrix.
-    """
-    j_pos, kl_pos = map(np.argsort, _parity_order(n))
-    # element (i*n + k, j*n + l) sits at row[j_pos[j], kl_pos[k*n + l]] of row i
-    gather = j_pos[None, :, None] * (n * n) + kl_pos.reshape(n, 1, n)
-    out = np.empty((n, n, n, n), dtype=complex)
-    row, scratch = np.empty((n, n * n), dtype=complex), np.empty((n + 1) * n * n, dtype=complex)
-    for i in range(n):
-        row_kernel(terms, i, row, scratch)
-        np.take(row, gather, out=out[i])
-    return out.reshape(n * n, n * n)
 
 
 def _trace_deficit(trace: complex, cutoff: int, enforce_trace_limit: bool) -> float:
@@ -199,39 +100,6 @@ def _trace_deficit(trace: complex, cutoff: int, enforce_trace_limit: bool) -> fl
             f"cutoff {cutoff} is too small for these parameters"
         )
     return deficit
-
-
-def _finish(matrix: np.ndarray, cutoff: int, enforce_trace_limit: bool) -> TruncatedDensity:
-    return TruncatedDensity(cutoff=cutoff, matrix=matrix,
-                            trace_deficit=_trace_deficit(np.trace(matrix), cutoff, enforce_trace_limit))
-
-
-def build_density_operator(spec: BellCatSpec, params: ThermalParams, cutoff: int,
-                           enforce_trace_limit: bool = True) -> TruncatedDensity:
-    """Operator-route density matrix f rho_beta f^dag, as the sum of its four mode-block products.
-
-    Each branch is added right after its parity image, (+,+) with (-,-) and
-    (+,-) with (-,+): the two agree bit for bit up to the sign (-1)^(N - Nbar)
-    of the total excitation difference, so the elements the parity selection
-    rule forbids cancel to exact zeros (:func:`_operator_row` writes them as
-    such and forms the images' sums from the (+,+) and (+,-) products).
-
-    `enforce_trace_limit=False` skips the 1% trace-deficit gate; the two build
-    routes stay entrywise exact at any cutoff, so formula cross-checks may
-    run on deliberately small spaces.
-    """
-    return _finish(_kron_sum(_operator_row, _operator_terms(spec, params, cutoff), cutoff + 1),
-                   cutoff, enforce_trace_limit)
-
-
-def _operator_terms(spec: BellCatSpec, params: ThermalParams, cutoff: int) -> list:
-    """The (+,+) and (+,-) Kronecker terms (w, A, B) of the operator route, in the parity layout."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
-    weights, blocks1, blocks2 = mode_thermal_blocks(spec, params, cutoff)
-    j_order, kl_order = _parity_order(cutoff + 1)
-    return [(weights[0, t], np.take(blocks1[0][t], j_order, axis=1), blocks2[0][t].ravel()[kl_order])
-            for t in (0, 1)]
 
 
 def _direct_mode_factor(gamma: complex, q: float, one_minus_q: float, sign_ket: int,
@@ -270,76 +138,60 @@ def _direct_mode_factor(gamma: complex, q: float, one_minus_q: float, sign_ket: 
     return (u_ket * w[None, :]) @ u_bra.conj().T
 
 
-def build_density_matrix(spec: BellCatSpec, params: ThermalParams, cutoff: int,
-                         enforce_trace_limit: bool = True) -> TruncatedDensity:
-    """Direct-route density matrix from the explicit element formula.
+def _direct_terms(spec: BellCatSpec, params: ThermalParams, cutoff: int):
+    """(weights, factors1, factors2) of the direct route, laid out as :func:`mode_thermal_blocks` returns them.
 
-    The parity brackets are expanded over their four sign branches; each branch
-    factorizes into per-mode matrices that are assembled in log space and
-    combined as Kronecker products.  For a fixed matrix element all index sums
-    are finite, so the result is exact at any cutoff.
+    rho = sum_{s,t} weights[s,t] * kron(factors1[s][t], factors2[s][t]), with
+    the factors Q_i(s,t) = (1 - q_i) R_i(s,t): the printed prefactor
+    e^{-2|alpha|^2} (1-q1)(1-q2) / (2 P) split into a weight
+    sigma^{s+t} e^{-2|alpha|^2} / (2 P) and one (1 - q_i) per mode.
     """
-    terms, pref = _direct_terms(spec, params, cutoff)
-    rho = _kron_sum(_direct_row, terms, cutoff + 1)
-    rho *= pref
-    return _finish(rho, cutoff, enforce_trace_limit)
-
-
-def _direct_terms(spec: BellCatSpec, params: ThermalParams, cutoff: int) -> tuple[list, float]:
-    """(w R1, R2) Kronecker terms of the direct route in the parity layout, one per sign branch, and the prefactor."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
-    a2 = abs(spec.alpha) ** 2
-    q1, q2 = params.exp1, params.exp2
-    om1, om2 = params.one_minus_exp1, params.one_minus_exp2
-    pref = math.exp(-2.0 * a2) * om1 * om2 / (2.0 * spec.parity_overlap)
-
-    g1, g2 = spec.alpha, spec.k * spec.alpha
-    j_order, kl_order = _parity_order(cutoff + 1)
-    terms = []
-    for s in (0, 1):
-        for t in (0, 1):
-            # u_i^{-(n+nbar)} in the printed formula equals (1-q_i)^{(n+nbar)/2}
-            r1 = np.take(_direct_mode_factor(g1, q1, om1, 1 - 2 * s, 1 - 2 * t, cutoff), j_order, axis=1)
-            r2 = _direct_mode_factor(g2, q2, om2, 1 - 2 * s, 1 - 2 * t, cutoff).ravel()[kl_order]
-            terms.append((r1 if spec.sigma ** (s + t) > 0 else -r1, r2))
-    return terms, pref
+    weight = math.exp(-2.0 * abs(spec.alpha) ** 2) / (2.0 * spec.parity_overlap)
+    weights = np.empty((2, 2))
+    factors1 = [[None, None], [None, None]]
+    factors2 = [[None, None], [None, None]]
+    for s, t in _BRANCHES:
+        weights[s, t] = spec.sigma ** (s + t) * weight
+        # u_i^{-(n+nbar)} in the printed formula equals (1-q_i)^{(n+nbar)/2}
+        factors1[s][t] = params.one_minus_exp1 * _direct_mode_factor(
+            spec.alpha, params.exp1, params.one_minus_exp1, 1 - 2 * s, 1 - 2 * t, cutoff)
+        factors2[s][t] = params.one_minus_exp2 * _direct_mode_factor(
+            spec.k * spec.alpha, params.exp2, params.one_minus_exp2, 1 - 2 * s, 1 - 2 * t, cutoff)
+    return weights, factors1, factors2
 
 
 def route_gap(spec: BellCatSpec, params: ThermalParams, cutoff: int,
               enforce_trace_limit: bool = True) -> float:
-    """max |operator route - direct route| over all elements, without forming either matrix.
+    """Upper bound on max |operator route - direct route| over the two-mode elements, from per-mode factors.
 
-    Both routes are streamed one mode-1 row at a time through the builders'
-    row kernels (:func:`_operator_row`, :func:`_direct_row`), so every
-    element, each trace and hence the result equal those of the two built
-    matrices bit for bit; only two rows are held at once.  With
-    `enforce_trace_limit` the trace-deficit gate raises `CutoffError` exactly
-    where :func:`build_density_operator` or :func:`build_density_matrix` would.
+    With B_i the operator route's blocks, Q_i the direct route's factors and
+    w, w' the two routes' weights, each branch differs by
+    (w - w') B1 x B2 + w' (B1 - Q1) x B2 + w' Q1 x (B2 - Q2), and the largest
+    |entry| of a Kronecker product is the product of its factors' largest
+    |entries|; the bound sums those over the four branches.  With
+    `enforce_trace_limit` the 1% trace-deficit gate raises `CutoffError`
+    where either route's trace, sum w tr(A) tr(B), falls short; without
+    it, both routes are exact on the truncated space, so formula checks
+    may run at any cutoff.
     """
-    op_terms = _operator_terms(spec, params, cutoff)
-    di_terms, pref = _direct_terms(spec, params, cutoff)
-    n = cutoff + 1
-    op_row, di_row = np.empty((n, n * n), dtype=complex), np.empty((n, n * n), dtype=complex)
-    scratch = np.empty((n + 1) * n * n, dtype=complex)
-    magnitude = np.empty((n, n * n))
-    op_diag, di_diag = np.empty((n, n), dtype=complex), np.empty((n, n), dtype=complex)
-    row_max = np.empty(n)
-    # diagonal element i*n + k of the whole matrix sits at [j_pos[i], diagonal[k]] of row i
-    j_pos, kl_pos = map(np.argsort, _parity_order(n))
-    diagonal = kl_pos[np.arange(n) * (n + 1)]
-    for i in range(n):
-        _operator_row(op_terms, i, op_row, scratch)
-        _direct_row(di_terms, i, di_row, scratch)
-        di_row *= pref
-        op_diag[i] = op_row[j_pos[i], diagonal]
-        di_diag[i] = di_row[j_pos[i], diagonal]
-        np.subtract(op_row, di_row, out=op_row)
-        np.abs(op_row, out=magnitude)
-        row_max[i] = magnitude.max()
-    _trace_deficit(op_diag.sum(), cutoff, enforce_trace_limit)
-    _trace_deficit(di_diag.sum(), cutoff, enforce_trace_limit)
-    return float(row_max.max())
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
+    operator = mode_thermal_blocks(spec, params, cutoff)
+    direct = _direct_terms(spec, params, cutoff)
+    for weights, blocks1, blocks2 in (operator, direct):
+        trace = sum(weights[s, t] * np.trace(blocks1[s][t]) * np.trace(blocks2[s][t]) for s, t in _BRANCHES)
+        _trace_deficit(trace, cutoff, enforce_trace_limit)
+
+    def largest(matrix: np.ndarray) -> float:
+        return float(np.max(np.abs(matrix)))
+
+    (w, b1, b2), (w_direct, q1, q2) = operator, direct
+    bound = 0.0
+    for s, t in _BRANCHES:
+        bound += (abs(w[s, t] - w_direct[s, t]) * largest(b1[s][t]) * largest(b2[s][t])
+                  + abs(w_direct[s, t]) * (largest(b1[s][t] - q1[s][t]) * largest(b2[s][t])
+                                           + largest(q1[s][t]) * largest(b2[s][t] - q2[s][t])))
+    return bound
 
 
 def mode_thermal_blocks(spec: BellCatSpec, params: ThermalParams, cutoff: int):

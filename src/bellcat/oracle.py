@@ -22,7 +22,7 @@ import numpy as np
 
 from .density import mode_thermal_blocks, thermal_levels
 from .errors import QuadratureError
-from .series import _to_real, default_cat_cap
+from .series import _coordinate_arrays, _to_real, default_cat_cap
 from .states import BellCatSpec
 from .tfd import ThermalParams
 
@@ -139,7 +139,7 @@ def wigner_oracle_values(spec: BellCatSpec, params: ThermalParams,
     depend only on the cutoff and the coordinates, so states sharing both can
     share them).
     """
-    arrays = [np.atleast_1d(np.asarray(v, dtype=float)) for v in (x1, y1, x2, y2)]
+    arrays = _coordinate_arrays(x1, y1, x2, y2)
     if cutoff is None:
         cutoff = oracle_cutoff(spec, params)
     weights, blocks1, blocks2 = mode_thermal_blocks(spec, params, cutoff)
@@ -166,7 +166,7 @@ def closed_form_zero_temperature(spec: BellCatSpec, x1, y1, x2, y2) -> np.ndarra
                        exp(sqrt2 u zbar + sqrt2 conj(w) z - u conj(w)),
     z = x + i y.  Summing the four branch pairs of |psi><psi| gives the state.
     """
-    arrays = [np.atleast_1d(np.asarray(v, dtype=float)) for v in (x1, y1, x2, y2)]
+    arrays = _coordinate_arrays(x1, y1, x2, y2)
     z1 = arrays[0] + 1j * arrays[1]
     z2 = arrays[2] + 1j * arrays[3]
     alpha, k, sigma = spec.alpha, spec.k, spec.sigma

@@ -177,6 +177,14 @@ def _mode_h_tables(gamma: complex, q: float, one_minus_q: float, cat_cap: int, t
     return h_ket, h_bra, ring_ket, ring_bra
 
 
+def _coordinate_arrays(x1, y1, x2, y2) -> list[np.ndarray]:
+    """The four coordinates as float arrays of at least one dimension; they must share one shape."""
+    arrays = [np.atleast_1d(np.asarray(v, dtype=float)) for v in (x1, y1, x2, y2)]
+    if len({a.shape for a in arrays}) != 1:
+        raise ValueError("coordinate arrays must share one shape")
+    return arrays
+
+
 def _chi_bases(x: np.ndarray, y: np.ndarray, chi_mode: str) -> tuple[np.ndarray, np.ndarray]:
     root2 = math.sqrt(2.0)
     minus = root2 * (x - 1j * y)
@@ -230,7 +238,12 @@ def _mode_factors(gamma: complex, q: float, one_minus_q: float, trunc: Truncatio
         sl = slice(lo, min(lo + chunk, npts))
         xs, ys = x[sl], y[sl]
         w = 2.0 * (xs * xs + ys * ys)
-        lag = laguerre_envelope_table(nmax, cat_cap, w)      # (d, N, p), includes e^{-w/2}
+        try:
+            with np.errstate(over="raise"):
+                lag = laguerre_envelope_table(nmax, cat_cap, w)      # (d, N, p), includes e^{-w/2}
+        except FloatingPointError:
+            raise TruncationError(f"the Laguerre table overflows the float range at degree {nmax} "
+                                  f"(caps {cat_cap}/{thermal_cap})") from None
         ket_base, bra_base = _chi_bases(xs, ys, chi_mode)
         pow_ket = _powers(ket_base, cat_cap)
         pow_bra = _powers(bra_base, cat_cap)
@@ -260,12 +273,11 @@ def series_values(spec: BellCatSpec, params: ThermalParams,
     The per-mode factor tables pass a tail check first: the outermost
     coherent band's contribution, a conservative overestimate of the mass
     the caps left out, against the tolerance.  A bound above 100 epsilon, or
-    one that is not a number, raises TruncationError.  The four branch products are then summed as complex
+    one that is not a number, raises TruncationError, as does a Laguerre table
+    past the float range.  The four branch products are then summed as complex
     numbers, and the imaginary-residue guard checks that they pair up.
     """
-    arrays = [np.atleast_1d(np.asarray(v, dtype=float)) for v in (x1, y1, x2, y2)]
-    if len({a.shape for a in arrays}) != 1:
-        raise ValueError("coordinate arrays must share one shape")
+    arrays = _coordinate_arrays(x1, y1, x2, y2)
     trunc = (trunc or TruncationConfig()).resolve(spec, params)
     m1, ring1 = _mode_factors(spec.alpha, params.exp1, params.one_minus_exp1, trunc,
                               arrays[0], arrays[1], chi_mode)

@@ -100,12 +100,20 @@ class BellCatSpec:
         return BellCatSpec(alpha=self.alpha, k=-self.k, sigma=self.sigma)
 
 
+def _modulus(alpha: complex) -> float:
+    """abs(alpha), or inf where abs() raises OverflowError: |alpha| past the float range with finite parts."""
+    try:
+        return abs(complex(alpha))
+    except OverflowError:
+        return math.inf
+
+
 def parity_overlap(alpha: complex, sigma: int) -> float:
     """1 + sigma e^{-4|alpha|^2}, without cancellation when sigma = -1 and |alpha| is small.
 
     |alpha|^2 is a product, not a power: where it overflows to inf the overlap term is 0.
     """
-    modulus = abs(complex(alpha))
+    modulus = _modulus(alpha)
     a2 = modulus * modulus
     return 1.0 + math.exp(-4.0 * a2) if sigma > 0 else -math.expm1(-4.0 * a2)
 
@@ -122,7 +130,7 @@ def bellcat_normalization(alpha: complex, sigma: int) -> float:
 
 def coherent_overlap_sq(alpha: complex) -> float:
     """|<alpha|-alpha>|^2 = e^{-4|alpha|^2}; ~1.13e-7 already at |alpha| = 2."""
-    modulus = abs(complex(alpha))
+    modulus = _modulus(alpha)
     return math.exp(-4.0 * modulus * modulus)
 
 

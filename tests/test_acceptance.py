@@ -106,11 +106,11 @@ def test_criterion_02_bogoliubov_identity():
 
 
 def test_criterion_03_density_oracle_equivalence():
-    # entrywise equality of the element-formula and operator builds is
+    # entrywise equality of the element-formula and operator routes is
     # cutoff-independent (both truncate identically), so the battery runs at
     # cutoff 30 with the trace gate off; the gate itself is covered in
-    # tests/test_density.py.  route_gap streams both builds row by row and
-    # returns their max entrywise difference bit for bit.
+    # tests/test_density.py.  route_gap bounds the routes' max entrywise
+    # difference from their per-mode factors.
     worst = 0.0
     for label in ALL_LABELS:
         for alpha in PAPER_ALPHAS:
@@ -119,7 +119,7 @@ def test_criterion_03_density_oracle_equivalence():
                 params = params_for(temp)
                 worst = max(worst, route_gap(spec, params, 30, enforce_trace_limit=False))
     ok = worst < 1e-10
-    report("03", ok, f"max entrywise |direct - operator| = {worst:.2e} over 36 configs, cutoff 30")
+    report("03", ok, f"bound on max entrywise |direct - operator| = {worst:.2e} over 36 configs, cutoff 30")
     assert ok
 
 

@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bellcat
 import bellcat.cli
@@ -362,6 +364,68 @@ class TestOutOfRangeInputs:
         assert all(math.isfinite(float(v)) for v in rows[0])
         assert rows[1][1:] == ["nan"] * 5
         assert "T=1e+300 failed: NonFiniteError" in capsys.readouterr().err
+
+
+def log_uniform(low_exponent, high_exponent):
+    return st.floats(low_exponent, high_exponent).map(lambda exponent: 10.0 ** exponent)
+
+
+out_of_range_draws = st.fixed_dictionaries({
+    "state": st.sampled_from(sorted(STATE_LABELS)),
+    "modulus": log_uniform(-300, 300),
+    "phase": st.floats(0.0, 2 * math.pi),
+    "temps": st.lists(st.one_of(st.just(0.0), log_uniform(-300, 300)), min_size=2, max_size=2),
+    "freq1": log_uniform(-300, 300),
+    "freq2": log_uniform(-300, 300),
+})
+
+
+def sweep_rows_or_clean_error(code, out, err):
+    """A sweep's finite rows, plus for exit 1 a nan row and a `warning: ... <BellCatError subclass>` line per failure.
+
+    Exit 1 without a CSV is `finite_or_clean_error`'s clean error.
+    """
+    if code == 1 and not out.exists():
+        finite_or_clean_error(code, out, err)
+        return
+    rows = [line.split(",") for line in read(out).splitlines()[1:]]
+    failed = [row for row in rows if row[1:] == ["nan"] * 5]
+    assert rows and all(math.isfinite(float(v)) for row in rows if row not in failed for v in row)
+    assert code == (1 if failed else 0)
+    lines = err.splitlines()
+    assert len(lines) == len(failed)
+    for line in lines:
+        assert line.startswith("warning: T=")
+        name = line.split(" failed: ")[1].split(":")[0]
+        assert issubclass(getattr(bellcat, name), bellcat.BellCatError)
+
+
+@pytest.mark.parametrize("command", ["wigner", "negativity", "sweep"])
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(draw=out_of_range_draws)
+def test_random_inputs_end_cleanly_under_warnings_as_errors(command, draw, tmp_path, capsys):
+    # |alpha| from 1e-300 to 1e300, T from 0 to 1e300 K, both frequencies from 1e-300 to 1e300 Hz:
+    # finite output, or a BellCatError line and exit 1, never a traceback or a floating-point warning;
+    # flags go as --flag=value, since argparse takes a separate "-1e-05" for an option
+    out = tmp_path / "out"
+    out.unlink(missing_ok=True)
+    alpha = draw["modulus"] * complex(math.cos(draw["phase"]), math.sin(draw["phase"]))
+    low, high = sorted(draw["temps"])
+    argv = [command, f"--state={draw['state']}", f"--alpha-re={alpha.real!r}", f"--alpha-im={alpha.imag!r}",
+            f"--freq1={draw['freq1']!r}", f"--freq2={draw['freq2']!r}", f"--out={out}"]
+    argv += {"wigner": ["--grid-count=3", f"--temp={low!r}"],
+             "negativity": [f"--temp={low!r}"],
+             "sweep": [f"--temp-min={low!r}", f"--temp-max={high!r}", f"--temp-count={1 + (low < high)}"]}[command]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    err = capsys.readouterr().err
+    if command == "sweep":
+        sweep_rows_or_clean_error(code, out, err)
+    else:
+        finite_or_clean_error(code, out, err)
 
 
 class TestPresets:

@@ -1,7 +1,7 @@
 """The production modules import no reference route.
 
 `bellcat.wigner` and `bellcat.negativity` hold the production evaluator.  The
-density builds (`bellcat.density`), the Laguerre series (`bellcat.series`) and
+density factors (`bellcat.density`), the Laguerre series (`bellcat.series`) and
 the Fock-kernel oracle (`bellcat.oracle`) are reference routes beside them,
 and their dependency runs one way, density <- series <- oracle: the series
 imports neither the production module nor the oracle.  The imports are read
@@ -63,6 +63,6 @@ def test_series_imports_neither_the_production_module_nor_the_oracle():
 
 def test_scanner_sees_local_and_module_level_imports():
     # the allowed exception is function-local; the oracle imports both routes it builds on
-    assert (None, "series", ("_to_real", "default_cat_cap")) in package_imports("oracle")
+    assert (None, "series", ("_coordinate_arrays", "_to_real", "default_cat_cap")) in package_imports("oracle")
     assert (None, "density", ("mode_thermal_blocks", "thermal_levels")) in package_imports("oracle")
     assert ("wigner_values", "series", ("series_values",)) in package_imports("wigner")

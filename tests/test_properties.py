@@ -3,7 +3,7 @@
 label x complex alpha (|alpha| <= 3) x T in [0, 20] K x omega2/omega1 in
 [0.5, 2], at points spread over the thermally amplified lobes, of the reduced
 negativity integral over the same box, of nu falling with T (|alpha| <= 20,
-T in [1 mK, 1000 K]), and of the two density builds over
+T in [1 mK, 1000 K]), and of the two density routes' whole matrices over
 label x complex alpha (|alpha| <= 2) x T in [0, 2] K x omega2/omega1 in
 [0.5, 2].  Examples are derandomized, so every run checks the same cases.
 """
@@ -16,13 +16,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bellcat.negativity
-from bellcat.density import build_density_matrix, build_density_operator
 from bellcat.errors import NonFiniteError, TruncationError
 from bellcat.negativity import integrate_negativity
 from bellcat.series import default_cat_cap, default_thermal_cap, series_values
 from bellcat.states import STATE_LABELS, BellCatSpec
 from bellcat.tfd import thermal_params
 from bellcat.wigner import wigner_values
+from test_density import direct_kron_sum, operator_kron_sum
 
 OMEGA = 2 * math.pi * 5.5e9
 # series evaluations above this many table terms per point take seconds each
@@ -118,10 +118,10 @@ density_configs = st.fixed_dictionaries({
 @given(density_configs)
 def test_density_builds_agree_at_unequal_frequencies(cfg):
     # each mode carries its own Gibbs factor and amplitude k alpha / u_i; both
-    # builds are exact on the truncated space, so no trace gate applies
+    # routes are exact on the truncated space, so no trace gate applies
     alpha = cfg["modulus"] * complex(math.cos(cfg["phase"]), math.sin(cfg["phase"]))
     spec = BellCatSpec.from_label(cfg["label"], alpha)
     params = thermal_params(cfg["temp"], OMEGA, cfg["ratio"] * OMEGA)
-    operator = build_density_operator(spec, params, cfg["cutoff"], enforce_trace_limit=False)
-    direct = build_density_matrix(spec, params, cfg["cutoff"], enforce_trace_limit=False)
-    assert np.max(np.abs(operator.matrix - direct.matrix)) <= 1e-12
+    operator = operator_kron_sum(spec, params, cfg["cutoff"])
+    direct = direct_kron_sum(spec, params, cfg["cutoff"])
+    assert np.max(np.abs(operator - direct)) <= 1e-12

@@ -11,6 +11,7 @@ from bellcat.states import (
     bellcat_normalization,
     coherent_overlap_sq,
     fock_coefficients,
+    parity_overlap,
 )
 from bellcat.tfd import thermal_params
 from bellcat.series import default_cat_cap
@@ -60,6 +61,24 @@ class TestOverlap:
 
     def test_complex_amplitude(self):
         assert coherent_overlap_sq(1 + 1j) == pytest.approx(float(mpmath.e**-8), rel=1e-14)
+
+
+class TestAmplitudePastFloatRange:
+    # finite parts whose modulus passes the float range: abs() raises OverflowError there
+    ALPHA = complex(1.5e308, 1.5e308)
+
+    def test_limits(self):
+        for sigma in (+1, -1):
+            assert parity_overlap(self.ALPHA, sigma) == 1.0
+            assert bellcat_normalization(self.ALPHA, sigma) == 1.0 / math.sqrt(2.0)
+        assert coherent_overlap_sq(self.ALPHA) == 0.0
+
+    @pytest.mark.parametrize("alpha", [1.0, 1 + 1j, 0.3 - 0.7j, 1e-150 + 1e-150j, 1e154 + 1e154j])
+    def test_finite_moduli_unchanged(self, alpha):
+        a2 = abs(alpha) * abs(alpha)
+        assert coherent_overlap_sq(alpha) == math.exp(-4.0 * a2)
+        assert parity_overlap(alpha, +1) == 1.0 + math.exp(-4.0 * a2)
+        assert parity_overlap(alpha, -1) == -math.expm1(-4.0 * a2)
 
 
 class TestBellCatSpec:

@@ -367,6 +367,14 @@ class TestTruncationConfig:
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - wigner_values(spec, params_for(5.0), x, 0 * x, x, 0 * x))) <= 1e-8
 
+    def test_laguerre_overflow_raises_truncation_error(self):
+        # psi-plus, alpha = 3 at 5 K with the thermal cap doubled (caps 291/986): the
+        # envelope-scaled Laguerre table passes the float range at degree 1277
+        spec = BellCatSpec.from_label("psi-plus", 3.0)
+        trunc = TruncationConfig(cat_cap=291, thermal_cap=986)
+        with pytest.raises(TruncationError, match="Laguerre table overflows"):
+            series_values(spec, params_for(5.0), 0.0, 0.0, 0.0, 0.0, trunc=trunc)
+
     @pytest.mark.parametrize("temp", [1e6, 1e17])
     @pytest.mark.parametrize("route", [series_values, wigner_oracle_values])
     def test_levels_past_the_hard_cap_raise(self, route, temp):
@@ -375,6 +383,24 @@ class TestTruncationConfig:
         spec = BellCatSpec.from_label("phi-minus", 1.0)
         with pytest.raises(TruncationError, match="hard cap 2000"):
             route(spec, params_for(temp), 0.0, 0.0, 0.0, 0.0)
+
+
+SHAPE_SPEC = BellCatSpec.from_label("phi-minus", 1.0)
+COORDINATE_ROUTES = {
+    "wigner_values": lambda *coords: wigner_values(SHAPE_SPEC, T0, *coords),
+    "series_values": lambda *coords: series_values(SHAPE_SPEC, T0, *coords),
+    "wigner_oracle_values": lambda *coords: wigner_oracle_values(SHAPE_SPEC, T0, *coords),
+    "closed_form_zero_temperature": lambda *coords: closed_form_zero_temperature(SHAPE_SPEC, *coords),
+}
+
+
+@pytest.mark.parametrize("route", sorted(COORDINATE_ROUTES))
+def test_coordinate_arrays_must_share_one_shape(route):
+    # x1 of shape (3,) against shape (1,) broadcast to 3 values in the reference routes
+    coords = [np.zeros(3), np.zeros(1), np.zeros(1), np.zeros(1)]
+    with pytest.raises(ValueError, match="coordinate arrays must share one shape"):
+        COORDINATE_ROUTES[route](*coords)
+    assert COORDINATE_ROUTES[route](*[np.zeros(3)] * 4).shape == (3,)
 
 
 class TestGrids:
