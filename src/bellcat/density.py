@@ -4,7 +4,7 @@ The density operator is a sum of four Kronecker products of per-mode
 matrices, one per parity branch (s, t), and two independent constructions
 give those factors:
 
-* operator route (:func:`mode_thermal_blocks`).  The dressing operator
+* operator route (:func:`mode_blocks`).  The dressing operator
 
       f = N e^{-|alpha|^2} sum_{n,m} alpha^{n+m} k^m [1 + sigma (-1)^{n+m}]
           (a1^dag)^n (a2^dag)^m / (n! m! u1^n u2^m)
@@ -26,7 +26,10 @@ Nothing here forms the (cutoff+1)^2-dimensional matrix.  :func:`route_gap`
 compares the two routes on their factors: the largest |entry| of a
 Kronecker product is the product of the factors' largest |entries|, which
 bounds the two-mode max |operator - direct| from per-mode matrices alone,
-and tr(A x B) = tr A tr B gives each route's trace.
+and tr(A x B) = tr A tr B gives each route's trace.  :func:`route_gaps` does
+this for a list of states, building each mode's factors once per distinct
+mode amplitude and Gibbs factor (:func:`mode_key`); :func:`route_gap` is its
+one-state call.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ from .tfd import ThermalParams, gibbs_weight
 
 __all__ = [
     "route_gap",
+    "route_gaps",
+    "branch_weights",
+    "mode_blocks",
+    "mode_key",
     "mode_thermal_blocks",
     "thermal_levels",
 ]
@@ -138,6 +145,23 @@ def _direct_mode_factor(gamma: complex, q: float, one_minus_q: float, sign_ket: 
     return (u_ket * w[None, :]) @ u_bra.conj().T
 
 
+def _direct_weights(spec: BellCatSpec) -> np.ndarray:
+    """Branch weights sigma^{s+t} e^{-2|alpha|^2} / (2P) of the direct route."""
+    weight = math.exp(-2.0 * abs(spec.alpha) ** 2) / (2.0 * spec.parity_overlap)
+    weights = np.empty((2, 2))
+    for s, t in _BRANCHES:
+        weights[s, t] = spec.sigma ** (s + t) * weight
+    return weights
+
+
+def _direct_mode_factors(gamma: complex, params: ThermalParams, mode: int, cutoff: int):
+    """Direct-route factors Q(s,t) = (1 - q) R(s,t) of one mode with amplitude gamma, as [s][t]."""
+    q, one_minus_q = params.exp_factor(mode), params.one_minus_exp_factor(mode)
+    # u^{-(n+nbar)} in the printed formula equals (1-q)^{(n+nbar)/2}
+    return [[one_minus_q * _direct_mode_factor(gamma, q, one_minus_q, 1 - 2 * s, 1 - 2 * t, cutoff)
+             for t in (0, 1)] for s in (0, 1)]
+
+
 def _direct_terms(spec: BellCatSpec, params: ThermalParams, cutoff: int):
     """(weights, factors1, factors2) of the direct route, laid out as :func:`mode_thermal_blocks` returns them.
 
@@ -146,23 +170,26 @@ def _direct_terms(spec: BellCatSpec, params: ThermalParams, cutoff: int):
     e^{-2|alpha|^2} (1-q1)(1-q2) / (2 P) split into a weight
     sigma^{s+t} e^{-2|alpha|^2} / (2 P) and one (1 - q_i) per mode.
     """
-    weight = math.exp(-2.0 * abs(spec.alpha) ** 2) / (2.0 * spec.parity_overlap)
-    weights = np.empty((2, 2))
-    factors1 = [[None, None], [None, None]]
-    factors2 = [[None, None], [None, None]]
-    for s, t in _BRANCHES:
-        weights[s, t] = spec.sigma ** (s + t) * weight
-        # u_i^{-(n+nbar)} in the printed formula equals (1-q_i)^{(n+nbar)/2}
-        factors1[s][t] = params.one_minus_exp1 * _direct_mode_factor(
-            spec.alpha, params.exp1, params.one_minus_exp1, 1 - 2 * s, 1 - 2 * t, cutoff)
-        factors2[s][t] = params.one_minus_exp2 * _direct_mode_factor(
-            spec.k * spec.alpha, params.exp2, params.one_minus_exp2, 1 - 2 * s, 1 - 2 * t, cutoff)
-    return weights, factors1, factors2
+    return (_direct_weights(spec), _direct_mode_factors(spec.alpha, params, 1, cutoff),
+            _direct_mode_factors(spec.k * spec.alpha, params, 2, cutoff))
 
 
-def route_gap(spec: BellCatSpec, params: ThermalParams, cutoff: int,
-              enforce_trace_limit: bool = True) -> float:
-    """Upper bound on max |operator route - direct route| over the two-mode elements, from per-mode factors.
+def mode_key(gamma: complex, params: ThermalParams, mode: int) -> tuple:
+    """What one mode's factors depend on besides the cutoff: its amplitude, bit for bit, and its Gibbs factor.
+
+    The bits keep +0.0 and -0.0 apart, as `==` does not: k alpha at k = -1
+    can differ from -alpha in the sign of a zero part, and so in its phase.
+    """
+    return gamma.real.hex(), gamma.imag.hex(), params.exp_factor(mode), params.one_minus_exp_factor(mode)
+
+
+def _largest(matrix: np.ndarray) -> float:
+    return float(np.max(np.abs(matrix)))
+
+
+def route_gaps(specs: list[BellCatSpec], params: ThermalParams, cutoff: int,
+               enforce_trace_limit: bool = True) -> list[float]:
+    """Upper bound on max |operator route - direct route| over the two-mode elements of each state, from per-mode factors.
 
     With B_i the operator route's blocks, Q_i the direct route's factors and
     w, w' the two routes' weights, each branch differs by
@@ -173,46 +200,76 @@ def route_gap(spec: BellCatSpec, params: ThermalParams, cutoff: int,
     where either route's trace, sum w tr(A) tr(B), falls short; without
     it, both routes are exact on the truncated space, so formula checks
     may run at any cutoff.
+
+    A state enters only through its weights and its two mode amplitudes, so
+    each distinct mode (`mode_key`) builds its factors, their traces and
+    their largest |entries| once per call, whichever states share it.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    operator = mode_thermal_blocks(spec, params, cutoff)
-    direct = _direct_terms(spec, params, cutoff)
-    for weights, blocks1, blocks2 in (operator, direct):
-        trace = sum(weights[s, t] * np.trace(blocks1[s][t]) * np.trace(blocks2[s][t]) for s, t in _BRANCHES)
-        _trace_deficit(trace, cutoff, enforce_trace_limit)
+    modes = {}
 
-    def largest(matrix: np.ndarray) -> float:
-        return float(np.max(np.abs(matrix)))
+    def mode_numbers(gamma: complex, mode: int) -> list:
+        """Per branch [s][t]: tr B, tr Q, max |B|, max |Q| and max |B - Q| of one mode."""
+        key = mode_key(gamma, params, mode)
+        if key not in modes:
+            blocks = mode_blocks(gamma, params, mode, cutoff)
+            factors = _direct_mode_factors(gamma, params, mode, cutoff)
+            modes[key] = [[(np.trace(b), np.trace(q), _largest(b), _largest(q), _largest(b - q))
+                           for b, q in zip(blocks[s], factors[s])] for s in (0, 1)]
+        return modes[key]
 
-    (w, b1, b2), (w_direct, q1, q2) = operator, direct
-    bound = 0.0
-    for s, t in _BRANCHES:
-        bound += (abs(w[s, t] - w_direct[s, t]) * largest(b1[s][t]) * largest(b2[s][t])
-                  + abs(w_direct[s, t]) * (largest(b1[s][t] - q1[s][t]) * largest(b2[s][t])
-                                           + largest(q1[s][t]) * largest(b2[s][t] - q2[s][t])))
-    return bound
+    gaps = []
+    for spec in specs:
+        m1, m2 = mode_numbers(spec.alpha, 1), mode_numbers(spec.k * spec.alpha, 2)
+        w, w_direct = branch_weights(spec), _direct_weights(spec)
+        for route, weights in enumerate((w, w_direct)):
+            trace = sum(weights[s, t] * m1[s][t][route] * m2[s][t][route] for s, t in _BRANCHES)
+            _trace_deficit(trace, cutoff, enforce_trace_limit)
+        bound = 0.0
+        for s, t in _BRANCHES:
+            _, _, b1, q1, d1 = m1[s][t]
+            _, _, b2, _, d2 = m2[s][t]
+            bound += (abs(w[s, t] - w_direct[s, t]) * b1 * b2
+                      + abs(w_direct[s, t]) * (d1 * b2 + q1 * d2))
+        gaps.append(bound)
+    return gaps
+
+
+def route_gap(spec: BellCatSpec, params: ThermalParams, cutoff: int,
+              enforce_trace_limit: bool = True) -> float:
+    """:func:`route_gaps` of one state."""
+    return route_gaps([spec], params, cutoff, enforce_trace_limit)[0]
+
+
+def branch_weights(spec: BellCatSpec) -> np.ndarray:
+    """Branch weights C^2 sigma^{s+t} of the operator route, C = N e^{-|alpha|^2}."""
+    c = bellcat_normalization(spec.alpha, spec.sigma) * math.exp(-abs(spec.alpha) ** 2)
+    weights = np.empty((2, 2))
+    for s in (0, 1):
+        for t in (0, 1):
+            weights[s, t] = c * c * spec.sigma ** (s + t)
+    return weights
+
+
+def mode_blocks(gamma: complex, params: ThermalParams, mode: int, cutoff: int):
+    """Operator-route blocks B(s,t) = E((-1)^s g) rho_beta E((-1)^t g)^dag of one mode, as [s][t].
+
+    g = gamma / u is the mode's dressing displacement, gamma its amplitude
+    (alpha for mode 1, k alpha for mode 2).
+    """
+    g = gamma / (params.u1 if mode == 1 else params.u2)
+    w = np.array([gibbs_weight(params, mode, n) for n in range(cutoff + 1)])
+    e = _exp_creation(g, cutoff)
+    return [[(e[s] * w[None, :]) @ e[t].conj().T for t in (0, 1)] for s in (0, 1)]
 
 
 def mode_thermal_blocks(spec: BellCatSpec, params: ThermalParams, cutoff: int):
     """Per-mode factor matrices of the density operator, for mode-factorized contractions.
 
     Returns (weights, blocks1, blocks2) with rho = sum_{s,t} weights[s,t] *
-    kron(blocks1[s][t], blocks2[s][t]) and the blocks of the operator route,
-    B_i(s,t) = E((-1)^s g_i) rho_beta,i E((-1)^t g_i)^dag.
+    kron(blocks1[s][t], blocks2[s][t]) and the blocks of the operator route
+    (:func:`mode_blocks`).
     """
-    g1, g2 = spec.alpha / params.u1, spec.k * spec.alpha / params.u2   # displacements of the dressing
-    c = bellcat_normalization(spec.alpha, spec.sigma) * math.exp(-abs(spec.alpha) ** 2)
-    w1 = np.array([gibbs_weight(params, 1, n) for n in range(cutoff + 1)])
-    w2 = np.array([gibbs_weight(params, 2, n) for n in range(cutoff + 1)])
-    e1 = _exp_creation(g1, cutoff)
-    e2 = _exp_creation(g2, cutoff)
-    weights = np.empty((2, 2))
-    blocks1 = [[None, None], [None, None]]
-    blocks2 = [[None, None], [None, None]]
-    for s in (0, 1):
-        for t in (0, 1):
-            weights[s, t] = c * c * spec.sigma ** (s + t)
-            blocks1[s][t] = (e1[s] * w1[None, :]) @ e1[t].conj().T
-            blocks2[s][t] = (e2[s] * w2[None, :]) @ e2[t].conj().T
-    return weights, blocks1, blocks2
+    return (branch_weights(spec), mode_blocks(spec.alpha, params, 1, cutoff),
+            mode_blocks(spec.k * spec.alpha, params, 2, cutoff))

@@ -3,10 +3,16 @@
 The oracle evaluates W from per-mode Fock kernels K(j, l; x, y), obtained by
 direct numerical integration of the Wigner transform with Hermite-function
 position wavefunctions, contracted against the operator-route density blocks
-(`bellcat.density.mode_thermal_blocks`).  It never sees a Laguerre polynomial
+(`bellcat.density.mode_blocks`).  It never sees a Laguerre polynomial
 or a sign convention, so it arbitrates them.  The zero-temperature closed form
 sums the coherent cross-Wigner functions of the pure state.  Both sum complex
 terms, so they check that the imaginary part cancels (`ImaginaryResidueError`).
+
+`wigner_oracle_values_many` evaluates a list of states at one point set: it
+computes the Fock kernels once per cutoff and mode, and the per-mode blocks
+and their contractions once per distinct mode amplitude, and combines them
+with each state's branch weights.  `wigner_oracle_values` is its one-state
+call.
 
 Tests and `bellcat validate` compare these with the production Gaussian form
 (`bellcat.wigner`) and the Laguerre series (`bellcat.series`), whose cap
@@ -20,7 +26,7 @@ import math
 
 import numpy as np
 
-from .density import mode_thermal_blocks, thermal_levels
+from .density import branch_weights, mode_blocks, mode_key, thermal_levels
 from .errors import QuadratureError
 from .series import _coordinate_arrays, _to_real, default_cat_cap
 from .states import BellCatSpec
@@ -31,6 +37,7 @@ __all__ = [
     "fock_wigner_kernels",
     "oracle_cutoff",
     "wigner_oracle_values",
+    "wigner_oracle_values_many",
     "closed_form_zero_temperature",
 ]
 
@@ -129,34 +136,48 @@ def oracle_cutoff(spec: BellCatSpec, params: ThermalParams) -> int:
     return default_cat_cap(spec, params) + thermal_levels(params, _ORACLE_MASS_EPSILON)
 
 
-def wigner_oracle_values(spec: BellCatSpec, params: ThermalParams,
-                         x1, y1, x2, y2,
-                         cutoff: int | None = None,
-                         kernels: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Oracle W values: quadrature kernels contracted with operator-route density blocks.
+def wigner_oracle_values_many(specs: list[BellCatSpec], params: ThermalParams,
+                              x1, y1, x2, y2, cutoff: int | None = None) -> list[np.ndarray]:
+    """Oracle W values of each state: quadrature kernels contracted with operator-route density blocks.
 
-    `kernels` may carry precomputed (k1, k2) tables for these points (they
-    depend only on the cutoff and the coordinates, so states sharing both can
-    share them).
+    The states share the points.  A state enters only through its branch
+    weights and its two mode amplitudes, so within the call the kernels are
+    computed once per (cutoff, mode), the blocks once per distinct mode
+    (`mode_key`) and cutoff, and their contractions once per mode they serve.
+    A cutoff left as None is `oracle_cutoff` of each state.
     """
     arrays = _coordinate_arrays(x1, y1, x2, y2)
-    if cutoff is None:
-        cutoff = oracle_cutoff(spec, params)
-    weights, blocks1, blocks2 = mode_thermal_blocks(spec, params, cutoff)
-    if kernels is not None:
-        k1, k2 = kernels
-        if k1.shape[1] != cutoff + 1:
-            raise ValueError(f"precomputed kernels sized for nmax {k1.shape[1] - 1}, need {cutoff}")
-    else:
-        k1 = fock_wigner_kernels(cutoff, arrays[0], arrays[1])
-        k2 = fock_wigner_kernels(cutoff, arrays[2], arrays[3])
-    total = np.zeros(arrays[0].size, dtype=complex)
-    for s in (0, 1):
-        for t in (0, 1):
-            c1 = np.einsum("pnm,nm->p", k1, blocks1[s][t])
-            c2 = np.einsum("pnm,nm->p", k2, blocks2[s][t])
-            total += weights[s, t] * c1 * c2
-    return _to_real(total, "wigner_oracle")
+    kernels, blocks, contractions = {}, {}, {}
+
+    def contracted(gamma: complex, mode: int, nmax: int) -> list:
+        block_key = (mode_key(gamma, params, mode), nmax)
+        if (block_key, mode) not in contractions:
+            if (nmax, mode) not in kernels:
+                kernels[nmax, mode] = fock_wigner_kernels(nmax, arrays[2 * mode - 2], arrays[2 * mode - 1])
+            if block_key not in blocks:
+                blocks[block_key] = mode_blocks(gamma, params, mode, nmax)
+            contractions[block_key, mode] = [[np.einsum("pnm,nm->p", kernels[nmax, mode], block) for block in row]
+                                             for row in blocks[block_key]]
+        return contractions[block_key, mode]
+
+    values = []
+    for spec in specs:
+        nmax = oracle_cutoff(spec, params) if cutoff is None else cutoff
+        c1 = contracted(spec.alpha, 1, nmax)
+        c2 = contracted(spec.k * spec.alpha, 2, nmax)
+        weights = branch_weights(spec)
+        total = np.zeros(arrays[0].size, dtype=complex)
+        for s in (0, 1):
+            for t in (0, 1):
+                total += weights[s, t] * c1[s][t] * c2[s][t]
+        values.append(_to_real(total, "wigner_oracle"))
+    return values
+
+
+def wigner_oracle_values(spec: BellCatSpec, params: ThermalParams,
+                         x1, y1, x2, y2, cutoff: int | None = None) -> np.ndarray:
+    """:func:`wigner_oracle_values_many` of one state."""
+    return wigner_oracle_values_many([spec], params, x1, y1, x2, y2, cutoff)[0]
 
 
 def closed_form_zero_temperature(spec: BellCatSpec, x1, y1, x2, y2) -> np.ndarray:

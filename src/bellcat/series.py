@@ -17,6 +17,12 @@ into the Laguerre recurrence.  The thermal weights (n+n1)!/n1! q^n1 of each
 band are divided by their largest, which the band's coherent factors carry in
 log space, so no thermal weight exceeds 1 at any temperature.
 
+A state enters only through sigma, its caps and its two mode amplitudes
+(alpha and k alpha), so `series_values_many` evaluates a list of states at
+one point set: it builds the contraction tables once per distinct mode and
+caps, and the Laguerre table and chi powers once per caps and mode point
+set.  `series_values` is its one-state call.
+
 Convention note: the series' chi factors follow the kernel actually produced
 by the Wigner transform, chi = x - i y when the ket index exceeds the bra
 index (and the sign factor (-1)^{thermal + min(ket, bra)}).  Evaluating with
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import thermal_levels
+from .density import mode_key, thermal_levels
 from .errors import ImaginaryResidueError, NonFiniteError, TruncationError
 from .special_fn import laguerre_envelope_table, log_factorial_table
 from .states import BellCatSpec
@@ -48,6 +54,7 @@ __all__ = [
     "default_cat_cap",
     "default_thermal_cap",
     "series_values",
+    "series_values_many",
 ]
 
 CHI_KERNEL = "kernel"
@@ -206,27 +213,32 @@ def _powers(base: np.ndarray, dmax: int) -> np.ndarray:
     return out
 
 
-def _mode_factors(gamma: complex, q: float, one_minus_q: float, trunc: TruncationConfig,
-                  x: np.ndarray, y: np.ndarray, chi_mode: str):
-    """Envelope-absorbed factor sums M[st, p] for one mode, plus the ring estimate.
+def _stacked_tables(gamma: complex, q: float, one_minus_q: float, cat_cap: int, thermal_cap: int):
+    """`_mode_h_tables` laid out for one batched real GEMM each: the main and the ring stack.
 
-    The ring estimate is the magnitude of the outermost coherent band's signed
-    contribution, sampled on a strided subset of the points; it is the
-    standard last-retained-term proxy for the series tail.
+    The re/im planes of the ket and bra tables stack into (D+1, 16, N+1),
+    against the Laguerre block (D+1, N+1, p).
     """
-    cat_cap, thermal_cap = trunc.cat_cap, trunc.thermal_cap
-    h_ket, h_bra, ring_ket, ring_bra = _mode_h_tables(gamma, q, one_minus_q, cat_cap, thermal_cap)
-    # one batched real GEMM per chunk: the re/im planes of both tables stack
-    # into (D+1, 16, N+1) against the Laguerre block (D+1, N+1, p)
     def stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(
             np.concatenate([a.real, a.imag, b.real, b.imag], axis=0).transpose(1, 0, 2))
 
-    stacked_main = stack(h_ket, h_bra)
-    stacked_ring = stack(ring_ket, ring_bra)
+    h_ket, h_bra, ring_ket, ring_bra = _mode_h_tables(gamma, q, one_minus_q, cat_cap, thermal_cap)
+    return stack(h_ket, h_bra), stack(ring_ket, ring_bra)
+
+
+def _mode_factors(tables: list, cat_cap: int, thermal_cap: int, x: np.ndarray, y: np.ndarray, chi_mode: str):
+    """Envelope-absorbed factor sums M[st, p] at one mode's points, plus the ring estimate, for each of `tables`.
+
+    `tables` holds `_stacked_tables` of one or more mode amplitudes at these
+    caps; the Laguerre table and the chi powers are built once for all of
+    them.  The ring estimate is the magnitude of the outermost coherent
+    band's signed contribution, sampled on a strided subset of the points;
+    it is the standard last-retained-term proxy for the series tail.
+    """
     npts = x.size
-    m = np.empty((4, npts), dtype=complex)
-    ring_max = 0.0
+    ms = [np.empty((4, npts), dtype=complex) for _ in tables]
+    ring_max = [0.0] * len(tables)
 
     def unpack(flat: np.ndarray, base: int) -> np.ndarray:
         return (flat[:, base : base + 4] + 1j * flat[:, base + 4 : base + 8]).transpose(1, 0, 2)
@@ -247,16 +259,17 @@ def _mode_factors(gamma: complex, q: float, one_minus_q: float, trunc: Truncatio
         ket_base, bra_base = _chi_bases(xs, ys, chi_mode)
         pow_ket = _powers(ket_base, cat_cap)
         pow_bra = _powers(bra_base, cat_cap)
-        flat = np.matmul(stacked_main, lag)                  # (D+1, 16, p)
-        m[:, sl] = (np.einsum("sdp,dp->sp", unpack(flat, 0), pow_ket)
-                    + np.einsum("sdp,dp->sp", unpack(flat, 8), pow_bra))
         # tail proxy on a strided subsample of the chunk
         sub = slice(0, xs.size, max(1, xs.size // 32))
-        flat_ring = np.matmul(stacked_ring, lag[:, :, sub])
-        ring = (np.einsum("sdp,dp->sp", unpack(flat_ring, 0), pow_ket[:, sub])
-                + np.einsum("sdp,dp->sp", unpack(flat_ring, 8), pow_bra[:, sub]))
-        ring_max = max(ring_max, float(np.max(np.abs(ring), initial=0.0)))
-    return m, ring_max
+        for i, (stacked_main, stacked_ring) in enumerate(tables):
+            flat = np.matmul(stacked_main, lag)                  # (D+1, 16, p)
+            ms[i][:, sl] = (np.einsum("sdp,dp->sp", unpack(flat, 0), pow_ket)
+                            + np.einsum("sdp,dp->sp", unpack(flat, 8), pow_bra))
+            flat_ring = np.matmul(stacked_ring, lag[:, :, sub])
+            ring = (np.einsum("sdp,dp->sp", unpack(flat_ring, 0), pow_ket[:, sub])
+                    + np.einsum("sdp,dp->sp", unpack(flat_ring, 8), pow_bra[:, sub]))
+            ring_max[i] = max(ring_max[i], float(np.max(np.abs(ring), initial=0.0)))
+    return list(zip(ms, ring_max))
 
 
 def _prefactor(spec: BellCatSpec, params: ThermalParams) -> float:
@@ -264,11 +277,11 @@ def _prefactor(spec: BellCatSpec, params: ThermalParams) -> float:
             / (2.0 * math.pi**2 * spec.parity_overlap))
 
 
-def series_values(spec: BellCatSpec, params: ThermalParams,
-                  x1, y1, x2, y2,
-                  trunc: TruncationConfig | None = None,
-                  chi_mode: str = CHI_KERNEL) -> np.ndarray:
-    """The series' thermal Wigner function at paired coordinate arrays.
+def series_values_many(specs: list[BellCatSpec], params: ThermalParams,
+                       x1, y1, x2, y2,
+                       trunc: TruncationConfig | None = None,
+                       chi_mode: str = CHI_KERNEL) -> list[np.ndarray]:
+    """The series' thermal Wigner function of each state at paired coordinate arrays the states share.
 
     The per-mode factor tables pass a tail check first: the outermost
     coherent band's contribution, a conservative overestimate of the mass
@@ -276,22 +289,53 @@ def series_values(spec: BellCatSpec, params: ThermalParams,
     one that is not a number, raises TruncationError, as does a Laguerre table
     past the float range.  The four branch products are then summed as complex
     numbers, and the imaginary-residue guard checks that they pair up.
+
+    A state enters only through sigma, its caps and its two mode amplitudes,
+    so within the call the contraction tables are built once per distinct
+    mode (`mode_key`) and caps, and the Laguerre table and chi powers once per
+    caps and mode point set.
     """
     arrays = _coordinate_arrays(x1, y1, x2, y2)
-    trunc = (trunc or TruncationConfig()).resolve(spec, params)
-    m1, ring1 = _mode_factors(spec.alpha, params.exp1, params.one_minus_exp1, trunc,
-                              arrays[0], arrays[1], chi_mode)
-    m2, ring2 = _mode_factors(spec.k * spec.alpha, params.exp2, params.one_minus_exp2, trunc,
-                              arrays[2], arrays[3], chi_mode)
-    pref = _prefactor(spec, params)
-    scale1 = float(np.max(np.sum(np.abs(m1), axis=0))) if m1.size else 0.0
-    scale2 = float(np.max(np.sum(np.abs(m2), axis=0))) if m2.size else 0.0
-    ring_bound = pref * (ring1 * scale2 + scale1 * ring2)
-    if not ring_bound <= 100.0 * trunc.epsilon:
-        raise TruncationError(
-            f"outermost-band bound {ring_bound:.3e} exceeds the tail tolerance "
-            f"{trunc.epsilon:g} (caps {trunc.cat_cap}/{trunc.thermal_cap})"
-        )
-    # branch order (s, t) = (+,+), (+,-), (-,+), (-,-); the mixed ones carry sigma
-    paired = pref * (m1[0] * m2[0] + m1[3] * m2[3] + spec.sigma * (m1[1] * m2[1] + m1[2] * m2[2]))
-    return _to_real(paired, "series_values")
+    truncs = [(trunc or TruncationConfig()).resolve(spec, params) for spec in specs]
+    # the distinct modes at each (caps, mode point set), in order of first use
+    groups: dict[tuple, dict] = {}
+    for spec, resolved in zip(specs, truncs):
+        caps = (resolved.cat_cap, resolved.thermal_cap)
+        for mode, gamma in ((1, spec.alpha), (2, spec.k * spec.alpha)):
+            groups.setdefault((caps, mode), {})[mode_key(gamma, params, mode)] = gamma
+    tables, factors = {}, {}
+    for (caps, mode), gammas in groups.items():
+        for key, gamma in gammas.items():
+            if (key, caps) not in tables:
+                tables[key, caps] = _stacked_tables(gamma, params.exp_factor(mode),
+                                                    params.one_minus_exp_factor(mode), *caps)
+        found = _mode_factors([tables[key, caps] for key in gammas], *caps,
+                              arrays[2 * mode - 2], arrays[2 * mode - 1], chi_mode)
+        factors.update(((key, caps, mode), result) for key, result in zip(gammas, found))
+
+    values = []
+    for spec, resolved in zip(specs, truncs):
+        caps = (resolved.cat_cap, resolved.thermal_cap)
+        m1, ring1 = factors[mode_key(spec.alpha, params, 1), caps, 1]
+        m2, ring2 = factors[mode_key(spec.k * spec.alpha, params, 2), caps, 2]
+        pref = _prefactor(spec, params)
+        scale1 = float(np.max(np.sum(np.abs(m1), axis=0))) if m1.size else 0.0
+        scale2 = float(np.max(np.sum(np.abs(m2), axis=0))) if m2.size else 0.0
+        ring_bound = pref * (ring1 * scale2 + scale1 * ring2)
+        if not ring_bound <= 100.0 * resolved.epsilon:
+            raise TruncationError(
+                f"outermost-band bound {ring_bound:.3e} exceeds the tail tolerance "
+                f"{resolved.epsilon:g} (caps {resolved.cat_cap}/{resolved.thermal_cap})"
+            )
+        # branch order (s, t) = (+,+), (+,-), (-,+), (-,-); the mixed ones carry sigma
+        paired = pref * (m1[0] * m2[0] + m1[3] * m2[3] + spec.sigma * (m1[1] * m2[1] + m1[2] * m2[2]))
+        values.append(_to_real(paired, "series_values"))
+    return values
+
+
+def series_values(spec: BellCatSpec, params: ThermalParams,
+                  x1, y1, x2, y2,
+                  trunc: TruncationConfig | None = None,
+                  chi_mode: str = CHI_KERNEL) -> np.ndarray:
+    """:func:`series_values_many` of one state."""
+    return series_values_many([spec], params, x1, y1, x2, y2, trunc, chi_mode)[0]

@@ -29,8 +29,8 @@ from bellcat.negativity import (
     integrate_negativity,
     temperature_sweep,
 )
-from bellcat.oracle import closed_form_zero_temperature, fock_wigner_kernels, oracle_cutoff, wigner_oracle_values
-from bellcat.series import series_values
+from bellcat.oracle import closed_form_zero_temperature, wigner_oracle_values, wigner_oracle_values_many
+from bellcat.series import series_values, series_values_many
 from bellcat.states import STATE_LABELS, BellCatSpec, coherent_overlap_sq
 from bellcat.tfd import HBAR, KB, thermal_params
 from bellcat.wigner import PhasePoint, SliceDescriptor, wigner_grid, wigner_point, wigner_values
@@ -124,25 +124,21 @@ def test_criterion_03_density_oracle_equivalence():
 
 
 def test_criterion_04_wigner_series_vs_kernel_oracle():
-    # three routes at the same points, sharing one set of oracle kernels per
-    # (alpha, T): the production Gaussian form, the paper's Laguerre series
-    # and the Fock-kernel oracle, every pair within 1e-8
+    # three routes at the same points, the series and the oracle each taking the
+    # four states of an (alpha, T) in one call, which shares one set of oracle
+    # kernels: the production Gaussian form, the paper's Laguerre series and the
+    # Fock-kernel oracle, every pair within 1e-8
     rng = np.random.default_rng(48151623)
     worst = {"gaussian-oracle": 0.0, "series-oracle": 0.0, "gaussian-series": 0.0}
     for alpha in (1.0, 1 + 1j):
         for temp in (0.0, 1.0):
             params = params_for(temp)
-            ref_spec = BellCatSpec(alpha=alpha, k=1, sigma=1)
-            cutoff = oracle_cutoff(ref_spec, params)
             box = math.sqrt(2.0) * abs(alpha) * max(params.u1, params.u2) + 2.0
             pts = rng.uniform(-box, box, size=(4, 50))
-            kernels = (fock_wigner_kernels(cutoff, pts[0], pts[1]),
-                       fock_wigner_kernels(cutoff, pts[2], pts[3]))
-            for label in ALL_LABELS:
-                spec = BellCatSpec.from_label(label, alpha)
+            specs = [BellCatSpec.from_label(label, alpha) for label in ALL_LABELS]
+            for spec, series, oracle in zip(specs, series_values_many(specs, params, *pts),
+                                            wigner_oracle_values_many(specs, params, *pts)):
                 gaussian = wigner_values(spec, params, *pts)
-                series = series_values(spec, params, *pts)
-                oracle = wigner_oracle_values(spec, params, *pts, cutoff=cutoff, kernels=kernels)
                 for pair, a, b in (("gaussian-oracle", gaussian, oracle), ("series-oracle", series, oracle),
                                    ("gaussian-series", gaussian, series)):
                     worst[pair] = max(worst[pair], float(np.max(np.abs(a - b))))

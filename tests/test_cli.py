@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import math
@@ -407,7 +408,7 @@ def sweep_rows_or_clean_error(code, out, err):
 def test_random_inputs_end_cleanly_under_warnings_as_errors(command, draw, tmp_path, capsys):
     # |alpha| from 1e-300 to 1e300, T from 0 to 1e300 K, both frequencies from 1e-300 to 1e300 Hz:
     # finite output, or a BellCatError line and exit 1, never a traceback or a floating-point warning;
-    # flags go as --flag=value, since argparse takes a separate "-1e-05" for an option
+    # flags go as --flag=value (test_negative_exponent_values_parse_as_separate_arguments checks the other form)
     out = tmp_path / "out"
     out.unlink(missing_ok=True)
     alpha = draw["modulus"] * complex(math.cos(draw["phase"]), math.sin(draw["phase"]))
@@ -426,6 +427,28 @@ def test_random_inputs_end_cleanly_under_warnings_as_errors(command, draw, tmp_p
         sweep_rows_or_clean_error(code, out, err)
     else:
         finite_or_clean_error(code, out, err)
+
+
+def float_flags() -> list[tuple[str, str]]:
+    """(command, flag) of every option that takes a float."""
+    parser = bellcat.cli.build_parser()
+    commands = next(action.choices for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    return [(command, flag) for command, subparser in commands.items()
+            for action in subparser._actions if action.type is float for flag in action.option_strings]
+
+
+@pytest.mark.parametrize("value", ["-1e-05", "-2.5E+3", "-.5e1", "-1.5", "-3"])
+@pytest.mark.parametrize("command, flag", float_flags())
+def test_negative_exponent_values_parse_as_separate_arguments(command, flag, value):
+    # argparse on Python 3.11 reads only -1 and -1.5 as negative numbers, so it took "-1e-05" for an option
+    parser = bellcat.cli.build_parser()
+    assert parser.parse_args([command, flag, value]) == parser.parse_args([command, f"{flag}={value}"])
+
+
+@pytest.mark.parametrize("argv", [["--temp", "-1e-05"], ["--temp=-1e-05"]])
+def test_negative_temperature_is_usage_error(argv, tmp_path, capsys):
+    assert main(["negativity", *argv, "--out", str(tmp_path / "n.json")]) == 2
+    assert capsys.readouterr().err == "usage error: temperature must be finite and >= 0 kelvin, got -1e-05\n"
 
 
 class TestPresets:
@@ -580,21 +603,56 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_series_diagnostics_run_on_the_calling_thread(self, workers, capsys, monkeypatch):
-        # on a pool thread they raised the benchmark's peak RSS by about 1 MB
+        # on a pool thread they raised the benchmark's peak RSS by about 1 MB; the
+        # route configs take the series through its list form, one call per config
         calls = []
-        series_values = bellcat.cli.series_values
 
-        def spy(*args, chi_mode=CHI_KERNEL, **kwargs):
-            calls.append((chi_mode, threading.current_thread()))
-            return series_values(*args, chi_mode=chi_mode, **kwargs)
+        def spy_on(name):
+            route = getattr(bellcat.cli, name)
 
-        monkeypatch.setattr(bellcat.cli, "series_values", spy)
+            def spy(*args, chi_mode=CHI_KERNEL, **kwargs):
+                calls.append((name, chi_mode, threading.current_thread()))
+                return route(*args, chi_mode=chi_mode, **kwargs)
+
+            monkeypatch.setattr(bellcat.cli, name, spy)
+
+        spy_on("series_values")
+        spy_on("series_values_many")
         monkeypatch.setattr(bellcat.cli, "_worker_count", lambda: workers)
         assert main(["validate", "--quick"]) == 0
-        diagnostics = [thread for mode, thread in calls if mode != CHI_KERNEL]
+        diagnostics = [thread for name, mode, thread in calls if mode != CHI_KERNEL]
         assert len(diagnostics) == 2
         assert all(thread is threading.current_thread() for thread in diagnostics)
-        assert sum(mode == CHI_KERNEL for mode, _ in calls) > 1
+        assert [(name, mode) for name, mode, _ in calls if name == "series_values_many"] == [
+            ("series_values_many", CHI_KERNEL)]
+
+    @pytest.mark.parametrize("flags, configs, density_calls", [([], 2, 4), (["--quick"], 1, 2)])
+    def test_tables_built_once_per_mode_amplitude(self, flags, configs, density_calls, capsys, monkeypatch):
+        # at equal frequencies the four states of a call need two mode amplitudes, alpha and -alpha;
+        # the series builds its Laguerre table once per config and mode point set, plus two per
+        # diagnostic (printed, reflected, broken), each a one-state call whose modes share one table
+        counts = {}
+
+        def spy_on(module, name):
+            builder = getattr(module, name)
+
+            def spy(*args, **kwargs):
+                counts[name, module.__name__] = counts.get((name, module.__name__), 0) + 1
+                return builder(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+
+        spy_on(bellcat.series, "laguerre_envelope_table")
+        spy_on(bellcat.series, "_mode_h_tables")
+        spy_on(bellcat.oracle, "mode_blocks")
+        spy_on(bellcat.density, "mode_blocks")
+        spy_on(bellcat.density, "_direct_mode_factors")
+        assert main(["validate"] + flags) == 0
+        assert counts == {("laguerre_envelope_table", "bellcat.series"): 2 * configs + 3 * 2,
+                          ("_mode_h_tables", "bellcat.series"): 2 * configs + 3,
+                          ("mode_blocks", "bellcat.oracle"): 2 * configs,
+                          ("mode_blocks", "bellcat.density"): 2 * density_calls,
+                          ("_direct_mode_factors", "bellcat.density"): 2 * density_calls}
 
     @pytest.mark.parametrize("flags, pairs", [([], 2), (["--quick"], 1)])
     def test_one_kernel_pair_per_config(self, flags, pairs, capsys, monkeypatch):

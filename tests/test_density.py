@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import bellcat.density
-from bellcat.density import _direct_mode_factor, _direct_terms, _exp_creation, _trace_deficit, mode_thermal_blocks, route_gap
+from bellcat.density import (
+    _direct_mode_factor, _direct_terms, _exp_creation, _trace_deficit, mode_thermal_blocks, route_gap, route_gaps,
+)
 from bellcat.errors import CutoffError
 from bellcat.states import BellCatSpec, bellcat_normalization, fock_coefficients
 from bellcat.tfd import gibbs_weight, thermal_params
@@ -241,27 +243,24 @@ class TestRouteGap:
     @pytest.mark.parametrize("label", ["phi-plus", "phi-minus", "psi-plus", "psi-minus"])
     def test_flipped_branch_sign_exceeds_gate(self, label, monkeypatch):
         # sigma^(s+t) flipped in the direct weights turns the state into its parity partner
-        direct_terms = bellcat.density._direct_terms
-
-        def flipped(*args):
-            weights, factors1, factors2 = direct_terms(*args)
-            return weights * np.array([[1.0, -1.0], [-1.0, 1.0]]), factors1, factors2
-
-        monkeypatch.setattr(bellcat.density, "_direct_terms", flipped)
+        direct_weights = bellcat.density._direct_weights
+        monkeypatch.setattr(bellcat.density, "_direct_weights",
+                            lambda spec: direct_weights(spec) * np.array([[1.0, -1.0], [-1.0, 1.0]]))
         spec = BellCatSpec.from_label(label, 1 + 1j)
         assert route_gap(spec, params_for(0.5), 30, enforce_trace_limit=False) > 1e-10
 
     @pytest.mark.parametrize("label", ["phi-plus", "phi-minus", "psi-plus", "psi-minus"])
     def test_dropped_one_minus_q_exceeds_gate(self, label, monkeypatch):
-        # mode 1's factors without their (1 - q1)
-        direct_terms = bellcat.density._direct_terms
+        # mode 1's factors without their (1 - q1); at equal frequencies mode 2 shares mode 1's
+        # factors where its amplitude k alpha is alpha (the phi states), so there it loses (1 - q2) too
+        direct_mode_factors = bellcat.density._direct_mode_factors
         params = params_for(0.5)
 
-        def dropped(*args):
-            weights, factors1, factors2 = direct_terms(*args)
-            return weights, [[f / params.one_minus_exp1 for f in row] for row in factors1], factors2
+        def dropped(gamma, params, mode, cutoff):
+            factors = direct_mode_factors(gamma, params, mode, cutoff)
+            return [[f / params.one_minus_exp1 for f in row] for row in factors] if mode == 1 else factors
 
-        monkeypatch.setattr(bellcat.density, "_direct_terms", dropped)
+        monkeypatch.setattr(bellcat.density, "_direct_mode_factors", dropped)
         spec = BellCatSpec.from_label(label, 1 + 1j)
         assert route_gap(spec, params, 30, enforce_trace_limit=False) > 1e-10
 
@@ -269,6 +268,49 @@ class TestRouteGap:
         spec = BellCatSpec.from_label("psi-plus", 1 + 1j)
         with pytest.raises(CutoffError, match=r"trace deficit 2\.288e-02 exceeds"):
             route_gap(spec, params_for(0.5), 20)
+
+
+class TestRouteGaps:
+    """route_gaps over a list of states equals route_gap of each state, bit for bit."""
+
+    @pytest.mark.parametrize("ratio", [1.0, 1.3])
+    @pytest.mark.parametrize("temp", [0.0, 1.0])
+    @pytest.mark.parametrize("alpha", [1.0, 1 + 1j, 0.7 - 0.4j])
+    def test_list_equals_single_state_calls(self, alpha, temp, ratio):
+        # at ratio 1.3 the two modes stop sharing their factors
+        params = thermal_params(temp, OMEGA, ratio * OMEGA)
+        specs = [BellCatSpec.from_label(label, alpha) for label in ("phi-plus", "phi-minus", "psi-plus", "psi-minus")]
+        gaps = route_gaps(specs, params, 20, enforce_trace_limit=False)
+        assert gaps == [route_gap(spec, params, 20, enforce_trace_limit=False) for spec in specs]
+
+    def test_mixed_amplitudes(self):
+        params = thermal_params(1.0, OMEGA, 1.3 * OMEGA)
+        specs = [BellCatSpec.from_label(label, alpha) for label, alpha in
+                 (("phi-plus", 1.0), ("psi-minus", 0.7 - 0.4j), ("phi-minus", 1 + 1j), ("psi-plus", 1.0))]
+        gaps = route_gaps(specs, params, 20, enforce_trace_limit=False)
+        assert gaps == [route_gap(spec, params, 20, enforce_trace_limit=False) for spec in specs]
+
+    def test_amplitudes_differing_in_a_zero_sign(self):
+        # mode amplitudes -1 - 0j and -1 + 0j compare equal but differ in phase
+        specs = [BellCatSpec.from_label("phi-plus", complex(-1.0, -0.0)), BellCatSpec.from_label("psi-plus", 1.0)]
+        gaps = route_gaps(specs, params_for(1.0), 30, enforce_trace_limit=False)
+        assert gaps == [route_gap(spec, params_for(1.0), 30, enforce_trace_limit=False) for spec in specs]
+
+    def test_builds_each_mode_once(self, monkeypatch):
+        # equal frequencies: the four states need the mode amplitudes alpha and -alpha only
+        built = []
+        for name in ("mode_blocks", "_direct_mode_factors"):
+            builder = getattr(bellcat.density, name)
+
+            def spy(gamma, *args, builder=builder, name=name):
+                built.append((name, gamma))
+                return builder(gamma, *args)
+
+            monkeypatch.setattr(bellcat.density, name, spy)
+        specs = [BellCatSpec.from_label(label, 1 + 1j) for label in ("phi-plus", "phi-minus", "psi-plus", "psi-minus")]
+        route_gaps(specs, params_for(0.5), 30)
+        assert sorted(built, key=repr) == sorted([(name, gamma) for name in ("mode_blocks", "_direct_mode_factors")
+                                                  for gamma in (1 + 1j, -(1 + 1j))], key=repr)
 
 
 class TestDensityInvariants:

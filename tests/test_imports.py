@@ -64,5 +64,5 @@ def test_series_imports_neither_the_production_module_nor_the_oracle():
 def test_scanner_sees_local_and_module_level_imports():
     # the allowed exception is function-local; the oracle imports both routes it builds on
     assert (None, "series", ("_coordinate_arrays", "_to_real", "default_cat_cap")) in package_imports("oracle")
-    assert (None, "density", ("mode_thermal_blocks", "thermal_levels")) in package_imports("oracle")
+    assert (None, "density", ("branch_weights", "mode_blocks", "mode_key", "thermal_levels")) in package_imports("oracle")
     assert ("wigner_values", "series", ("series_values",)) in package_imports("wigner")

@@ -13,6 +13,7 @@ from bellcat.oracle import (
     hermite_functions,
     oracle_cutoff,
     wigner_oracle_values,
+    wigner_oracle_values_many,
 )
 from bellcat.series import (
     CHI_BROKEN,
@@ -21,6 +22,7 @@ from bellcat.series import (
     _mode_h_tables,
     default_cat_cap,
     series_values,
+    series_values_many,
 )
 from bellcat.special_fn import log_factorial_table
 from bellcat.states import STATE_LABELS, BellCatSpec
@@ -259,15 +261,14 @@ class TestOracleAgreement:
         assert np.max(np.abs(ws - wo)) < 1e-8
 
     def test_shared_kernels_are_bit_identical(self):
-        # `bellcat validate` and criterion 04 hand one pair of kernels to the four states of an (alpha, T)
+        # `bellcat validate` and criterion 04 evaluate the four states of an (alpha, T) in one
+        # call, which computes one pair of kernels for them
         params = params_for(1.0)
         pts = np.random.default_rng(7).uniform(-3, 3, size=(4, 5))
-        cutoff = oracle_cutoff(BellCatSpec.from_label("phi-plus", 1 + 1j), params)
-        kernels = (fock_wigner_kernels(cutoff, pts[0], pts[1]), fock_wigner_kernels(cutoff, pts[2], pts[3]))
-        for label in STATE_LABELS:
-            spec = BellCatSpec.from_label(label, 1 + 1j)
-            assert oracle_cutoff(spec, params) == cutoff
-            shared = wigner_oracle_values(spec, params, *pts, cutoff=cutoff, kernels=kernels)
+        specs = [BellCatSpec.from_label(label, 1 + 1j) for label in STATE_LABELS]
+        cutoff = oracle_cutoff(specs[0], params)
+        assert all(oracle_cutoff(spec, params) == cutoff for spec in specs)
+        for spec, shared in zip(specs, wigner_oracle_values_many(specs, params, *pts)):
             assert np.array_equal(shared, wigner_oracle_values(spec, params, *pts))
 
     def test_lobe_point(self):
@@ -383,6 +384,52 @@ class TestTruncationConfig:
         spec = BellCatSpec.from_label("phi-minus", 1.0)
         with pytest.raises(TruncationError, match="hard cap 2000"):
             route(spec, params_for(temp), 0.0, 0.0, 0.0, 0.0)
+
+
+LIST_ROUTES = {"series": (series_values_many, series_values),
+               "oracle": (wigner_oracle_values_many, wigner_oracle_values)}
+ALL_FOUR = ("phi-plus", "phi-minus", "psi-plus", "psi-minus")
+
+
+class TestListForms:
+    """The list form of each reference route equals its single-state call, bit for bit."""
+
+    @pytest.mark.parametrize("ratio", [1.0, 1.3])
+    @pytest.mark.parametrize("temp", [0.0, 1.0])
+    @pytest.mark.parametrize("alpha", [1.0, 1 + 1j, 0.7 - 0.4j])
+    @pytest.mark.parametrize("route", sorted(LIST_ROUTES))
+    def test_four_states(self, route, alpha, temp, ratio):
+        # at ratio 1.3 the two modes stop sharing their tables
+        many, single = LIST_ROUTES[route]
+        params = thermal_params(temp, OMEGA, ratio * OMEGA)
+        pts = np.random.default_rng(11).uniform(-3, 3, size=(4, 5))
+        specs = [BellCatSpec.from_label(label, alpha) for label in ALL_FOUR]
+        for spec, got in zip(specs, many(specs, params, *pts), strict=True):
+            assert np.array_equal(got, single(spec, params, *pts))
+
+    @pytest.mark.parametrize("route", sorted(LIST_ROUTES))
+    def test_mixed_amplitudes(self, route):
+        # the caps and the oracle cutoff follow |alpha|, so they differ within the call
+        many, single = LIST_ROUTES[route]
+        params = thermal_params(1.0, OMEGA, 1.3 * OMEGA)
+        pts = np.random.default_rng(12).uniform(-3, 3, size=(4, 5))
+        specs = [BellCatSpec.from_label(label, alpha) for label, alpha in
+                 (("phi-plus", 1.0), ("psi-minus", 0.7 - 0.4j), ("phi-minus", 1 + 1j), ("psi-plus", 1.0))]
+        assert len({default_cat_cap(spec, params) for spec in specs}) == 3
+        assert len({oracle_cutoff(spec, params) for spec in specs}) == 3
+        for spec, got in zip(specs, many(specs, params, *pts), strict=True):
+            assert np.array_equal(got, single(spec, params, *pts))
+
+    @pytest.mark.parametrize("route", sorted(LIST_ROUTES))
+    def test_amplitudes_differing_in_a_zero_sign(self, route):
+        # phi-plus at alpha = -1 - 0j has mode amplitude -1 - 0j (phase -pi), psi-plus at alpha = 1
+        # has -1 + 0j (phase +pi); the two compare equal, and the tables of one do not serve the other
+        many, single = LIST_ROUTES[route]
+        params = params_for(1.0)
+        pts = np.random.default_rng(1).uniform(-3, 3, size=(4, 5))
+        specs = [BellCatSpec.from_label("phi-plus", complex(-1.0, -0.0)), BellCatSpec.from_label("psi-plus", 1.0)]
+        for spec, got in zip(specs, many(specs, params, *pts), strict=True):
+            assert np.array_equal(got, single(spec, params, *pts))
 
 
 SHAPE_SPEC = BellCatSpec.from_label("phi-minus", 1.0)
