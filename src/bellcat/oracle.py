@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .density import branch_weights, mode_blocks, mode_key, thermal_levels
-from .errors import QuadratureError
+from .errors import QuadratureError, TruncationError
 from .series import _coordinate_arrays, _to_real, default_cat_cap
 from .states import BellCatSpec
 from .tfd import ThermalParams
@@ -46,7 +46,8 @@ def hermite_functions(nmax: int, xi: np.ndarray) -> np.ndarray:
     """Normalized oscillator eigenfunctions psi_n(xi), n = 0..nmax.
 
     Two-term recurrence on the functions themselves (never the bare Hermite
-    polynomials), so magnitudes stay bounded for n of a few hundred.
+    polynomials), so magnitudes stay bounded for n of a few hundred.  Shape
+    (nmax+1,) + xi.shape; each step writes its row in place.
     """
     xi = np.asarray(xi, dtype=float)
     out = np.empty((nmax + 1,) + xi.shape)
@@ -54,10 +55,28 @@ def hermite_functions(nmax: int, xi: np.ndarray) -> np.ndarray:
     if nmax == 0:
         return out
     out[1] = math.sqrt(2.0) * xi * out[0]
+    # psi_{n+1} = (c xi) psi_n - d psi_{n-1}, in that order, on flat rows (a 0-d xi gives rows of one)
+    rows, flat = out.reshape(nmax + 1, xi.size), xi.reshape(xi.size)
+    lag = np.empty_like(flat)
     for n in range(1, nmax):
-        out[n + 1] = (math.sqrt(2.0 / (n + 1)) * xi * out[n]
-                      - math.sqrt(n / (n + 1)) * out[n - 1])
+        np.multiply(math.sqrt(2.0 / (n + 1)), flat, out=rows[n + 1])
+        rows[n + 1] *= rows[n]
+        np.multiply(math.sqrt(n / (n + 1)), rows[n - 1], out=lag)
+        rows[n + 1] -= lag
     return out
+
+
+# near the origin the oracle takes about 240 bytes per level^2 at one point (63 MB at this cap) and
+# about 100 more for each further point; from n ~ 700 the Hermite seed e^{-xi^2/2} underflows at
+# the turning point sqrt(2n + 1), and the quadrature stops converging
+HARD_ORACLE_CUTOFF = 512
+
+
+def _checked_cutoff(nmax: int) -> int:
+    """`nmax`, or TruncationError past `HARD_ORACLE_CUTOFF`, before any table is built."""
+    if nmax > HARD_ORACLE_CUTOFF:
+        raise TruncationError(f"oracle cutoff {nmax} is beyond the hard cap {HARD_ORACLE_CUTOFF}")
+    return nmax
 
 
 def fock_wigner_kernels(nmax: int, x: np.ndarray, y: np.ndarray,
@@ -70,8 +89,10 @@ def fock_wigner_kernels(nmax: int, x: np.ndarray, y: np.ndarray,
     The refinements are nested: each doubling evaluates only the new
     midpoints and adds them to half the previous sum.  Each level runs over
     the nodes s >= 0 only; the nodes -s add the conjugate transpose.
-    Returns shape (npoints, nmax+1, nmax+1).
+    Returns shape (npoints, nmax+1, nmax+1).  Past `HARD_ORACLE_CUTOFF`
+    raises TruncationError.
     """
+    _checked_cutoff(nmax)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape != y.shape:
@@ -133,7 +154,9 @@ _ORACLE_MASS_EPSILON = 1e-9
 
 def oracle_cutoff(spec: BellCatSpec, params: ThermalParams) -> int:
     """Per-mode Fock cutoff the oracle needs to hold ~1e-9 of the state's mass."""
-    return default_cat_cap(spec, params) + thermal_levels(params, _ORACLE_MASS_EPSILON)
+    # the thermal levels first: past both hard caps, theirs is the error raised, as in the series
+    levels = thermal_levels(params, _ORACLE_MASS_EPSILON)
+    return default_cat_cap(spec, params) + levels
 
 
 def wigner_oracle_values_many(specs: list[BellCatSpec], params: ThermalParams,
@@ -144,9 +167,11 @@ def wigner_oracle_values_many(specs: list[BellCatSpec], params: ThermalParams,
     weights and its two mode amplitudes, so within the call the kernels are
     computed once per (cutoff, mode), the blocks once per distinct mode
     (`mode_key`) and cutoff, and their contractions once per mode they serve.
-    A cutoff left as None is `oracle_cutoff` of each state.
+    A cutoff left as None is `oracle_cutoff` of each state.  Any cutoff past
+    `HARD_ORACLE_CUTOFF` raises TruncationError before any table is built.
     """
     arrays = _coordinate_arrays(x1, y1, x2, y2)
+    cutoffs = [_checked_cutoff(oracle_cutoff(spec, params) if cutoff is None else cutoff) for spec in specs]
     kernels, blocks, contractions = {}, {}, {}
 
     def contracted(gamma: complex, mode: int, nmax: int) -> list:
@@ -161,8 +186,7 @@ def wigner_oracle_values_many(specs: list[BellCatSpec], params: ThermalParams,
         return contractions[block_key, mode]
 
     values = []
-    for spec in specs:
-        nmax = oracle_cutoff(spec, params) if cutoff is None else cutoff
+    for spec, nmax in zip(specs, cutoffs):
         c1 = contracted(spec.alpha, 1, nmax)
         c2 = contracted(spec.k * spec.alpha, 2, nmax)
         weights = branch_weights(spec)

@@ -63,16 +63,26 @@ CHI_BROKEN = "always-plus"
 _CHI_MODES = (CHI_KERNEL, CHI_PRINTED, CHI_BROKEN)
 
 IMAG_RESIDUE_TOL = 1e-9
+# the series' per-mode tables take about 512 bytes per (coherent level x degree), degree = cat cap +
+# thermal cap: 0.66 GB at this cap and the hard thermal cap of 2000 levels
+HARD_CAT_CAP = 512
+
+
+def _checked_cat_cap(cap: float) -> int:
+    """`cap` rounded up; TruncationError past `HARD_CAT_CAP`, before any table is built."""
+    if not cap <= HARD_CAT_CAP:
+        raise TruncationError(f"coherent-branch cap {cap:.6g} is beyond the hard cap {HARD_CAT_CAP}")
+    return math.ceil(cap)
 
 
 def default_cat_cap(spec: BellCatSpec, params: ThermalParams) -> int:
     """Fock reach of the coherent branches: ceil(a^2 + 8a + 10) at a = |alpha| u.
 
     The series caps its four coherent-branch indices here, and the oracle
-    sizes its Fock cutoff from it.
+    sizes its Fock cutoff from it.  Past `HARD_CAT_CAP` raises TruncationError.
     """
     a = effective_amplitude(spec, params)
-    return math.ceil(a * a + 8.0 * a + 10.0)
+    return _checked_cat_cap(a * a + 8.0 * a + 10.0)
 
 
 def default_thermal_cap(params: ThermalParams, epsilon: float) -> int:
@@ -105,7 +115,8 @@ class TruncationConfig:
 
     Caps left as None are resolved from the state and thermal parameters at
     evaluation time (cat_cap from the thermally amplified amplitude, thermal
-    cap from the Gibbs tail at `epsilon`).
+    cap from the Gibbs tail at `epsilon`).  A cat_cap past `HARD_CAT_CAP`,
+    default or explicit, raises TruncationError there.
     """
 
     cat_cap: int | None = None
@@ -121,8 +132,8 @@ class TruncationConfig:
                 raise ValueError(f"{name} must be >= 1")
 
     def resolve(self, spec: BellCatSpec, params: ThermalParams) -> "TruncationConfig":
-        cat = self.cat_cap if self.cat_cap is not None else default_cat_cap(spec, params)
         thermal = self.thermal_cap if self.thermal_cap is not None else default_thermal_cap(params, self.epsilon)
+        cat = _checked_cat_cap(self.cat_cap) if self.cat_cap is not None else default_cat_cap(spec, params)
         return TruncationConfig(cat_cap=cat, thermal_cap=thermal, epsilon=self.epsilon)
 
 
@@ -252,7 +263,8 @@ def _mode_factors(tables: list, cat_cap: int, thermal_cap: int, x: np.ndarray, y
         w = 2.0 * (xs * xs + ys * ys)
         try:
             with np.errstate(over="raise"):
-                lag = laguerre_envelope_table(nmax, cat_cap, w)      # (d, N, p), includes e^{-w/2}
+                # (d, N, p) view of a degree-major buffer, includes e^{-w/2}; matmul reads it in place
+                lag = laguerre_envelope_table(nmax, cat_cap, w)
         except FloatingPointError:
             raise TruncationError(f"the Laguerre table overflows the float range at degree {nmax} "
                                   f"(caps {cat_cap}/{thermal_cap})") from None
@@ -287,8 +299,9 @@ def series_values_many(specs: list[BellCatSpec], params: ThermalParams,
     coherent band's contribution, a conservative overestimate of the mass
     the caps left out, against the tolerance.  A bound above 100 epsilon, or
     one that is not a number, raises TruncationError, as does a Laguerre table
-    past the float range.  The four branch products are then summed as complex
-    numbers, and the imaginary-residue guard checks that they pair up.
+    past the float range and, before any table is built, a coherent-branch
+    cap past `HARD_CAT_CAP`.  The four branch products are then summed as
+    complex numbers, and the imaginary-residue guard checks that they pair up.
 
     A state enters only through sigma, its caps and its two mode amplitudes,
     so within the call the contraction tables are built once per distinct

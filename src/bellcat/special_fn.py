@@ -60,6 +60,10 @@ def laguerre_envelope_table(max_degree: int, max_order: int, x: np.ndarray) -> n
     keeps every entry polynomially bounded, so thermal series can run to
     degrees of several hundred at x of several hundred without overflow; the
     recurrence is linear, hence unchanged by the common scale.
+
+    The result is the (order, degree, point) view of a degree-major buffer,
+    so it is not C-contiguous: each degree step fills one contiguous
+    (order, point) block.
     """
     if max_degree < 0 or max_order < 0:
         raise ValueError("degrees and orders must be >= 0")
@@ -67,19 +71,21 @@ def laguerre_envelope_table(max_degree: int, max_order: int, x: np.ndarray) -> n
     if not np.all(np.isfinite(x)) or np.any(x < 0):
         raise ValueError("Laguerre argument must be finite and >= 0")
     env = np.exp(-0.5 * x)
-    orders = np.arange(max_order + 1, dtype=float)[:, None]
-    out = np.empty((max_order + 1, max_degree + 1, x.size))
-    out[:, 0, :] = env[None, :]
+    out = np.empty((max_degree + 1, max_order + 1, x.size))
+    out[0] = env
     if max_degree == 0:
-        return out
-    out[:, 1, :] = (1.0 + orders - x[None, :]) * env[None, :]
-    # L_{n+1} = ((2n + 1 + m - x) L_n - (n + m) L_{n-1}) / (n + 1), evaluated left to right
-    # through two reused buffers
-    step, lag = np.empty((2, max_order + 1, x.size))
+        return out.transpose(1, 0, 2)
+    # L_{n+1} = ((2n + 1 + m - x) L_n - (n + m) L_{n-1}) / (n + 1), evaluated left to right; the
+    # factors depend only on k = 2n + 1 + m and k = n + m, so their rows k - x and k are formed
+    # once, the latter spelled out over the points (a broadcast column multiplies at half speed)
+    ks = np.arange(2 * max_degree + max_order, dtype=float)[:, None]
+    k_minus_x = ks - x
+    k_rows = np.repeat(ks[: max_degree + max_order], x.size, axis=1)
+    out[1] = k_minus_x[1 : max_order + 2] * env
+    lag = np.empty((max_order + 1, x.size))
     for n in range(1, max_degree):
-        np.subtract(2 * n + 1 + orders, x[None, :], out=step)
-        step *= out[:, n, :]
-        np.multiply(n + orders, out[:, n - 1, :], out=lag)
-        step -= lag
-        np.divide(step, n + 1, out=out[:, n + 1, :])
-    return out
+        np.multiply(k_minus_x[2 * n + 1 : 2 * n + 2 + max_order], out[n], out=out[n + 1])
+        np.multiply(k_rows[n : n + max_order + 1], out[n - 1], out=lag)
+        out[n + 1] -= lag
+        out[n + 1] /= n + 1.0
+    return out.transpose(1, 0, 2)

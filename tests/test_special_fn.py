@@ -138,11 +138,18 @@ class TestLaguerre:
                 assert got == pytest.approx(exact, rel=1e-9)
 
     @pytest.mark.parametrize("max_degree, max_order, top", [(0, 0, 1.0), (1, 3, 5.0), (2, 0, 9.0),
-                                                            (60, 20, 100.0), (250, 40, 300.0)])
+                                                            (60, 20, 100.0), (250, 40, 300.0),
+                                                            (136, 43, 60.0), (20, 19, 30.0)])
     def test_buffered_recurrence_is_bit_identical(self, max_degree, max_order, top):
         x = np.random.default_rng(max_degree).uniform(0.0, top, 37)
         assert np.array_equal(laguerre_envelope_table(max_degree, max_order, x),
                               laguerre_one_line(max_degree, max_order, x))
+
+    def test_table_is_a_view_of_a_degree_major_buffer(self):
+        table = laguerre_envelope_table(7, 3, np.linspace(0.0, 5.0, 11))
+        assert table.shape == (4, 8, 11)
+        assert not table.flags.c_contiguous
+        assert table.transpose(1, 0, 2).flags.c_contiguous
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,17 @@
 import cmath
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import bellcat.oracle
+import bellcat.series
 from bellcat.errors import ImaginaryResidueError, QuadratureError, TruncationError
 from bellcat.oracle import (
+    HARD_ORACLE_CUTOFF,
     closed_form_zero_temperature,
     fock_wigner_kernels,
     hermite_functions,
@@ -18,6 +22,7 @@ from bellcat.oracle import (
 from bellcat.series import (
     CHI_BROKEN,
     CHI_PRINTED,
+    HARD_CAT_CAP,
     TruncationConfig,
     _mode_h_tables,
     default_cat_cap,
@@ -37,7 +42,30 @@ def params_for(T):
     return thermal_params(T, OMEGA)
 
 
+def hermite_one_line(nmax: int, xi) -> np.ndarray:
+    """The oscillator eigenfunction table with each recurrence step written as one expression."""
+    xi = np.asarray(xi, dtype=float)
+    out = np.empty((nmax + 1,) + xi.shape)
+    out[0] = math.pi ** -0.25 * np.exp(-0.5 * xi * xi)
+    if nmax == 0:
+        return out
+    out[1] = math.sqrt(2.0) * xi * out[0]
+    for n in range(1, nmax):
+        out[n + 1] = (math.sqrt(2.0 / (n + 1)) * xi * out[n]
+                      - math.sqrt(n / (n + 1)) * out[n - 1])
+    return out
+
+
 class TestHermiteFunctions:
+    @pytest.mark.parametrize("shape", [(), (37,), (2, 3, 41)])
+    @pytest.mark.parametrize("nmax", [0, 1, 2, 5, 128])
+    def test_in_place_recurrence_is_bit_identical(self, nmax, shape):
+        # 0-d, 1-D and the oracle's stacked (ket/bra, point, node) arguments
+        xi = np.random.default_rng(nmax).uniform(-20.0, 20.0, shape)
+        got = hermite_functions(nmax, xi)
+        assert got.shape == (nmax + 1,) + shape
+        assert np.array_equal(got, hermite_one_line(nmax, xi))
+
     def test_ground_state(self):
         xi = np.linspace(-3, 3, 7)
         psi = hermite_functions(4, xi)
@@ -375,6 +403,46 @@ class TestTruncationConfig:
         trunc = TruncationConfig(cat_cap=291, thermal_cap=986)
         with pytest.raises(TruncationError, match="Laguerre table overflows"):
             series_values(spec, params_for(5.0), 0.0, 0.0, 0.0, 0.0, trunc=trunc)
+
+    @pytest.mark.parametrize("alpha", [30.0, 100.0])
+    @pytest.mark.parametrize("route", [series_values, wigner_oracle_values])
+    def test_large_amplitudes_raise_before_any_table(self, route, alpha):
+        # the default caps here once asked for up to 30 GiB (cat cap ~4400 at |alpha| = 30)
+        spec = BellCatSpec.from_label("phi-minus", alpha)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(TruncationError, match=f"beyond the hard cap {HARD_CAT_CAP}"):
+                route(spec, params_for(1.0), 0.0, 0.0, 0.0, 0.0)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 100e6
+
+    def test_explicit_caps_past_the_hard_caps_raise_before_any_table(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        for name in ("fock_wigner_kernels", "mode_blocks"):
+            monkeypatch.setattr(bellcat.oracle, name, refuse)
+        for name in ("_stacked_tables", "laguerre_envelope_table"):
+            monkeypatch.setattr(bellcat.series, name, refuse)
+        # the state that comes first is within the caps; the list still raises before building it
+        specs = [BellCatSpec.from_label("phi-minus", 1.0), BellCatSpec.from_label("psi-plus", 30.0)]
+        with pytest.raises(TruncationError, match=f"hard cap {HARD_CAT_CAP}"):
+            series_values_many(specs, params_for(1.0), 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(TruncationError, match=f"hard cap {HARD_CAT_CAP}"):
+            wigner_oracle_values_many(specs, params_for(1.0), 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(TruncationError, match=f"cap {HARD_CAT_CAP + 1} is beyond the hard cap"):
+            series_values(specs[0], params_for(1.0), 0.0, 0.0, 0.0, 0.0,
+                          trunc=TruncationConfig(cat_cap=HARD_CAT_CAP + 1, thermal_cap=10))
+        with pytest.raises(TruncationError, match=f"cutoff {HARD_ORACLE_CUTOFF + 1} is beyond the hard cap"):
+            wigner_oracle_values(specs[0], params_for(1.0), 0.0, 0.0, 0.0, 0.0, cutoff=HARD_ORACLE_CUTOFF + 1)
+        monkeypatch.undo()
+        with pytest.raises(TruncationError, match=f"hard cap {HARD_ORACLE_CUTOFF}"):
+            fock_wigner_kernels(HARD_ORACLE_CUTOFF + 1, np.zeros(1), np.zeros(1))
 
     @pytest.mark.parametrize("temp", [1e6, 1e17])
     @pytest.mark.parametrize("route", [series_values, wigner_oracle_values])
