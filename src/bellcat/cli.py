@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p_validate = sub.add_parser("validate", help="run the oracle cross-validation suite")
-    p_validate.add_argument("--quick", action="store_true", help="smaller battery (0.09-0.12 s instead of 0.2-0.3 s on 2 CPUs)")
+    p_validate.add_argument("--quick", action="store_true", help="smaller battery (0.07-0.11 s instead of 0.15-0.3 s on 2 CPUs)")
 
     p_wigner = sub.add_parser("wigner", help="evaluate a 2D slice of the Wigner function to CSV")
     add_common(p_wigner)
