@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import re
 import sys
 import time
@@ -69,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p_validate = sub.add_parser("validate", help="run the oracle cross-validation suite")
-    p_validate.add_argument("--quick", action="store_true", help="smaller battery (0.07-0.11 s instead of 0.15-0.3 s on 2 CPUs)")
+    p_validate.add_argument("--quick", action="store_true", help="smaller battery (0.05 s instead of 0.13 s in process)")
 
     p_wigner = sub.add_parser("wigner", help="evaluate a 2D slice of the Wigner function to CSV")
     add_common(p_wigner)
@@ -229,14 +228,6 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _worker_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _route_config_gaps(labels: list[str], alpha: complex, params, pts: np.ndarray) -> list[float]:
     """max |diff| of Gaussian vs oracle, series vs oracle and Gaussian vs series, over the states at one point set.
 
@@ -256,19 +247,11 @@ def _route_config_gaps(labels: list[str], alpha: complex, params, pts: np.ndarra
 
 
 def _run_checks(quick: bool) -> list[tuple[str, bool, str]]:
-    """The validation battery, in report order.
+    """The validation battery, run in report order.
 
-    The three-route configs run on `_worker_count()` threads: the calling
-    thread and a pool of the others.  The calling thread first runs the
-    light checks, the density configs and the series diagnostics among
-    them, and then takes configs from the same list as the pool, heaviest
-    first.  Every random point is drawn on the calling thread first, in a
-    fixed order, and the results are reduced in report order, so the report
-    does not depend on the number of workers.
+    One seeded generator draws every random point in the order the checks
+    run, so each line of the report is the same on every run.
     """
-    import threading
-    from concurrent.futures import ThreadPoolExecutor    # here, so `import bellcat` does not pay for it
-
     omega = 2 * math.pi * _DEFAULT_FREQ
     rng = np.random.default_rng(20240811)
     checks: list[tuple[str, bool, str]] = []
@@ -280,70 +263,25 @@ def _run_checks(quick: bool) -> list[tuple[str, bool, str]]:
     labels = ["phi-plus", "phi-minus", "psi-plus", "psi-minus"]
     alphas = [1.0] if quick else [1.0, 1 + 1j]
     cutoff = 20 if quick else 30
-    density_jobs = [([BellCatSpec.from_label(label, alpha) for label in labels], thermal_params(temp, omega), cutoff)
-                    for alpha in alphas for temp in (0.0, 0.5)]
+    worst = max(max(route_gaps([BellCatSpec.from_label(label, alpha) for label in labels],
+                               thermal_params(temp, omega), cutoff))
+                for alpha in alphas for temp in (0.0, 0.5))
+    record("density element formula vs operator product", worst < 1e-10, f"max |diff| <= {worst:.2e}")
 
     # three routes at the same points: Gaussian (production), series, Fock-kernel oracle;
     # one point set per (alpha, T), shared by the four states
     configs = [(1.0, 0.0)] if quick else [(1.0, 0.0), (1 + 1j, 1.0)]
     npts = 4 if quick else 8
-    route_jobs = []
+    gaps = []
     for alpha, temp in configs:
         params = thermal_params(temp, omega)
         box = math.sqrt(2.0) * abs(alpha) * max(params.u1, params.u2) + 2.0
-        route_jobs.append((labels, alpha, params, rng.uniform(-box, box, size=(4, npts))))
-    cold_pts = [rng.uniform(-3.0, 3.0, size=(4, 20)) for _ in labels]
-    pts = rng.uniform(-3.0, 3.0, size=(4, 100))
-
-    # the negativity integration runs before the pool starts, so it has a CPU to itself
-    spec = BellCatSpec.from_label("phi-minus", 1.0)
-    result = integrate_negativity(spec, thermal_params(0.01, omega))
-
-    # the warm config (oracle cutoff 128) first, then the cold one
-    pending = iter(sorted(range(len(route_jobs)), key=lambda index: route_jobs[index][2].is_zero_temperature))
-    lock = threading.Lock()
-    gaps: list = [None] * len(route_jobs)
-
-    def drain() -> None:
-        while True:
-            with lock:
-                index = next(pending, None)
-            if index is None:
-                return
-            gaps[index] = _route_config_gaps(*route_jobs[index])
-
-    helpers = _worker_count() - 1
-    with ThreadPoolExecutor(max_workers=max(1, helpers)) as pool:
-        running = [pool.submit(drain) for _ in range(helpers)]
-        worst = max(max(route_gaps(*job)) for job in density_jobs)
-        light = _light_checks(labels, cold_pts, pts, omega)
-        drain()
-        for future in running:
-            future.result()
-
-    record("density element formula vs operator product", worst < 1e-10, f"max |diff| <= {worst:.2e}")
+        gaps.append(_route_config_gaps(labels, alpha, params, rng.uniform(-box, box, size=(4, npts))))
     names = ("Gaussian vs Fock-kernel oracle", "Laguerre series vs Fock-kernel oracle",
              "Gaussian vs Laguerre series")
     for name, values in zip(names, zip(*gaps)):
         worst = float(np.max(values))
         record(name, worst < 1e-8, f"max |diff| = {worst:.2e}")
-    checks += light
-
-    # negativity identity on the integration above
-    rel = abs(result.nu - result.delta / (1.0 + result.delta)) / result.nu
-    ok = rel < 1e-6 and abs(result.norm_check - 1.0) < 1e-3 and result.nu > 0
-    record("negativity: norm and nu = delta/(1+delta)",
-           ok, f"nu = {result.nu:.6f}, |norm-1| = {abs(result.norm_check - 1):.2e}, identity rel = {rel:.2e}")
-    return checks
-
-
-def _light_checks(labels: list[str], cold_pts: list[np.ndarray], pts: np.ndarray,
-                  omega: float) -> list[tuple[str, bool, str]]:
-    """The battery's checks at few points, in report order, the series diagnostics among them."""
-    checks: list[tuple[str, bool, str]] = []
-
-    def record(name: str, ok: bool, detail: str) -> None:
-        checks.append((name, bool(ok), detail))
 
     # parity value at the origin
     worst = 0.0
@@ -356,13 +294,15 @@ def _light_checks(labels: list[str], cold_pts: list[np.ndarray], pts: np.ndarray
     # zero-temperature closed form (coherent-state algebra)
     worst = 0.0
     params = thermal_params(0.0, omega)
-    for label, cold in zip(labels, cold_pts):
+    for label in labels:
         spec = BellCatSpec.from_label(label, 1 + 1j)
+        cold = rng.uniform(-3.0, 3.0, size=(4, 20))
         worst = max(worst, float(np.max(np.abs(
             wigner_values(spec, params, *cold) - closed_form_zero_temperature(spec, *cold)))))
     record("zero-temperature coherent closed form", worst < 1e-9, f"max |diff| = {worst:.2e}")
 
     # mode-2 flip symmetry
+    pts = rng.uniform(-3.0, 3.0, size=(4, 100))
     spec = BellCatSpec.from_label("phi-plus", 1 + 1j)
     params = thermal_params(1.0, omega)
     flipped = wigner_values(spec.flipped_mode2(), params, pts[0], pts[1], -pts[2], -pts[3])
@@ -382,6 +322,13 @@ def _light_checks(labels: list[str], cold_pts: list[np.ndarray], pts: np.ndarray
         record("broken chi convention trips the residue guard", False, "no error raised")
     except ImaginaryResidueError:
         record("broken chi convention trips the residue guard", True, "ImaginaryResidueError raised")
+
+    # negativity: the identity nu = delta/(1+delta), and the closed-form norm to 1e-12
+    result = integrate_negativity(BellCatSpec.from_label("phi-minus", 1.0), thermal_params(0.01, omega))
+    rel = abs(result.nu - result.delta / (1.0 + result.delta)) / result.nu
+    ok = rel < 1e-6 and abs(result.norm_check - 1.0) < 1e-12 and result.nu > 0
+    record("negativity: norm and nu = delta/(1+delta)",
+           ok, f"nu = {result.nu:.6f}, |norm-1| = {abs(result.norm_check - 1):.2e}, identity rel = {rel:.2e}")
     return checks
 
 

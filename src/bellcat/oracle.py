@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .density import branch_weights, mode_blocks, mode_key, thermal_levels
-from .errors import QuadratureError, TruncationError
+from .errors import CutoffError, QuadratureError, TruncationError
 from .series import _coordinate_arrays, _to_real, default_cat_cap
 from .states import BellCatSpec
 from .tfd import ThermalParams
@@ -47,8 +47,10 @@ def hermite_functions(nmax: int, xi: np.ndarray) -> np.ndarray:
 
     Two-term recurrence on the functions themselves (never the bare Hermite
     polynomials), so magnitudes stay bounded for n of a few hundred.  Shape
-    (nmax+1,) + xi.shape; each step writes its row in place.
+    (nmax+1,) + xi.shape; each step writes its row in place.  A negative
+    nmax raises CutoffError, one past `HARD_ORACLE_CUTOFF` TruncationError.
     """
+    _checked_cutoff(nmax)
     xi = np.asarray(xi, dtype=float)
     out = np.empty((nmax + 1,) + xi.shape)
     out[0] = math.pi ** -0.25 * np.exp(-0.5 * xi * xi)
@@ -73,7 +75,9 @@ HARD_ORACLE_CUTOFF = 512
 
 
 def _checked_cutoff(nmax: int) -> int:
-    """`nmax`, or TruncationError past `HARD_ORACLE_CUTOFF`, before any table is built."""
+    """`nmax`, before any table is built: CutoffError below 0, TruncationError past `HARD_ORACLE_CUTOFF`."""
+    if nmax < 0:
+        raise CutoffError(f"oracle cutoff {nmax} is negative")
     if nmax > HARD_ORACLE_CUTOFF:
         raise TruncationError(f"oracle cutoff {nmax} is beyond the hard cap {HARD_ORACLE_CUTOFF}")
     return nmax

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateStateError, NonFiniteError
+from .errors import CutoffError, DegenerateStateError, NonFiniteError, TruncationError
 from .special_fn import log_factorial_table
 
 __all__ = [
@@ -149,14 +149,23 @@ class FockCoefficients:
         return complex(self.table[n, m])
 
 
+# the expansion takes about 72 bytes per level^2 while it is built (19 MB at this cap), and keeps
+# a complex table of 16; it matches the reference routes' Fock reach
+HARD_FOCK_CUTOFF = 512
+
+
 def fock_coefficients(spec: BellCatSpec, cutoff: int) -> FockCoefficients:
     """Coefficients c(n,m) = N e^{-|alpha|^2} alpha^{n+m} k^m [1 + sigma (-1)^{n+m}] / sqrt(n! m!).
 
     Assembled in log-magnitude + phase form; the truncated-norm deficit of the
-    retained (cutoff+1)^2 block is reported alongside.
+    retained (cutoff+1)^2 block is reported alongside.  A negative cutoff
+    raises CutoffError, one past `HARD_FOCK_CUTOFF` TruncationError, before
+    any table is built.
     """
     if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
+        raise CutoffError(f"Fock cutoff {cutoff} is negative")
+    if cutoff > HARD_FOCK_CUTOFF:
+        raise TruncationError(f"Fock cutoff {cutoff} is beyond the hard cap {HARD_FOCK_CUTOFF}")
     norm = bellcat_normalization(spec.alpha, spec.sigma)
     a_abs = abs(spec.alpha)
     a_phase = cmath.phase(spec.alpha)

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 import warnings
 
 import numpy as np
@@ -590,41 +589,36 @@ class TestValidateCommand:
         assert [row[0] for row in rows] == ["PASS"] * len(VALIDATE_CHECKS)
         assert lines[-1].startswith(f"{len(VALIDATE_CHECKS)}/{len(VALIDATE_CHECKS)} checks passed in ")
 
-    @pytest.mark.parametrize("flags", [[], ["--quick"]])
-    def test_report_does_not_depend_on_worker_count(self, flags, capsys, monkeypatch):
-        # random points are drawn before the pool starts and results are
-        # reduced in submission order, so every line but the timing agrees
-        assert main(["validate"] + flags) == 0
-        default = capsys.readouterr().out.splitlines()
-        for workers in (1, 3):
-            monkeypatch.setattr(bellcat.cli, "_worker_count", lambda: workers)
-            assert main(["validate"] + flags) == 0
-            assert capsys.readouterr().out.splitlines()[:-1] == default[:-1]
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_series_diagnostics_run_on_the_calling_thread(self, workers, capsys, monkeypatch):
-        # on a pool thread they raised the benchmark's peak RSS by about 1 MB; the
-        # route configs take the series through its list form, one call per config
+    def test_two_series_diagnostics_and_one_list_call(self, capsys, monkeypatch):
+        # the diagnostics take the series one state at a time; the route configs take it
+        # through its list form, one call per config
         calls = []
 
         def spy_on(name):
             route = getattr(bellcat.cli, name)
 
             def spy(*args, chi_mode=CHI_KERNEL, **kwargs):
-                calls.append((name, chi_mode, threading.current_thread()))
+                calls.append((name, chi_mode))
                 return route(*args, chi_mode=chi_mode, **kwargs)
 
             monkeypatch.setattr(bellcat.cli, name, spy)
 
         spy_on("series_values")
         spy_on("series_values_many")
-        monkeypatch.setattr(bellcat.cli, "_worker_count", lambda: workers)
         assert main(["validate", "--quick"]) == 0
-        diagnostics = [thread for name, mode, thread in calls if mode != CHI_KERNEL]
-        assert len(diagnostics) == 2
-        assert all(thread is threading.current_thread() for thread in diagnostics)
-        assert [(name, mode) for name, mode, _ in calls if name == "series_values_many"] == [
+        assert len([mode for _, mode in calls if mode != CHI_KERNEL]) == 2
+        assert [call for call in calls if call[0] == "series_values_many"] == [
             ("series_values_many", CHI_KERNEL)]
+
+    def test_coarse_negativity_rule_fails_the_norm_gate(self, capsys, monkeypatch):
+        # 16 tau-nodes move the closed-form total by 2.8e-6, past the 1e-12 gate;
+        # the clean rule gives 1.55e-15
+        monkeypatch.setattr(bellcat.negativity, "_S_NODES", 16)
+        assert main(["validate", "--quick"]) == 1
+        rows = [line.split("  ") for line in capsys.readouterr().out.splitlines()
+                if line.startswith(("PASS", "FAIL"))]
+        assert [row[0] for row in rows] == ["PASS"] * (len(VALIDATE_CHECKS) - 1) + ["FAIL"]
+        assert rows[-1][1].strip() == "negativity: norm and nu = delta/(1+delta)"
 
     @pytest.mark.parametrize("flags, configs, density_calls", [([], 2, 4), (["--quick"], 1, 2)])
     def test_tables_built_once_per_mode_amplitude(self, flags, configs, density_calls, capsys, monkeypatch):
@@ -669,22 +663,8 @@ class TestValidateCommand:
         assert len(cutoffs) == 2 * pairs
         assert len(set(cutoffs)) == pairs
 
-    def test_shared_job_list_under_thread_switching(self, capsys, monkeypatch):
-        # more workers than CPUs or jobs, switching threads every microsecond: a
-        # config taken twice leaves another unrun, and its missing gap fails the reduction
-        assert main(["validate", "--quick"]) == 0
-        want = capsys.readouterr().out.splitlines()[:-1]
-        monkeypatch.setattr(bellcat.cli, "_worker_count", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            assert main(["validate", "--quick"]) == 0
-        finally:
-            sys.setswitchinterval(interval)
-        assert capsys.readouterr().out.splitlines()[:-1] == want
-
     def test_import_does_not_load_thread_pool(self):
-        # validate imports concurrent.futures itself, so `import bellcat` stays cheaper
+        # nothing in the package starts threads, so `import bellcat` need not load a pool
         src = os.path.dirname(os.path.dirname(bellcat.__file__))
         code = "import sys, bellcat; print('concurrent.futures' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
-from bellcat.errors import DegenerateStateError
+from bellcat.errors import CutoffError, DegenerateStateError, TruncationError
 from bellcat.states import (
+    HARD_FOCK_CUTOFF,
     STATE_LABELS,
     BellCatSpec,
     bellcat_normalization,
@@ -158,6 +160,20 @@ class TestFockCoefficients:
                 assert cutoff == math.ceil(abs(alpha) ** 2 + 8 * abs(alpha) + 10)
                 fc = fock_coefficients(spec, cutoff)
                 assert abs(fc.norm_deficit) < 1e-12
+
+    @pytest.mark.parametrize("cutoff, error", [(-1, CutoffError), (HARD_FOCK_CUTOFF + 1, TruncationError),
+                                               (10**12, TruncationError)])
+    def test_cutoffs_outside_the_caps_raise_before_any_table(self, cutoff, error):
+        spec = BellCatSpec.from_label("phi-minus", 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                fock_coefficients(spec, cutoff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
+        assert fock_coefficients(spec, HARD_FOCK_CUTOFF).table.shape == (HARD_FOCK_CUTOFF + 1,) * 2
 
     def test_mode2_flip_symmetry(self):
         # coefficients of (k=+1, sigma) at (n, m) equal those of (k=-1, sigma)

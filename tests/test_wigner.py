@@ -9,7 +9,7 @@ import pytest
 
 import bellcat.oracle
 import bellcat.series
-from bellcat.errors import ImaginaryResidueError, QuadratureError, TruncationError
+from bellcat.errors import CutoffError, ImaginaryResidueError, QuadratureError, TruncationError
 from bellcat.oracle import (
     HARD_ORACLE_CUTOFF,
     closed_form_zero_temperature,
@@ -443,6 +443,10 @@ class TestTruncationConfig:
         monkeypatch.undo()
         with pytest.raises(TruncationError, match=f"hard cap {HARD_ORACLE_CUTOFF}"):
             fock_wigner_kernels(HARD_ORACLE_CUTOFF + 1, np.zeros(1), np.zeros(1))
+        with pytest.raises(TruncationError, match=f"hard cap {HARD_ORACLE_CUTOFF}"):
+            hermite_functions(HARD_ORACLE_CUTOFF + 1, 0.0)
+        with pytest.raises(CutoffError, match="cutoff -1 is negative"):
+            hermite_functions(-1, 0.0)
 
     @pytest.mark.parametrize("temp", [1e6, 1e17])
     @pytest.mark.parametrize("route", [series_values, wigner_oracle_values])
