@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p_validate = sub.add_parser("validate", help="run the oracle cross-validation suite")
-    p_validate.add_argument("--quick", action="store_true", help="smaller battery (0.05 s instead of 0.13 s in process)")
+    p_validate.add_argument("--quick", action="store_true", help="smaller battery (0.05-0.06 s instead of 0.13-0.16 s in process)")
 
     p_wigner = sub.add_parser("wigner", help="evaluate a 2D slice of the Wigner function to CSV")
     add_common(p_wigner)
