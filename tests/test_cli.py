@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -589,26 +590,30 @@ class TestValidateCommand:
         assert [row[0] for row in rows] == ["PASS"] * len(VALIDATE_CHECKS)
         assert lines[-1].startswith(f"{len(VALIDATE_CHECKS)}/{len(VALIDATE_CHECKS)} checks passed in ")
 
-    def test_two_series_diagnostics_and_one_list_call(self, capsys, monkeypatch):
-        # the diagnostics take the series one state at a time; the route configs take it
-        # through its list form, one call per config
+    @pytest.mark.parametrize("runs", [1, 2, 3])
+    def test_series_diagnostics_run_on_the_calling_thread(self, runs, capsys, monkeypatch):
+        # the battery is one linear pass on the thread that calls main: the diagnostics take
+        # the series one state at a time, the route configs take it through its list form,
+        # one call per config, and a later run in the same process redoes both
         calls = []
 
         def spy_on(name):
             route = getattr(bellcat.cli, name)
 
             def spy(*args, chi_mode=CHI_KERNEL, **kwargs):
-                calls.append((name, chi_mode))
+                calls.append((name, chi_mode, threading.current_thread()))
                 return route(*args, chi_mode=chi_mode, **kwargs)
 
             monkeypatch.setattr(bellcat.cli, name, spy)
 
         spy_on("series_values")
         spy_on("series_values_many")
-        assert main(["validate", "--quick"]) == 0
-        assert len([mode for _, mode in calls if mode != CHI_KERNEL]) == 2
-        assert [call for call in calls if call[0] == "series_values_many"] == [
-            ("series_values_many", CHI_KERNEL)]
+        for _ in range(runs):
+            assert main(["validate", "--quick"]) == 0
+        assert all(thread is threading.current_thread() for _, _, thread in calls)
+        assert len([mode for _, mode, _ in calls if mode != CHI_KERNEL]) == 2 * runs
+        assert [(name, mode) for name, mode, _ in calls if name == "series_values_many"] == [
+            ("series_values_many", CHI_KERNEL)] * runs
 
     def test_coarse_negativity_rule_fails_the_norm_gate(self, capsys, monkeypatch):
         # 16 tau-nodes move the closed-form total by 2.8e-6, past the 1e-12 gate;
