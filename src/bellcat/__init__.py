@@ -20,7 +20,7 @@ from .states import (
     coherent_overlap_sq,
     fock_coefficients,
 )
-from .tfd import HBAR, KB, ThermalParams, gibbs_weight, thermal_params
+from .tfd import HBAR, KB, ThermalMode, ThermalParams, gibbs_weight, state_modes, thermal_params
 from .wigner import (
     GridAxis,
     PhasePoint,
@@ -30,7 +30,7 @@ from .wigner import (
     wigner_point,
     wigner_values,
 )
-from .series import TruncationConfig, series_values
+from .series import series_values
 from .oracle import closed_form_zero_temperature, fock_wigner_kernels, hermite_functions
 from .negativity import (
     NegativityResult,

@@ -275,7 +275,7 @@ def _run_checks(quick: bool) -> list[tuple[str, bool, str]]:
     gaps = []
     for alpha, temp in configs:
         params = thermal_params(temp, omega)
-        box = math.sqrt(2.0) * abs(alpha) * max(params.u1, params.u2) + 2.0
+        box = math.sqrt(2.0) * abs(alpha) * max(mode.u for mode in params.modes) + 2.0
         gaps.append(_route_config_gaps(labels, alpha, params, rng.uniform(-box, box, size=(4, npts))))
     names = ("Gaussian vs Fock-kernel oracle", "Laguerre series vs Fock-kernel oracle",
              "Gaussian vs Laguerre series")

@@ -15,12 +15,18 @@ give those factors:
   diagonals, so f rho_beta f^dag = sum_{s,t} w_st B1(s,t) x B2(s,t) with
   B_i(s,t) = E(+-g_i) rho_beta,i E(+-g_i)^dag.
 
-* direct route (:func:`_direct_terms`).  Each element is the finite sum over
-  shared thermal excitations (n1, n2) of the explicit coefficient formula;
-  expanding its parity brackets over the four sign branches factorizes it
-  into per-mode matrices R_i(s,t) (:func:`_direct_mode_factor`), assembled
-  from log-factorials, so rho = sum_{s,t} w'_st Q1(s,t) x Q2(s,t) with
-  Q_i = (1 - q_i) R_i.
+* direct route (:func:`_direct_mode_factors`).  Each element is the finite
+  sum over shared thermal excitations (n1, n2) of the explicit coefficient
+  formula; expanding its parity brackets over the four sign branches
+  factorizes it into per-mode matrices R_i(s,t) (:func:`_direct_mode_factor`),
+  assembled from log-factorials, so rho = sum_{s,t} w'_st Q1(s,t) x Q2(s,t)
+  with Q_i = (1 - q_i) R_i: the printed prefactor
+  e^{-2|alpha|^2} (1-q1)(1-q2) / (2 P) split into a weight
+  w'_st = sigma^{s+t} e^{-2|alpha|^2} / (2 P) (:func:`_direct_weights`) and
+  one (1 - q_i) per mode.
+
+Each per-mode builder takes one (amplitude, thermal mode) pair of
+`bellcat.tfd.state_modes`.
 
 Nothing here forms the (cutoff+1)^2-dimensional matrix.  :func:`route_gap`
 compares the two routes on their factors: the largest |entry| of a
@@ -28,7 +34,7 @@ Kronecker product is the product of the factors' largest |entries|, which
 bounds the two-mode max |operator - direct| from per-mode matrices alone,
 and tr(A x B) = tr A tr B gives each route's trace.  :func:`route_gaps` does
 this for a list of states, building each mode's factors once per distinct
-mode amplitude and Gibbs factor (:func:`mode_key`); :func:`route_gap` is its
+mode amplitude and thermal mode (:func:`mode_key`); :func:`route_gap` is its
 one-state call.
 """
 
@@ -42,7 +48,7 @@ import numpy as np
 from .errors import CutoffError, TruncationError
 from .special_fn import log_factorial_table
 from .states import BellCatSpec, bellcat_normalization
-from .tfd import ThermalParams, gibbs_weight
+from .tfd import ThermalMode, ThermalParams, gibbs_weight, state_modes
 
 __all__ = [
     "route_gap",
@@ -50,7 +56,6 @@ __all__ = [
     "branch_weights",
     "mode_blocks",
     "mode_key",
-    "mode_thermal_blocks",
     "thermal_levels",
 ]
 
@@ -70,12 +75,11 @@ def thermal_levels(params: ThermalParams, epsilon: float) -> int:
     if params.is_zero_temperature:
         return 0
     levels = 0
-    for mode in (1, 2):
-        q = params.exp_factor(mode)
-        if q == 0.0:
+    for mode in params.modes:
+        if mode.q == 0.0:
             continue  # Gibbs factor underflowed: the mode is effectively frozen
-        rate = -math.log(q)
-        need = math.ceil(math.log(1.0 / (epsilon * params.one_minus_exp_factor(mode))) / rate) if rate else math.inf
+        rate = -math.log(mode.q)
+        need = math.ceil(math.log(1.0 / (epsilon * mode.one_minus_q)) / rate) if rate else math.inf
         if need > HARD_THERMAL_CAP:
             raise TruncationError(f"thermal tail needs {need} levels to reach {epsilon:g}, "
                                   f"beyond the hard cap {HARD_THERMAL_CAP}")
@@ -154,33 +158,20 @@ def _direct_weights(spec: BellCatSpec) -> np.ndarray:
     return weights
 
 
-def _direct_mode_factors(gamma: complex, params: ThermalParams, mode: int, cutoff: int):
+def _direct_mode_factors(gamma: complex, mode: ThermalMode, cutoff: int):
     """Direct-route factors Q(s,t) = (1 - q) R(s,t) of one mode with amplitude gamma, as [s][t]."""
-    q, one_minus_q = params.exp_factor(mode), params.one_minus_exp_factor(mode)
     # u^{-(n+nbar)} in the printed formula equals (1-q)^{(n+nbar)/2}
-    return [[one_minus_q * _direct_mode_factor(gamma, q, one_minus_q, 1 - 2 * s, 1 - 2 * t, cutoff)
+    return [[mode.one_minus_q * _direct_mode_factor(gamma, mode.q, mode.one_minus_q, 1 - 2 * s, 1 - 2 * t, cutoff)
              for t in (0, 1)] for s in (0, 1)]
 
 
-def _direct_terms(spec: BellCatSpec, params: ThermalParams, cutoff: int):
-    """(weights, factors1, factors2) of the direct route, laid out as :func:`mode_thermal_blocks` returns them.
-
-    rho = sum_{s,t} weights[s,t] * kron(factors1[s][t], factors2[s][t]), with
-    the factors Q_i(s,t) = (1 - q_i) R_i(s,t): the printed prefactor
-    e^{-2|alpha|^2} (1-q1)(1-q2) / (2 P) split into a weight
-    sigma^{s+t} e^{-2|alpha|^2} / (2 P) and one (1 - q_i) per mode.
-    """
-    return (_direct_weights(spec), _direct_mode_factors(spec.alpha, params, 1, cutoff),
-            _direct_mode_factors(spec.k * spec.alpha, params, 2, cutoff))
-
-
-def mode_key(gamma: complex, params: ThermalParams, mode: int) -> tuple:
-    """What one mode's factors depend on besides the cutoff: its amplitude, bit for bit, and its Gibbs factor.
+def mode_key(gamma: complex, mode: ThermalMode) -> tuple:
+    """What one mode's factors depend on besides the cutoff: its amplitude, bit for bit, and its thermal mode.
 
     The bits keep +0.0 and -0.0 apart, as `==` does not: k alpha at k = -1
     can differ from -alpha in the sign of a zero part, and so in its phase.
     """
-    return gamma.real.hex(), gamma.imag.hex(), params.exp_factor(mode), params.one_minus_exp_factor(mode)
+    return gamma.real.hex(), gamma.imag.hex(), mode
 
 
 def _largest(matrix: np.ndarray) -> float:
@@ -209,19 +200,19 @@ def route_gaps(specs: list[BellCatSpec], params: ThermalParams, cutoff: int,
         raise ValueError("cutoff must be >= 0")
     modes = {}
 
-    def mode_numbers(gamma: complex, mode: int) -> list:
+    def mode_numbers(gamma: complex, mode: ThermalMode) -> list:
         """Per branch [s][t]: tr B, tr Q, max |B|, max |Q| and max |B - Q| of one mode."""
-        key = mode_key(gamma, params, mode)
+        key = mode_key(gamma, mode)
         if key not in modes:
-            blocks = mode_blocks(gamma, params, mode, cutoff)
-            factors = _direct_mode_factors(gamma, params, mode, cutoff)
+            blocks = mode_blocks(gamma, mode, cutoff)
+            factors = _direct_mode_factors(gamma, mode, cutoff)
             modes[key] = [[(np.trace(b), np.trace(q), _largest(b), _largest(q), _largest(b - q))
                            for b, q in zip(blocks[s], factors[s])] for s in (0, 1)]
         return modes[key]
 
     gaps = []
     for spec in specs:
-        m1, m2 = mode_numbers(spec.alpha, 1), mode_numbers(spec.k * spec.alpha, 2)
+        m1, m2 = (mode_numbers(gamma, mode) for gamma, mode in state_modes(spec, params))
         w, w_direct = branch_weights(spec), _direct_weights(spec)
         for route, weights in enumerate((w, w_direct)):
             trace = sum(weights[s, t] * m1[s][t][route] * m2[s][t][route] for s, t in _BRANCHES)
@@ -252,24 +243,14 @@ def branch_weights(spec: BellCatSpec) -> np.ndarray:
     return weights
 
 
-def mode_blocks(gamma: complex, params: ThermalParams, mode: int, cutoff: int):
+def mode_blocks(gamma: complex, mode: ThermalMode, cutoff: int):
     """Operator-route blocks B(s,t) = E((-1)^s g) rho_beta E((-1)^t g)^dag of one mode, as [s][t].
 
     g = gamma / u is the mode's dressing displacement, gamma its amplitude
     (alpha for mode 1, k alpha for mode 2).
     """
-    g = gamma / (params.u1 if mode == 1 else params.u2)
-    w = np.array([gibbs_weight(params, mode, n) for n in range(cutoff + 1)])
+    g = gamma / mode.u
+    w = np.array([gibbs_weight(mode, n) for n in range(cutoff + 1)])
     e = _exp_creation(g, cutoff)
     return [[(e[s] * w[None, :]) @ e[t].conj().T for t in (0, 1)] for s in (0, 1)]
 
-
-def mode_thermal_blocks(spec: BellCatSpec, params: ThermalParams, cutoff: int):
-    """Per-mode factor matrices of the density operator, for mode-factorized contractions.
-
-    Returns (weights, blocks1, blocks2) with rho = sum_{s,t} weights[s,t] *
-    kron(blocks1[s][t], blocks2[s][t]) and the blocks of the operator route
-    (:func:`mode_blocks`).
-    """
-    return (branch_weights(spec), mode_blocks(spec.alpha, params, 1, cutoff),
-            mode_blocks(spec.k * spec.alpha, params, 2, cutoff))

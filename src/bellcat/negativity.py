@@ -3,7 +3,7 @@
 Production route: an exact reduction to two coordinates (notes/decisions.md,
 section 8).  Scale each mode, zeta_i = z_i / sqrt(D_i) with D_i = 1 + 2 n_i,
 and let P = (P1, P2) in C^2, with P_i = sqrt2 u_i gamma_i / sqrt(D_i) the scaled
-lobes of `bellcat.wigner` (`mode_constants`).  With a = |P|, c = sum_i 2 n_i |gamma_i|^2 / D_i,
+lobes of `bellcat.wigner` (`state_constants`).  With a = |P|, c = sum_i 2 n_i |gamma_i|^2 / D_i,
 y = a^2 - c = sum_i 2 |gamma_i|^2 / D_i (so a^2 + c = 4|alpha|^2), and s, t the
 components of zeta along P and iP,
 
@@ -65,7 +65,7 @@ import numpy as np
 from .errors import BellCatError, NonFiniteError, NormalizationError
 from .states import BellCatSpec
 from .tfd import ThermalParams, effective_amplitude, thermal_params
-from .wigner import mode_constants
+from .wigner import state_constants
 
 __all__ = [
     "NegativityResult",
@@ -131,7 +131,7 @@ def _legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _reduced_parameters(spec: BellCatSpec, params: ThermalParams) -> tuple[float, float, float]:
     """a = |P|, c and y = a^2 - c of the reduced form (module docstring)."""
-    mode1, mode2 = mode_constants(spec, params)
+    mode1, mode2 = state_constants(spec, params)
     return (math.hypot(mode1.p.real, mode1.p.imag, mode2.p.real, mode2.p.imag),
             mode1.c + mode2.c, mode1.y + mode2.y)
 
@@ -141,7 +141,7 @@ def _thermal_scale(params: ThermalParams) -> float:
 
     1 - q is the cached expm1 value, which stays positive where q itself rounds to 1.
     """
-    one_minus_q = min(params.one_minus_exp1, params.one_minus_exp2)
+    one_minus_q = min(mode.one_minus_q for mode in params.modes)
     return math.sqrt((2.0 - one_minus_q) / one_minus_q)
 
 
@@ -248,7 +248,7 @@ def integrate_negativity(spec: BellCatSpec, params: ThermalParams) -> Negativity
 
 def _damped_fringe_frequency(spec: BellCatSpec, params: ThermalParams) -> float:
     """Fastest surviving oscillation 2 sqrt(2)|alpha|/u: coherences span 2 alpha/u."""
-    return 2.0 * math.sqrt(2.0) * abs(spec.alpha) / max(params.u1, params.u2)
+    return 2.0 * math.sqrt(2.0) * abs(spec.alpha) / max(mode.u for mode in params.modes)
 
 
 def default_half_width(spec: BellCatSpec, params: ThermalParams) -> float:

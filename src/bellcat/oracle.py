@@ -9,10 +9,10 @@ sums the coherent cross-Wigner functions of the pure state.  Both sum complex
 terms, so they check that the imaginary part cancels (`ImaginaryResidueError`).
 
 `wigner_oracle_values_many` evaluates a list of states at one point set: it
-computes the Fock kernels once per cutoff and mode, and the per-mode blocks
-and their contractions once per distinct mode amplitude, and combines them
-with each state's branch weights.  `wigner_oracle_values` is its one-state
-call.
+computes the Fock kernels once per cutoff and mode point set, and the
+per-mode blocks and their contractions once per distinct (amplitude, thermal
+mode) pair of `bellcat.tfd.state_modes`, and combines them with each state's
+branch weights.  `wigner_oracle_values` is its one-state call.
 
 Tests and `bellcat validate` compare these with the production Gaussian form
 (`bellcat.wigner`) and the Laguerre series (`bellcat.series`), whose cap
@@ -30,7 +30,7 @@ from .density import branch_weights, mode_blocks, mode_key, thermal_levels
 from .errors import CutoffError, QuadratureError, TruncationError
 from .series import _coordinate_arrays, _to_real, default_cat_cap
 from .states import BellCatSpec
-from .tfd import ThermalParams
+from .tfd import ThermalMode, ThermalParams, state_modes
 
 __all__ = [
     "hermite_functions",
@@ -168,31 +168,33 @@ def wigner_oracle_values_many(specs: list[BellCatSpec], params: ThermalParams,
     """Oracle W values of each state: quadrature kernels contracted with operator-route density blocks.
 
     The states share the points.  A state enters only through its branch
-    weights and its two mode amplitudes, so within the call the kernels are
-    computed once per (cutoff, mode), the blocks once per distinct mode
-    (`mode_key`) and cutoff, and their contractions once per mode they serve.
+    weights and its two modes, so within the call the kernels are computed
+    once per cutoff and mode point set, the blocks once per distinct mode
+    (`mode_key`) and cutoff, and their contractions once per point set they
+    serve.
     A cutoff left as None is `oracle_cutoff` of each state.  Any cutoff past
     `HARD_ORACLE_CUTOFF` raises TruncationError before any table is built.
     """
     arrays = _coordinate_arrays(x1, y1, x2, y2)
+    mode_points = ((arrays[0], arrays[1]), (arrays[2], arrays[3]))
     cutoffs = [_checked_cutoff(oracle_cutoff(spec, params) if cutoff is None else cutoff) for spec in specs]
     kernels, blocks, contractions = {}, {}, {}
 
-    def contracted(gamma: complex, mode: int, nmax: int) -> list:
-        block_key = (mode_key(gamma, params, mode), nmax)
-        if (block_key, mode) not in contractions:
-            if (nmax, mode) not in kernels:
-                kernels[nmax, mode] = fock_wigner_kernels(nmax, arrays[2 * mode - 2], arrays[2 * mode - 1])
+    def contracted(slot: int, gamma: complex, mode: ThermalMode, nmax: int) -> list:
+        """Branch contractions [s][t] of one mode's blocks with the kernels at point set `slot`."""
+        block_key = (mode_key(gamma, mode), nmax)
+        if (block_key, slot) not in contractions:
+            if (nmax, slot) not in kernels:
+                kernels[nmax, slot] = fock_wigner_kernels(nmax, *mode_points[slot])
             if block_key not in blocks:
-                blocks[block_key] = mode_blocks(gamma, params, mode, nmax)
-            contractions[block_key, mode] = [[np.einsum("pnm,nm->p", kernels[nmax, mode], block) for block in row]
+                blocks[block_key] = mode_blocks(gamma, mode, nmax)
+            contractions[block_key, slot] = [[np.einsum("pnm,nm->p", kernels[nmax, slot], block) for block in row]
                                              for row in blocks[block_key]]
-        return contractions[block_key, mode]
+        return contractions[block_key, slot]
 
     values = []
     for spec, nmax in zip(specs, cutoffs):
-        c1 = contracted(spec.alpha, 1, nmax)
-        c2 = contracted(spec.k * spec.alpha, 2, nmax)
+        c1, c2 = (contracted(slot, gamma, mode, nmax) for slot, (gamma, mode) in enumerate(state_modes(spec, params)))
         weights = branch_weights(spec)
         total = np.zeros(arrays[0].size, dtype=complex)
         for s in (0, 1):

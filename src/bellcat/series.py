@@ -17,11 +17,13 @@ into the Laguerre recurrence.  The thermal weights (n+n1)!/n1! q^n1 of each
 band are divided by their largest, which the band's coherent factors carry in
 log space, so no thermal weight exceeds 1 at any temperature.
 
-A state enters only through sigma, its caps and its two mode amplitudes
-(alpha and k alpha), so `series_values_many` evaluates a list of states at
-one point set: it builds the contraction tables once per distinct mode and
-caps, and the Laguerre table and chi powers once per caps and mode point
-set.  `series_values` is its one-state call.
+A state enters only through sigma, its caps and its two (amplitude, thermal
+mode) pairs (`bellcat.tfd.state_modes`), so `series_values_many` evaluates a
+list of states at one point set: it builds the contraction tables once per
+distinct mode and caps, and the Laguerre table and chi powers once per caps
+and mode point set.  `series_values` is its one-state call.  The caps are
+two keyword arguments; left as None, each state's are resolved from its
+amplitude and the thermal tail at `TAIL_EPSILON`.
 
 Convention note: the series' chi factors follow the kernel actually produced
 by the Wigner transform, chi = x - i y when the ket index exceeds the bra
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,13 +45,13 @@ from .density import mode_key, thermal_levels
 from .errors import ImaginaryResidueError, NonFiniteError, TruncationError
 from .special_fn import laguerre_envelope_table, log_factorial_table
 from .states import BellCatSpec
-from .tfd import ThermalParams, effective_amplitude
+from .tfd import ThermalMode, ThermalParams, effective_amplitude, state_modes
 
 __all__ = [
     "CHI_KERNEL",
     "CHI_PRINTED",
     "CHI_BROKEN",
-    "TruncationConfig",
+    "TAIL_EPSILON",
     "default_cat_cap",
     "default_thermal_cap",
     "series_values",
@@ -63,6 +64,8 @@ CHI_BROKEN = "always-plus"
 _CHI_MODES = (CHI_KERNEL, CHI_PRINTED, CHI_BROKEN)
 
 IMAG_RESIDUE_TOL = 1e-9
+# tail tolerance of the thermal cap; the tail check admits up to 100 times this
+TAIL_EPSILON = 1e-10
 # the series' per-mode tables take about 512 bytes per (coherent level x degree), degree = cat cap +
 # thermal cap: 0.66 GB at this cap and the hard thermal cap of 2000 levels
 HARD_CAT_CAP = 512
@@ -85,9 +88,9 @@ def default_cat_cap(spec: BellCatSpec, params: ThermalParams) -> int:
     return _checked_cat_cap(a * a + 8.0 * a + 10.0)
 
 
-def default_thermal_cap(params: ThermalParams, epsilon: float) -> int:
-    """Thermal index cap with geometric tail <= epsilon, at least 1; `thermal_levels` enforces the hard cap."""
-    return max(1, thermal_levels(params, epsilon))
+def default_thermal_cap(params: ThermalParams) -> int:
+    """Thermal index cap with geometric tail <= `TAIL_EPSILON`, at least 1; `thermal_levels` enforces the hard cap."""
+    return max(1, thermal_levels(params, TAIL_EPSILON))
 
 
 def _to_real(values: np.ndarray, context: str) -> np.ndarray:
@@ -109,36 +112,8 @@ def _to_real(values: np.ndarray, context: str) -> np.ndarray:
     return np.ascontiguousarray(values.real)
 
 
-@dataclass(frozen=True)
-class TruncationConfig:
-    """Per-index series cutoffs and tail tolerance.
-
-    Caps left as None are resolved from the state and thermal parameters at
-    evaluation time (cat_cap from the thermally amplified amplitude, thermal
-    cap from the Gibbs tail at `epsilon`).  A cat_cap past `HARD_CAT_CAP`,
-    default or explicit, raises TruncationError there.
-    """
-
-    cat_cap: int | None = None
-    thermal_cap: int | None = None
-    epsilon: float = 1e-10
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon <= 1e-3):
-            raise ValueError("epsilon must lie in (0, 1e-3]")
-        for name in ("cat_cap", "thermal_cap"):
-            cap = getattr(self, name)
-            if cap is not None and cap < 1:
-                raise ValueError(f"{name} must be >= 1")
-
-    def resolve(self, spec: BellCatSpec, params: ThermalParams) -> "TruncationConfig":
-        thermal = self.thermal_cap if self.thermal_cap is not None else default_thermal_cap(params, self.epsilon)
-        cat = _checked_cat_cap(self.cat_cap) if self.cat_cap is not None else default_cat_cap(spec, params)
-        return TruncationConfig(cat_cap=cat, thermal_cap=thermal, epsilon=self.epsilon)
-
-
-def _mode_h_tables(gamma: complex, q: float, one_minus_q: float, cat_cap: int, thermal_cap: int):
-    """Point-independent contraction tables for one mode.
+def _mode_h_tables(gamma: complex, mode: ThermalMode, cat_cap: int, thermal_cap: int):
+    """Point-independent contraction tables for one mode with amplitude gamma.
 
     Returns (h_ket, h_bra, ring_ket, ring_bra): h_ket[st, d, N] multiplies
     chi_ket^d L^d_N and h_bra the conjugate-direction powers; the ring tables
@@ -146,6 +121,7 @@ def _mode_h_tables(gamma: complex, q: float, one_minus_q: float, cat_cap: int, t
     (max(ket, bra) index == cat_cap), whose signed contribution serves as the
     truncation-tail estimate.
     """
+    q, one_minus_q = mode.q, mode.one_minus_q
     lf = log_factorial_table(cat_cap + thermal_cap)
     n = np.arange(cat_cap + 1)
 
@@ -224,7 +200,7 @@ def _powers(base: np.ndarray, dmax: int) -> np.ndarray:
     return out
 
 
-def _stacked_tables(gamma: complex, q: float, one_minus_q: float, cat_cap: int, thermal_cap: int):
+def _stacked_tables(gamma: complex, mode: ThermalMode, cat_cap: int, thermal_cap: int):
     """`_mode_h_tables` laid out for one batched real GEMM each: the main and the ring stack.
 
     The re/im planes of the ket and bra tables stack into (D+1, 16, N+1),
@@ -234,7 +210,7 @@ def _stacked_tables(gamma: complex, q: float, one_minus_q: float, cat_cap: int, 
         return np.ascontiguousarray(
             np.concatenate([a.real, a.imag, b.real, b.imag], axis=0).transpose(1, 0, 2))
 
-    h_ket, h_bra, ring_ket, ring_bra = _mode_h_tables(gamma, q, one_minus_q, cat_cap, thermal_cap)
+    h_ket, h_bra, ring_ket, ring_bra = _mode_h_tables(gamma, mode, cat_cap, thermal_cap)
     return stack(h_ket, h_bra), stack(ring_ket, ring_bra)
 
 
@@ -285,60 +261,67 @@ def _mode_factors(tables: list, cat_cap: int, thermal_cap: int, x: np.ndarray, y
 
 
 def _prefactor(spec: BellCatSpec, params: ThermalParams) -> float:
-    return (params.one_minus_exp1 * params.one_minus_exp2 * math.exp(-2.0 * abs(spec.alpha) ** 2)
+    mode1, mode2 = params.modes
+    return (mode1.one_minus_q * mode2.one_minus_q * math.exp(-2.0 * abs(spec.alpha) ** 2)
             / (2.0 * math.pi**2 * spec.parity_overlap))
 
 
 def series_values_many(specs: list[BellCatSpec], params: ThermalParams,
                        x1, y1, x2, y2,
-                       trunc: TruncationConfig | None = None,
+                       cat_cap: int | None = None, thermal_cap: int | None = None,
                        chi_mode: str = CHI_KERNEL) -> list[np.ndarray]:
     """The series' thermal Wigner function of each state at paired coordinate arrays the states share.
 
-    The per-mode factor tables pass a tail check first: the outermost
-    coherent band's contribution, a conservative overestimate of the mass
-    the caps left out, against the tolerance.  A bound above 100 epsilon, or
-    one that is not a number, raises TruncationError, as does a Laguerre table
-    past the float range and, before any table is built, a coherent-branch
-    cap past `HARD_CAT_CAP`.  The four branch products are then summed as
-    complex numbers, and the imaginary-residue guard checks that they pair up.
+    A cap left as None is resolved per state: `default_cat_cap` and
+    `default_thermal_cap`.  A cap below 1 raises ValueError.  The per-mode
+    factor tables pass a tail check first: the outermost coherent band's
+    contribution, a conservative overestimate of the mass the caps left out,
+    against `TAIL_EPSILON`.  A bound above 100 `TAIL_EPSILON`, or one that is
+    not a number, raises TruncationError, as does a Laguerre table past the
+    float range and, before any table is built, a coherent-branch cap past
+    `HARD_CAT_CAP`.  The four branch products are then summed as complex
+    numbers, and the imaginary-residue guard checks that they pair up.
 
-    A state enters only through sigma, its caps and its two mode amplitudes,
-    so within the call the contraction tables are built once per distinct
-    mode (`mode_key`) and caps, and the Laguerre table and chi powers once per
+    A state enters only through sigma, its caps and its two modes, so within
+    the call the contraction tables are built once per distinct mode
+    (`mode_key`) and caps, and the Laguerre table and chi powers once per
     caps and mode point set.
     """
+    for name, cap in (("cat_cap", cat_cap), ("thermal_cap", thermal_cap)):
+        if cap is not None and cap < 1:
+            raise ValueError(f"{name} must be >= 1")
     arrays = _coordinate_arrays(x1, y1, x2, y2)
-    truncs = [(trunc or TruncationConfig()).resolve(spec, params) for spec in specs]
+    mode_points = ((arrays[0], arrays[1]), (arrays[2], arrays[3]))
+    caps = []
+    for spec in specs:
+        # the thermal cap first: past both hard caps, its error is the one raised
+        thermal = thermal_cap if thermal_cap is not None else default_thermal_cap(params)
+        caps.append((_checked_cat_cap(cat_cap) if cat_cap is not None else default_cat_cap(spec, params), thermal))
     # the distinct modes at each (caps, mode point set), in order of first use
     groups: dict[tuple, dict] = {}
-    for spec, resolved in zip(specs, truncs):
-        caps = (resolved.cat_cap, resolved.thermal_cap)
-        for mode, gamma in ((1, spec.alpha), (2, spec.k * spec.alpha)):
-            groups.setdefault((caps, mode), {})[mode_key(gamma, params, mode)] = gamma
+    for spec, state_caps in zip(specs, caps):
+        for slot, (gamma, mode) in enumerate(state_modes(spec, params)):
+            groups.setdefault((state_caps, slot), {})[mode_key(gamma, mode)] = gamma, mode
     tables, factors = {}, {}
-    for (caps, mode), gammas in groups.items():
-        for key, gamma in gammas.items():
-            if (key, caps) not in tables:
-                tables[key, caps] = _stacked_tables(gamma, params.exp_factor(mode),
-                                                    params.one_minus_exp_factor(mode), *caps)
-        found = _mode_factors([tables[key, caps] for key in gammas], *caps,
-                              arrays[2 * mode - 2], arrays[2 * mode - 1], chi_mode)
-        factors.update(((key, caps, mode), result) for key, result in zip(gammas, found))
+    for (state_caps, slot), members in groups.items():
+        for key, (gamma, mode) in members.items():
+            if (key, state_caps) not in tables:
+                tables[key, state_caps] = _stacked_tables(gamma, mode, *state_caps)
+        found = _mode_factors([tables[key, state_caps] for key in members], *state_caps, *mode_points[slot], chi_mode)
+        factors.update(((key, state_caps, slot), result) for key, result in zip(members, found))
 
     values = []
-    for spec, resolved in zip(specs, truncs):
-        caps = (resolved.cat_cap, resolved.thermal_cap)
-        m1, ring1 = factors[mode_key(spec.alpha, params, 1), caps, 1]
-        m2, ring2 = factors[mode_key(spec.k * spec.alpha, params, 2), caps, 2]
+    for spec, state_caps in zip(specs, caps):
+        (m1, ring1), (m2, ring2) = (factors[mode_key(gamma, mode), state_caps, slot]
+                                    for slot, (gamma, mode) in enumerate(state_modes(spec, params)))
         pref = _prefactor(spec, params)
         scale1 = float(np.max(np.sum(np.abs(m1), axis=0))) if m1.size else 0.0
         scale2 = float(np.max(np.sum(np.abs(m2), axis=0))) if m2.size else 0.0
         ring_bound = pref * (ring1 * scale2 + scale1 * ring2)
-        if not ring_bound <= 100.0 * resolved.epsilon:
+        if not ring_bound <= 100.0 * TAIL_EPSILON:
             raise TruncationError(
                 f"outermost-band bound {ring_bound:.3e} exceeds the tail tolerance "
-                f"{resolved.epsilon:g} (caps {resolved.cat_cap}/{resolved.thermal_cap})"
+                f"{TAIL_EPSILON:g} (caps {state_caps[0]}/{state_caps[1]})"
             )
         # branch order (s, t) = (+,+), (+,-), (-,+), (-,-); the mixed ones carry sigma
         paired = pref * (m1[0] * m2[0] + m1[3] * m2[3] + spec.sigma * (m1[1] * m2[1] + m1[2] * m2[2]))
@@ -348,7 +331,7 @@ def series_values_many(specs: list[BellCatSpec], params: ThermalParams,
 
 def series_values(spec: BellCatSpec, params: ThermalParams,
                   x1, y1, x2, y2,
-                  trunc: TruncationConfig | None = None,
+                  cat_cap: int | None = None, thermal_cap: int | None = None,
                   chi_mode: str = CHI_KERNEL) -> np.ndarray:
     """:func:`series_values_many` of one state."""
-    return series_values_many([spec], params, x1, y1, x2, y2, trunc, chi_mode)[0]
+    return series_values_many([spec], params, x1, y1, x2, y2, cat_cap, thermal_cap, chi_mode)[0]

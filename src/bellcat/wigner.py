@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import NonFiniteError
 from .states import BellCatSpec
-from .tfd import ThermalParams
+from .tfd import ThermalMode, ThermalParams, state_modes
 
 __all__ = [
     "PhasePoint",
@@ -89,27 +89,28 @@ class ModeConstants(NamedTuple):
     y: float      # 2 |gamma|^2 / D = |P|^2 - c
 
 
-def mode_constants(spec: BellCatSpec, params: ThermalParams) -> tuple[ModeConstants, ModeConstants]:
-    """The constants of mode 1 (gamma = alpha) and of mode 2 (gamma = k alpha).
+def mode_constants(gamma: complex, mode: ThermalMode) -> ModeConstants:
+    """The constants of one mode with amplitude gamma (`bellcat.tfd.state_modes`)."""
+    n = mode.q / mode.one_minus_q
+    d = 1.0 + 2.0 * n
+    modulus = abs(gamma)
+    g2 = modulus * modulus
+    return ModeConstants(d=d, p=math.sqrt(2.0 / (mode.one_minus_q * d)) * gamma, c=2.0 * n * g2 / d, y=2.0 * g2 / d)
+
+
+def state_constants(spec: BellCatSpec, params: ThermalParams) -> tuple[ModeConstants, ModeConstants]:
+    """:func:`mode_constants` of mode 1 (gamma = alpha) and of mode 2 (gamma = k alpha).
 
     Raises NonFiniteError where 4 |P|^2, with |P|^2 = |P1|^2 + |P2|^2, or c
     overflows: the tables and the reduced negativity form no exponent larger
     than those, so below that bound no evaluation overflows.
     """
-    modes = []
-    for gamma, q, one_minus_q in ((spec.alpha, params.exp1, params.one_minus_exp1),
-                                  (spec.k * spec.alpha, params.exp2, params.one_minus_exp2)):
-        n = q / one_minus_q
-        d = 1.0 + 2.0 * n
-        modulus = abs(gamma)
-        g2 = modulus * modulus
-        modes.append(ModeConstants(d=d, p=math.sqrt(2.0 / (one_minus_q * d)) * gamma,
-                                   c=2.0 * n * g2 / d, y=2.0 * g2 / d))
-    lobe_sq = sum(m.p.real * m.p.real + m.p.imag * m.p.imag for m in modes)
-    if not math.isfinite(4.0 * lobe_sq + modes[0].c + modes[1].c):
+    mode1, mode2 = (mode_constants(gamma, mode) for gamma, mode in state_modes(spec, params))
+    lobe_sq = sum(m.p.real * m.p.real + m.p.imag * m.p.imag for m in (mode1, mode2))
+    if not math.isfinite(4.0 * lobe_sq + mode1.c + mode2.c):
         raise NonFiniteError(f"|alpha| = {abs(spec.alpha):.3g} is out of range at T = {params.temperature:g} K: "
                              f"the scaled lobe |P|^2 = {lobe_sq:.3g} is too large to evaluate")
-    return modes[0], modes[1]
+    return mode1, mode2
 
 
 def _mode_tables(mode: ModeConstants, sigma: int, x: np.ndarray, y: np.ndarray, second: bool) -> np.ndarray:
@@ -167,7 +168,7 @@ def factorize(spec: BellCatSpec, params: ThermalParams,
               mode1_points: tuple[np.ndarray, np.ndarray],
               mode2_points: tuple[np.ndarray, np.ndarray]) -> ModeFactorization:
     """Build the per-mode rows of the closed Gaussian form."""
-    mode1, mode2 = mode_constants(spec, params)
+    mode1, mode2 = state_constants(spec, params)
     x1, y1 = (np.asarray(v, dtype=float) for v in mode1_points)
     x2, y2 = (np.asarray(v, dtype=float) for v in mode2_points)
     # a square past the float range is inf, and e^{-inf} = 0 is exact; an inf - inf, only where

@@ -99,7 +99,7 @@ def test_criterion_02_bogoliubov_identity():
         T = 10.0 ** rng.uniform(-2, 1)
         f = 10.0 ** rng.uniform(math.log10(0.5e9), math.log10(50e9))
         p = thermal_params(T, 2 * math.pi * f, 2 * math.pi * f * rng.uniform(0.5, 2.0))
-        worst = max(worst, abs(p.u1**2 - p.v1**2 - 1.0), abs(p.u2**2 - p.v2**2 - 1.0))
+        worst = max(worst, *(abs(mode.u**2 - mode.v**2 - 1.0) for mode in p.modes))
     ok = worst < 1e-12
     report("02", ok, f"max |u^2 - v^2 - 1| = {worst:.2e} over 200 samples")
     assert ok
@@ -133,7 +133,7 @@ def test_criterion_04_wigner_series_vs_kernel_oracle():
     for alpha in (1.0, 1 + 1j):
         for temp in (0.0, 1.0):
             params = params_for(temp)
-            box = math.sqrt(2.0) * abs(alpha) * max(params.u1, params.u2) + 2.0
+            box = math.sqrt(2.0) * abs(alpha) * max(mode.u for mode in params.modes) + 2.0
             pts = rng.uniform(-box, box, size=(4, 50))
             specs = [BellCatSpec.from_label(label, alpha) for label in ALL_LABELS]
             for spec, series, oracle in zip(specs, series_values_many(specs, params, *pts),

@@ -7,7 +7,8 @@ that removes or renames one of these names fail the test suite, not only the
 benchmark run.  Likewise every nu the benchmark integrates must stay inside
 the band of `bench/reference_nu.json`, so a change that moves nu out of it
 fails here first.  And every name the benchmark's tracer patches must exist
-and be the one the commands call, so `negativity_s` keeps timing calls.
+and be the one the commands call, so `negativity_s` keeps timing calls, and
+its layer targets must evaluate, so a traced round can start at all.
 """
 
 import json
@@ -63,4 +64,18 @@ def test_tracer_targets_exist_and_see_every_integration(tmp_path, capsys, monkey
             before = len(tracer.integrations)
             assert bellcat.cli.main(argv) == 0
             assert len(tracer.integrations) > before, argv
+    capsys.readouterr()
+
+
+def test_tracer_layer_targets_evaluate_and_trace_validate(capsys, monkeypatch):
+    # layer_targets reads attributes such as bellcat.wigner.ModeFactorization eagerly, so renaming
+    # or deleting one would crash every traced benchmark round before it starts
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import tracing
+
+    targets = tracing.layer_targets(bellcat)
+    tracer = tracing.Tracer()
+    with tracer.installed(targets):
+        assert bellcat.cli.main(["validate", "--quick"]) == 0
+    assert tracer.spans
     capsys.readouterr()

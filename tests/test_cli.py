@@ -31,30 +31,33 @@ def read(path):
     return path.read_text(encoding="utf-8")
 
 
-def gaussian_w(label, alpha, temp, x1, y1, x2, y2, freq=5.5e9):
+def gaussian_w(label, alpha, temp, x1, y1, x2, y2, freq=5.5e9, freq2=None):
     """W from the P-representation form of notes/decisions.md section 2, term by term.
 
     W = C^2 sum_{s,t} sigma^{[s<0]+[t<0]} W_B1(z1; s g1, t g1) W_B2(z2; s g2, t g2).
-    Fine for moderate |alpha|; no log-space fold.
+    Each mode's occupation comes from its own frequency in Hz (`freq2` defaults
+    to `freq`), not from the package's thermal parameters.  Fine for moderate
+    |alpha|; no log-space fold.
     """
     spec = BellCatSpec.from_label(label, alpha)
-    n = 1.0 / math.expm1(HBAR * 2 * math.pi * freq / (KB * temp)) if temp > 0 else 0.0
+    n1, n2 = (1.0 / math.expm1(HBAR * 2 * math.pi * f / (KB * temp)) if temp > 0 else 0.0
+              for f in (freq, freq if freq2 is None else freq2))
     c2 = math.exp(-2 * abs(alpha) ** 2) / (2 * (1 + spec.sigma * math.exp(-4 * abs(alpha) ** 2)))
     r2 = math.sqrt(2.0)
 
-    def block(z, g, gp):
+    def block(z, g, gp, n):
         zc = np.conj(z)
         expo = (-np.abs(z) ** 2 + r2 * g * zc + r2 * np.conj(gp) * z - g * np.conj(gp)
                 + (r2 * zc - np.conj(gp)) * (r2 * z - g) * n / (1 + 2 * n))
         return np.exp(expo) / (math.pi * (1 + 2 * n))
 
     z1, z2 = np.asarray(x1) + 1j * np.asarray(y1), np.asarray(x2) + 1j * np.asarray(y2)
-    g1, g2 = alpha / math.sqrt(1 + n), spec.k * alpha / math.sqrt(1 + n)
+    g1, g2 = alpha / math.sqrt(1 + n1), spec.k * alpha / math.sqrt(1 + n2)
     total = 0
     for s in (1, -1):
         for t in (1, -1):
             weight = spec.sigma ** ((s < 0) + (t < 0))
-            total = total + weight * block(z1, s * g1, t * g1) * block(z2, s * g2, t * g2)
+            total = total + weight * block(z1, s * g1, t * g1, n1) * block(z2, s * g2, t * g2, n2)
     return (c2 * total).real
 
 
@@ -322,7 +325,7 @@ class TestOutOfRangeInputs:
     @pytest.mark.parametrize("command", [["negativity"], FAST_WIGNER])
     def test_large_amplitude(self, command, amplitude, state, tmp_path, capsys):
         # up to 1e150 the values are finite (W and nu underflow to 0 at 0.01 K); from 5e153
-        # on, 4 |P|^2 overflows and mode_constants raises; past the float range |alpha|
+        # on, 4 |P|^2 overflows and state_constants raises; past the float range |alpha|
         # itself overflows and BellCatSpec raises
         alpha = complex(amplitude)
         imag = ["--alpha-im", repr(alpha.imag)] if alpha.imag else []

@@ -5,11 +5,12 @@ import pytest
 
 import bellcat.density
 from bellcat.density import (
-    _direct_mode_factor, _direct_terms, _exp_creation, _trace_deficit, mode_thermal_blocks, route_gap, route_gaps,
+    _direct_mode_factor, _direct_mode_factors, _direct_weights, _exp_creation, _trace_deficit, branch_weights,
+    mode_blocks, route_gap, route_gaps,
 )
 from bellcat.errors import CutoffError
 from bellcat.states import BellCatSpec, bellcat_normalization, fock_coefficients
-from bellcat.tfd import gibbs_weight, thermal_params
+from bellcat.tfd import gibbs_weight, state_modes, thermal_params
 
 OMEGA = 2 * math.pi * 5.5e9
 
@@ -24,14 +25,26 @@ def kron_sum(terms):
     return sum(weights[s, t] * np.kron(f1[s][t], f2[s][t]) for s, t in ((0, 0), (1, 1), (0, 1), (1, 0)))
 
 
+def operator_terms(spec, params, cutoff):
+    """(weights, blocks1, blocks2) of the operator route: rho = sum_{s,t} w[s,t] kron(b1[s][t], b2[s][t])."""
+    return (branch_weights(spec),) + tuple(mode_blocks(gamma, mode, cutoff)
+                                           for gamma, mode in state_modes(spec, params))
+
+
+def direct_terms(spec, params, cutoff):
+    """(weights, factors1, factors2) of the direct route, laid out as operator_terms returns them."""
+    return (_direct_weights(spec),) + tuple(_direct_mode_factors(gamma, mode, cutoff)
+                                            for gamma, mode in state_modes(spec, params))
+
+
 def operator_kron_sum(spec, params, cutoff):
     """The operator route as the whole-matrix expression sum(w * np.kron(a, b))."""
-    return kron_sum(mode_thermal_blocks(spec, params, cutoff))
+    return kron_sum(operator_terms(spec, params, cutoff))
 
 
 def direct_kron_sum(spec, params, cutoff):
     """The direct route as the whole-matrix expression, one sign branch after another, times its prefactor."""
-    q1, q2, om1, om2 = params.exp1, params.exp2, params.one_minus_exp1, params.one_minus_exp2
+    (q1, om1, _, _), (q2, om2, _, _) = params.modes
     want = np.zeros(((cutoff + 1) ** 2,) * 2, dtype=complex)
     for s in (0, 1):
         for t in (0, 1):
@@ -57,7 +70,7 @@ def dressed_gibbs(spec, params, cutoff):
             powers.append(powers[-1] @ adag / (n * u))
         return powers
 
-    p1, p2 = scaled_powers(params.u1), scaled_powers(params.u2)
+    p1, p2 = (scaled_powers(mode.u) for mode in params.modes)
     f = np.zeros(((cutoff + 1) ** 2,) * 2, dtype=complex)
     for n in levels:
         for m in levels:
@@ -65,8 +78,7 @@ def dressed_gibbs(spec, params, cutoff):
             if coefficient:
                 f += coefficient * np.kron(p1[n], p2[m])
     f *= bellcat_normalization(spec.alpha, spec.sigma) * math.exp(-abs(spec.alpha) ** 2)
-    gibbs = np.kron(np.diag([gibbs_weight(params, 1, n) for n in levels]),
-                    np.diag([gibbs_weight(params, 2, n) for n in levels]))
+    gibbs = np.kron(*(np.diag([gibbs_weight(mode, n) for n in levels]) for mode in params.modes))
     return f @ gibbs @ f.conj().T
 
 
@@ -147,7 +159,7 @@ class TestModeBlockParity:
     @pytest.mark.parametrize("cutoff", [0, 3, 12, 30])
     def test_minus_blocks_are_parity_images(self, label, alpha, temp, ratio, cutoff):
         spec = BellCatSpec.from_label(label, alpha)
-        weights, b1, b2 = mode_thermal_blocks(spec, thermal_params(temp, OMEGA, ratio * OMEGA), cutoff)
+        weights, b1, b2 = operator_terms(spec, thermal_params(temp, OMEGA, ratio * OMEGA), cutoff)
         i, j = np.indices((cutoff + 1, cutoff + 1))
         odd = (i + j) % 2 == 1
         for blocks in (b1, b2):
@@ -160,11 +172,12 @@ class TestModeBlockParity:
 class TestKroneckerSums:
     """The per-mode factors route_gap compares assemble, by Kronecker sums, into each route's two-mode matrix.
 
-    Operator route: the blocks of mode_thermal_blocks against f rho_beta f^dag
-    with f transcribed from the printed dressing operator.  Direct route: the
-    factors of _direct_terms, each carrying its (1 - q_i), against the printed
-    prefactor applied once after the four sign branches.  Measured worst
-    difference 9e-17 over these configs.
+    Operator route: branch_weights and the mode_blocks of state_modes against
+    f rho_beta f^dag with f transcribed from the printed dressing operator.
+    Direct route: _direct_weights and the _direct_mode_factors of state_modes,
+    each carrying its (1 - q_i), against the printed prefactor applied once
+    after the four sign branches.  The references read params.modes in mode
+    order themselves.  Measured worst difference 9e-17 over these configs.
     """
 
     @pytest.mark.parametrize("label", ["phi-plus", "phi-minus", "psi-plus", "psi-minus"])
@@ -181,7 +194,7 @@ class TestKroneckerSums:
     def test_direct_route(self, label, temp, cutoff):
         spec = BellCatSpec.from_label(label, 1 + 1j)
         params = params_for(temp)
-        got = kron_sum(_direct_terms(spec, params, cutoff))
+        got = kron_sum(direct_terms(spec, params, cutoff))
         assert np.max(np.abs(got - direct_kron_sum(spec, params, cutoff))) < 1e-15
 
     @pytest.mark.parametrize("label", ["phi-plus", "phi-minus", "psi-plus", "psi-minus"])
@@ -192,7 +205,7 @@ class TestKroneckerSums:
         spec = BellCatSpec.from_label(label, 0.7 + 0.3j)
         params = thermal_params(temp, OMEGA, 1.3 * OMEGA)
         assert np.max(np.abs(operator_kron_sum(spec, params, cutoff) - dressed_gibbs(spec, params, cutoff))) < 1e-15
-        got = kron_sum(_direct_terms(spec, params, cutoff))
+        got = kron_sum(direct_terms(spec, params, cutoff))
         assert np.max(np.abs(got - direct_kron_sum(spec, params, cutoff))) < 1e-15
 
 
@@ -251,14 +264,14 @@ class TestRouteGap:
 
     @pytest.mark.parametrize("label", ["phi-plus", "phi-minus", "psi-plus", "psi-minus"])
     def test_dropped_one_minus_q_exceeds_gate(self, label, monkeypatch):
-        # mode 1's factors without their (1 - q1); at equal frequencies mode 2 shares mode 1's
-        # factors where its amplitude k alpha is alpha (the phi states), so there it loses (1 - q2) too
+        # the factors of amplitude alpha without their (1 - q): mode 1's, and for the phi states,
+        # whose mode-2 amplitude k alpha is alpha, mode 2's too
         direct_mode_factors = bellcat.density._direct_mode_factors
         params = params_for(0.5)
 
-        def dropped(gamma, params, mode, cutoff):
-            factors = direct_mode_factors(gamma, params, mode, cutoff)
-            return [[f / params.one_minus_exp1 for f in row] for row in factors] if mode == 1 else factors
+        def dropped(gamma, mode, cutoff):
+            factors = direct_mode_factors(gamma, mode, cutoff)
+            return [[f / mode.one_minus_q for f in row] for row in factors] if gamma == 1 + 1j else factors
 
         monkeypatch.setattr(bellcat.density, "_direct_mode_factors", dropped)
         spec = BellCatSpec.from_label(label, 1 + 1j)
@@ -376,7 +389,7 @@ class TestCutoffPolicy:
             spec = BellCatSpec.from_label("psi-plus", 1 + 1j)
             params = params_for(temp)
             cutoff = default_cat_cap(spec, params) + thermal_levels(params, 1e-9)
-            weights, b1, b2 = mode_thermal_blocks(spec, params, cutoff)
+            weights, b1, b2 = operator_terms(spec, params, cutoff)
             trace = sum(weights[s, t] * np.trace(b1[s][t]) * np.trace(b2[s][t])
                         for s in (0, 1) for t in (0, 1))
             assert abs(1.0 - trace.real) < 1e-6

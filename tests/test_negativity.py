@@ -14,11 +14,13 @@ from bellcat.negativity import (
     temperature_sweep,
 )
 from bellcat.states import STATE_LABELS, BellCatSpec
-from bellcat.tfd import thermal_params
+from bellcat.tfd import state_modes, thermal_params
 from bellcat.oracle import fock_wigner_kernels
 from bellcat.wigner import wigner_values
+from test_cli import gaussian_w
 
-OMEGA = 2 * math.pi * 5.5e9
+FREQ_HZ = 5.5e9
+OMEGA = 2 * math.pi * FREQ_HZ
 
 
 def params_for(T):
@@ -111,10 +113,9 @@ NU_SINGLE_PHOTON = (4.0 * math.exp(-0.5) - 2.0) / (4.0 * math.exp(-0.5) - 1.0)
 def scaled_lobes(spec, params):
     """P_i = sqrt2 u_i gamma_i / sqrt(D_i) and D_i = (1 + q_i)/(1 - q_i) of both modes."""
     lobes, widths = [], []
-    for gamma, q, one_minus_q in ((spec.alpha, params.exp1, params.one_minus_exp1),
-                                  (spec.k * spec.alpha, params.exp2, params.one_minus_exp2)):
-        d = (1.0 + q) / one_minus_q
-        lobes.append(math.sqrt(2.0) * gamma / math.sqrt(one_minus_q) / math.sqrt(d))
+    for gamma, mode in state_modes(spec, params):
+        d = (1.0 + mode.q) / mode.one_minus_q
+        lobes.append(math.sqrt(2.0) * gamma / math.sqrt(mode.one_minus_q) / math.sqrt(d))
         widths.append(d)
     return np.array(lobes), np.array(widths)
 
@@ -301,6 +302,10 @@ class TestReducedRoute:
                        / (math.pi**2 * np.prod(widths) * spec.parity_overlap))
             direct = wigner_values(spec, params, *pts)
             assert np.max(np.abs(reduced - direct)) <= 1e-13 * np.max(np.abs(direct))
+            # the term-by-term form reads each mode's frequency itself, so it sees a swap of the
+            # two modes' thermal parameters, which moves W by about 10% at these ratios
+            reference = gaussian_w(label, alpha, temp, *pts, freq2=ratio * FREQ_HZ)
+            assert np.max(np.abs(reference - direct)) <= 1e-13 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("label, alpha, temp, ratio", PLANE_CONFIGS)
     def test_agrees_with_plane_reference(self, label, alpha, temp, ratio, plane_reference):
@@ -401,7 +406,7 @@ class TestReducedRoute:
         params = params_for(1.0)
         r = integrate_negativity(spec, params)
         assert (r.nodes, r.inner_nodes) == (bellcat.negativity._S_NODES, bellcat.negativity._T_NODES)
-        assert r.half_width >= math.sqrt(2.0) * abs(spec.alpha) * max(params.u1, params.u2) + 4.0
+        assert r.half_width >= math.sqrt(2.0) * abs(spec.alpha) * max(mode.u for mode in params.modes) + 4.0
 
     def test_non_finite_volume_raises(self, monkeypatch):
         monkeypatch.setattr(bellcat.negativity, "_negative_volume", lambda *args: math.nan)

@@ -42,7 +42,7 @@ def setup(cfg, npts=24):
     alpha = cfg["modulus"] * complex(math.cos(cfg["phase"]), math.sin(cfg["phase"]))
     spec = BellCatSpec.from_label(cfg["label"], alpha)
     params = thermal_params(cfg["temp"], OMEGA, cfg["ratio"] * OMEGA)
-    box = math.sqrt(2.0) * abs(alpha) * max(params.u1, params.u2) + 2.0
+    box = math.sqrt(2.0) * abs(alpha) * max(mode.u for mode in params.modes) + 2.0
     pts = np.random.default_rng(cfg["seed"]).uniform(-box, box, size=(4, npts))
     return spec, params, pts
 
@@ -66,7 +66,7 @@ def test_agrees_with_series_where_its_caps_are_feasible(cfg):
     spec, params, pts = setup(cfg, npts=12)
     try:
         cat_cap = default_cat_cap(spec, params)
-        thermal_cap = default_thermal_cap(params, 1e-10)
+        thermal_cap = default_thermal_cap(params)
     except TruncationError:
         assume(False)   # beyond the series' hard thermal cap
     assume((cat_cap + 1) * (cat_cap + thermal_cap + 1) <= SERIES_TERM_BUDGET)
@@ -74,7 +74,7 @@ def test_agrees_with_series_where_its_caps_are_feasible(cfg):
         reference = series_values(spec, params, *pts)
     except (TruncationError, NonFiniteError):
         assume(False)   # the series' own tail guard or finite check declined
-    # the series' tail guard admits up to 100 x its epsilon = 1e-10
+    # the series' tail guard admits up to 100 x its TAIL_EPSILON = 1e-10
     assert np.max(np.abs(wigner_values(spec, params, *pts) - reference)) <= 1e-8
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bellcat.errors import NonFiniteError
-from bellcat.tfd import HBAR, KB, ThermalParams, gibbs_weight, thermal_params
+from bellcat.tfd import HBAR, KB, ThermalMode, ThermalParams, gibbs_weight, thermal_params
 
 OMEGA_5P5_GHZ = 2 * math.pi * 5.5e9
 
@@ -18,24 +18,22 @@ class TestThermalParams:
     def test_zero_temperature_flag(self):
         p = thermal_params(0.0, OMEGA_5P5_GHZ)
         assert p.is_zero_temperature
-        assert p.exp1 == 0.0 and p.exp2 == 0.0
-        assert p.u1 == 1.0 and p.v1 == 0.0
-        assert p.u2 == 1.0 and p.v2 == 0.0
+        assert p.modes == (ThermalMode(q=0.0, one_minus_q=1.0, u=1.0, v=0.0),) * 2
         assert p.z == 1.0
 
     def test_half_gibbs_factor(self):
         # e^{-beta hbar omega} = 1/2  =>  u = sqrt(2), v = 1
         T = temperature_for_exp(0.5, OMEGA_5P5_GHZ)
         p = thermal_params(T, OMEGA_5P5_GHZ)
-        assert p.exp1 == pytest.approx(0.5, rel=1e-14)
-        assert p.u1 == pytest.approx(math.sqrt(2), rel=1e-13)
-        assert p.v1 == pytest.approx(1.0, rel=1e-13)
+        assert p.modes[0].q == pytest.approx(0.5, rel=1e-14)
+        assert p.modes[0].u == pytest.approx(math.sqrt(2), rel=1e-13)
+        assert p.modes[0].v == pytest.approx(1.0, rel=1e-13)
 
     def test_betahw_at_300mK(self):
         # beta hbar omega for T = 0.3 K, omega/2pi = 5.5 GHz, with the CODATA
         # constants: 0.87986..., i.e. 0.8799 to 4 s.f. (0.880 to 3 s.f.)
         p = thermal_params(0.3, OMEGA_5P5_GHZ)
-        betahw = -math.log(p.exp1)
+        betahw = -math.log(p.modes[0].q)
         exact = HBAR * OMEGA_5P5_GHZ / (KB * 0.3)
         assert betahw == pytest.approx(exact, rel=1e-12)
         assert betahw == pytest.approx(0.8799, abs=5e-5)
@@ -48,8 +46,8 @@ class TestThermalParams:
             T = 10.0 ** rng.uniform(-2, 1)
             f = 10.0 ** rng.uniform(math.log10(0.5e9), math.log10(50e9))
             p = thermal_params(T, 2 * math.pi * f, 2 * math.pi * f * rng.uniform(0.5, 2.0))
-            assert abs(p.u1**2 - p.v1**2 - 1.0) < 1e-12
-            assert abs(p.u2**2 - p.v2**2 - 1.0) < 1e-12
+            for mode in p.modes:
+                assert abs(mode.u**2 - mode.v**2 - 1.0) < 1e-12
 
     def test_hyperbolic_identity_extreme_domain(self):
         # over T in (1e-3, 1e2] K, f in [0.1, 50] GHz the combination u^2 can
@@ -60,18 +58,21 @@ class TestThermalParams:
             T = 10.0 ** rng.uniform(-3, 2)
             f = 10.0 ** rng.uniform(math.log10(0.1e9), math.log10(50e9))
             p = thermal_params(T, 2 * math.pi * f)
-            floor = max(1e-12, 4.0 * 2.3e-16 * p.u1**2)
-            assert abs(p.u1**2 - p.v1**2 - 1.0) < floor
+            for mode in p.modes:
+                floor = max(1e-12, 4.0 * 2.3e-16 * mode.u**2)
+                assert abs(mode.u**2 - mode.v**2 - 1.0) < floor
 
     def test_v_monotone_in_temperature(self):
         temps = np.linspace(0.05, 5.0, 25)
-        vs = [thermal_params(T, OMEGA_5P5_GHZ).v1 for T in temps]
+        vs = [thermal_params(T, OMEGA_5P5_GHZ).modes[0].v for T in temps]
         assert all(b > a for a, b in zip(vs, vs[1:]))
 
     def test_partition_function(self):
         T = temperature_for_exp(0.5, OMEGA_5P5_GHZ)
         p = thermal_params(T, OMEGA_5P5_GHZ, 2 * OMEGA_5P5_GHZ)
         assert p.z == pytest.approx(1.0 / (0.5 * 0.75), rel=1e-13)
+        assert p.z == pytest.approx(1.0 / (p.modes[0].one_minus_q * p.modes[1].one_minus_q), rel=1e-15)
+        assert p.modes[1].q == pytest.approx(0.25, rel=1e-13)
 
     def test_rejections(self):
         with pytest.raises(ValueError):
@@ -94,7 +95,7 @@ class TestThermalParams:
         p = thermal_params(1e150, OMEGA_5P5_GHZ)
         x = HBAR * OMEGA_5P5_GHZ / (KB * 1e150)
         assert p.z == pytest.approx(1.0 / x**2, rel=1e-12)
-        assert p.u1 == pytest.approx(1.0 / math.sqrt(x), rel=1e-12)
+        assert p.modes[0].u == pytest.approx(1.0 / math.sqrt(x), rel=1e-12)
 
     @pytest.mark.parametrize("temp, omega", [(1e300, OMEGA_5P5_GHZ), (1e160, OMEGA_5P5_GHZ),
                                              (0.01, 2 * math.pi * 1e-300), (1e3, 1e-320)])
@@ -107,25 +108,26 @@ class TestThermalParams:
 class TestGibbsWeight:
     def test_zero_temperature(self):
         p = thermal_params(0.0, OMEGA_5P5_GHZ)
-        assert gibbs_weight(p, 1, 0) == 1.0
+        assert gibbs_weight(p.modes[0], 0) == 1.0
         for n in (1, 2, 17):
-            assert gibbs_weight(p, 1, n) == 0.0
+            assert gibbs_weight(p.modes[0], n) == 0.0
 
     def test_geometric_weights(self):
         T = temperature_for_exp(0.5, OMEGA_5P5_GHZ)
         p = thermal_params(T, OMEGA_5P5_GHZ)
-        assert gibbs_weight(p, 1, 3) == pytest.approx(1.0 / 16.0, rel=1e-13)
+        assert gibbs_weight(p.modes[0], 3) == pytest.approx(1.0 / 16.0, rel=1e-13)
 
     def test_partial_sum_deficit_is_geometric(self):
         # sum_{n=0}^{N} w_n = 1 - e^{-(N+1) beta hbar omega} exactly
         p = thermal_params(1.0, OMEGA_5P5_GHZ)
         for N in (0, 3, 10, 40):
-            partial = math.fsum(gibbs_weight(p, 1, n) for n in range(N + 1))
-            assert abs((1.0 - partial) - p.exp1 ** (N + 1)) < 1e-12
+            partial = math.fsum(gibbs_weight(p.modes[0], n) for n in range(N + 1))
+            assert abs((1.0 - partial) - p.modes[0].q ** (N + 1)) < 1e-12
 
-    def test_mode_validation(self):
+    def test_level_validation(self):
         p = thermal_params(1.0, OMEGA_5P5_GHZ)
         with pytest.raises(ValueError):
-            gibbs_weight(p, 3, 0)
+            gibbs_weight(p.modes[0], -1)
         with pytest.raises(ValueError):
-            gibbs_weight(p, 1, -1)
+            gibbs_weight(p.modes[0], 1.5)
+

@@ -23,18 +23,20 @@ from bellcat.series import (
     CHI_BROKEN,
     CHI_PRINTED,
     HARD_CAT_CAP,
-    TruncationConfig,
     _mode_h_tables,
     default_cat_cap,
+    default_thermal_cap,
     series_values,
     series_values_many,
 )
 from bellcat.special_fn import log_factorial_table
 from bellcat.states import STATE_LABELS, BellCatSpec
-from bellcat.tfd import thermal_params
+from bellcat.tfd import HBAR, KB, state_modes, thermal_params
 from bellcat.wigner import GridAxis, PhasePoint, SliceDescriptor, wigner_grid, wigner_point, wigner_values
+from test_cli import gaussian_w
 
-OMEGA = 2 * math.pi * 5.5e9
+FREQ_HZ = 5.5e9
+OMEGA = 2 * math.pi * FREQ_HZ
 T0 = thermal_params(0.0, OMEGA)
 
 
@@ -215,11 +217,14 @@ class TestSeriesTables:
     @pytest.mark.parametrize("q", [0.0, 0.3, 0.8])
     @pytest.mark.parametrize("caps", [(1, 1), (12, 30)])
     def test_matches_scattered_bands(self, gamma, q, caps):
-        got = _mode_h_tables(gamma, q, 1.0 - q, *caps)
-        want = scattered_h_tables(gamma, q, 1.0 - q, *caps)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape
-            assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+        # the temperature at which the Gibbs factor is q; both modes of a psi state, amplitudes gamma and -gamma
+        params = thermal_params(-HBAR * OMEGA / (KB * math.log(q)) if q > 0.0 else 0.0, OMEGA)
+        for amplitude, mode in state_modes(BellCatSpec.from_label("psi-plus", gamma), params):
+            got = _mode_h_tables(amplitude, mode, *caps)
+            want = scattered_h_tables(amplitude, mode.q, mode.one_minus_q, *caps)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
 
 
 class TestParityOrigin:
@@ -351,28 +356,24 @@ class TestSymmetries:
 
 
 class TestTruncationConfig:
-    def test_epsilon_bounds(self):
-        with pytest.raises(ValueError):
-            TruncationConfig(epsilon=2e-3)
-        with pytest.raises(ValueError):
-            TruncationConfig(epsilon=0.0)
-        with pytest.raises(ValueError):
-            TruncationConfig(cat_cap=0)
+    def test_cap_bounds(self):
+        spec = BellCatSpec.from_label("phi-plus", 1.0)
+        for caps in ({"cat_cap": 0}, {"thermal_cap": 0}, {"cat_cap": -3, "thermal_cap": 5}):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                series_values(spec, T0, 0.0, 0.0, 0.0, 0.0, **caps)
 
     def test_resolution_tracks_temperature(self):
         spec = BellCatSpec.from_label("phi-plus", 1.0)
-        cold = TruncationConfig().resolve(spec, T0)
-        hot = TruncationConfig().resolve(spec, params_for(2.0))
-        assert hot.cat_cap > cold.cat_cap
-        assert hot.thermal_cap > cold.thermal_cap
-        assert cold.cat_cap == default_cat_cap(spec, T0) == 19
+        hot = params_for(2.0)
+        assert default_cat_cap(spec, hot) > default_cat_cap(spec, T0)
+        assert default_thermal_cap(hot) > default_thermal_cap(T0)
+        assert default_cat_cap(spec, T0) == 19
 
     def test_undersized_caps_raise(self):
         spec = BellCatSpec.from_label("phi-plus", 2.0)
-        trunc = TruncationConfig(cat_cap=6)
         x = np.linspace(-3, 3, 9)
         with pytest.raises(TruncationError):
-            series_values(spec, T0, x, 0 * x, x, 0 * x, trunc=trunc)
+            series_values(spec, T0, x, 0 * x, x, 0 * x, cat_cap=6)
 
     def test_cap_convergence(self):
         # doubling the resolved caps must not move the values beyond the tail budget
@@ -380,10 +381,10 @@ class TestTruncationConfig:
         params = params_for(1.0)
         rng = np.random.default_rng(15)
         pts = rng.uniform(-3, 3, size=(4, 12))
-        base = TruncationConfig().resolve(spec, params)
-        double = TruncationConfig(cat_cap=2 * base.cat_cap, thermal_cap=2 * base.thermal_cap)
-        a = series_values(spec, params, *pts, trunc=base)
-        b = series_values(spec, params, *pts, trunc=double)
+        cat_cap, thermal_cap = default_cat_cap(spec, params), default_thermal_cap(params)
+        a = series_values(spec, params, *pts, cat_cap=cat_cap, thermal_cap=thermal_cap)
+        b = series_values(spec, params, *pts, cat_cap=2 * cat_cap, thermal_cap=2 * thermal_cap)
+        assert np.array_equal(a, series_values(spec, params, *pts))
         assert np.max(np.abs(a - b)) < 1e-8
 
     def test_hot_thermal_weights_stay_finite(self):
@@ -400,9 +401,8 @@ class TestTruncationConfig:
         # psi-plus, alpha = 3 at 5 K with the thermal cap doubled (caps 291/986): the
         # envelope-scaled Laguerre table passes the float range at degree 1277
         spec = BellCatSpec.from_label("psi-plus", 3.0)
-        trunc = TruncationConfig(cat_cap=291, thermal_cap=986)
         with pytest.raises(TruncationError, match="Laguerre table overflows"):
-            series_values(spec, params_for(5.0), 0.0, 0.0, 0.0, 0.0, trunc=trunc)
+            series_values(spec, params_for(5.0), 0.0, 0.0, 0.0, 0.0, cat_cap=291, thermal_cap=986)
 
     @pytest.mark.parametrize("alpha", [30.0, 100.0])
     @pytest.mark.parametrize("route", [series_values, wigner_oracle_values])
@@ -436,8 +436,7 @@ class TestTruncationConfig:
         with pytest.raises(TruncationError, match=f"hard cap {HARD_CAT_CAP}"):
             wigner_oracle_values_many(specs, params_for(1.0), 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(TruncationError, match=f"cap {HARD_CAT_CAP + 1} is beyond the hard cap"):
-            series_values(specs[0], params_for(1.0), 0.0, 0.0, 0.0, 0.0,
-                          trunc=TruncationConfig(cat_cap=HARD_CAT_CAP + 1, thermal_cap=10))
+            series_values(specs[0], params_for(1.0), 0.0, 0.0, 0.0, 0.0, cat_cap=HARD_CAT_CAP + 1, thermal_cap=10)
         with pytest.raises(TruncationError, match=f"cutoff {HARD_ORACLE_CUTOFF + 1} is beyond the hard cap"):
             wigner_oracle_values(specs[0], params_for(1.0), 0.0, 0.0, 0.0, 0.0, cutoff=HARD_ORACLE_CUTOFF + 1)
         monkeypatch.undo()
@@ -464,20 +463,22 @@ ALL_FOUR = ("phi-plus", "phi-minus", "psi-plus", "psi-minus")
 
 
 class TestListForms:
-    """The list form of each reference route equals its single-state call, bit for bit."""
+    """The list form of each reference route equals its single-state call, bit for bit, and the term-by-term form."""
 
     @pytest.mark.parametrize("ratio", [1.0, 1.3])
     @pytest.mark.parametrize("temp", [0.0, 1.0])
     @pytest.mark.parametrize("alpha", [1.0, 1 + 1j, 0.7 - 0.4j])
     @pytest.mark.parametrize("route", sorted(LIST_ROUTES))
     def test_four_states(self, route, alpha, temp, ratio):
-        # at ratio 1.3 the two modes stop sharing their tables
+        # at ratio 1.3 the two modes stop sharing their tables, and a swap of their thermal
+        # parameters moves W by about 10% against the reference, which reads each frequency itself
         many, single = LIST_ROUTES[route]
         params = thermal_params(temp, OMEGA, ratio * OMEGA)
         pts = np.random.default_rng(11).uniform(-3, 3, size=(4, 5))
         specs = [BellCatSpec.from_label(label, alpha) for label in ALL_FOUR]
         for spec, got in zip(specs, many(specs, params, *pts), strict=True):
             assert np.array_equal(got, single(spec, params, *pts))
+            assert np.max(np.abs(got - gaussian_w(spec.label, alpha, temp, *pts, freq2=ratio * FREQ_HZ))) < 1e-8
 
     @pytest.mark.parametrize("route", sorted(LIST_ROUTES))
     def test_mixed_amplitudes(self, route):
