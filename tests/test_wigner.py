@@ -471,7 +471,7 @@ class TestListForms:
     @pytest.mark.parametrize("route", sorted(LIST_ROUTES))
     def test_four_states(self, route, alpha, temp, ratio):
         # at ratio 1.3 the two modes stop sharing their tables, and a swap of their thermal
-        # parameters moves W by about 10% against the reference, which reads each frequency itself
+        # parameters moves W by several percent against the reference, which reads each frequency itself
         many, single = LIST_ROUTES[route]
         params = thermal_params(temp, OMEGA, ratio * OMEGA)
         pts = np.random.default_rng(11).uniform(-3, 3, size=(4, 5))
