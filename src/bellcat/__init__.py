@@ -1,4 +1,9 @@
-"""Thermal Wigner functions and negativity volumes of the four Bell-Cat states."""
+"""Thermal Wigner functions and negativity volumes of the four Bell-Cat states.
+
+The top level holds the production entry points, their types and the errors;
+the reference routes stay in `bellcat.series`, `bellcat.oracle`,
+`bellcat.density` and `bellcat.states`.
+"""
 
 __version__ = "0.1.0"
 
@@ -12,15 +17,8 @@ from .errors import (
     QuadratureError,
     TruncationError,
 )
-from .states import (
-    STATE_LABELS,
-    BellCatSpec,
-    FockCoefficients,
-    bellcat_normalization,
-    coherent_overlap_sq,
-    fock_coefficients,
-)
-from .tfd import HBAR, KB, ThermalMode, ThermalParams, gibbs_weight, state_modes, thermal_params
+from .states import STATE_LABELS, BellCatSpec
+from .tfd import HBAR, KB, ThermalMode, ThermalParams, thermal_params
 from .wigner import (
     GridAxis,
     PhasePoint,
@@ -30,8 +28,6 @@ from .wigner import (
     wigner_point,
     wigner_values,
 )
-from .series import series_values
-from .oracle import closed_form_zero_temperature, fock_wigner_kernels, hermite_functions
 from .negativity import (
     NegativityResult,
     SweepEntry,
@@ -39,4 +35,11 @@ from .negativity import (
     temperature_sweep,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BellCatSpec", "STATE_LABELS",
+    "thermal_params", "ThermalParams", "ThermalMode", "HBAR", "KB",
+    "wigner_values", "wigner_point", "wigner_grid", "PhasePoint", "GridAxis", "SliceDescriptor", "WignerGrid",
+    "integrate_negativity", "temperature_sweep", "NegativityResult", "SweepEntry",
+    "BellCatError", "CutoffError", "DegenerateStateError", "ImaginaryResidueError", "NonFiniteError",
+    "NormalizationError", "QuadratureError", "TruncationError",
+]

@@ -28,14 +28,14 @@ give those factors:
 Each per-mode builder takes one (amplitude, thermal mode) pair of
 `bellcat.tfd.state_modes`.
 
-Nothing here forms the (cutoff+1)^2-dimensional matrix.  :func:`route_gap`
-compares the two routes on their factors: the largest |entry| of a
-Kronecker product is the product of the factors' largest |entries|, which
-bounds the two-mode max |operator - direct| from per-mode matrices alone,
-and tr(A x B) = tr A tr B gives each route's trace.  :func:`route_gaps` does
-this for a list of states, building each mode's factors once per distinct
-mode amplitude and thermal mode (:func:`mode_key`); :func:`route_gap` is its
-one-state call.
+Nothing here forms the (cutoff+1)^2-dimensional matrix.  :func:`route_gaps`
+compares the two routes on their factors for a list of states: the largest
+|entry| of a Kronecker product is the product of the factors' largest
+|entries|, which bounds the two-mode max |operator - direct| from per-mode
+matrices alone, and tr(A x B) = tr A tr B gives each route's trace.  It
+builds each mode's factors once per distinct mode amplitude and thermal mode
+(:func:`mode_key`).  Its cutoff, like the thermal level count of
+:func:`thermal_levels`, passes `bellcat.states.checked_cutoff` first.
 """
 
 from __future__ import annotations
@@ -45,13 +45,12 @@ import math
 
 import numpy as np
 
-from .errors import CutoffError, TruncationError
+from .errors import CutoffError
 from .special_fn import log_factorial_table
-from .states import BellCatSpec, bellcat_normalization
+from .states import BellCatSpec, bellcat_normalization, checked_cutoff
 from .tfd import ThermalMode, ThermalParams, gibbs_weight, state_modes
 
 __all__ = [
-    "route_gap",
     "route_gaps",
     "branch_weights",
     "mode_blocks",
@@ -69,8 +68,9 @@ def thermal_levels(params: ThermalParams, epsilon: float) -> int:
 
     The geometric tail above level N is e^{-(N+1) beta hbar omega}/(1 - q), so
     N = ceil(ln(1/(epsilon (1-q)))/(beta hbar omega)) guarantees tail <= epsilon.
-    Past `HARD_THERMAL_CAP` levels, or where q rounds to 1, raises TruncationError:
-    both reference routes hold tables of that many levels.
+    N passes `checked_cutoff` against `HARD_THERMAL_CAP`: past it, or where q
+    rounds to 1, it raises TruncationError, since both reference routes hold
+    tables of that many levels.
     """
     if params.is_zero_temperature:
         return 0
@@ -79,11 +79,8 @@ def thermal_levels(params: ThermalParams, epsilon: float) -> int:
         if mode.q == 0.0:
             continue  # Gibbs factor underflowed: the mode is effectively frozen
         rate = -math.log(mode.q)
-        need = math.ceil(math.log(1.0 / (epsilon * mode.one_minus_q)) / rate) if rate else math.inf
-        if need > HARD_THERMAL_CAP:
-            raise TruncationError(f"thermal tail needs {need} levels to reach {epsilon:g}, "
-                                  f"beyond the hard cap {HARD_THERMAL_CAP}")
-        levels = max(levels, need)
+        need = math.log(1.0 / (epsilon * mode.one_minus_q)) / rate if rate else math.inf
+        levels = max(levels, checked_cutoff(need, "thermal cap", HARD_THERMAL_CAP))
     return levels
 
 
@@ -190,14 +187,14 @@ def route_gaps(specs: list[BellCatSpec], params: ThermalParams, cutoff: int,
     `enforce_trace_limit` the 1% trace-deficit gate raises `CutoffError`
     where either route's trace, sum w tr(A) tr(B), falls short; without
     it, both routes are exact on the truncated space, so formula checks
-    may run at any cutoff.
+    may run at any cutoff up to `HARD_FOCK_CUTOFF`, which `checked_cutoff`
+    enforces first.
 
     A state enters only through its weights and its two mode amplitudes, so
     each distinct mode (`mode_key`) builds its factors, their traces and
     their largest |entries| once per call, whichever states share it.
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
+    cutoff = checked_cutoff(cutoff, "density cutoff")
     modes = {}
 
     def mode_numbers(gamma: complex, mode: ThermalMode) -> list:
@@ -225,12 +222,6 @@ def route_gaps(specs: list[BellCatSpec], params: ThermalParams, cutoff: int,
                       + abs(w_direct[s, t]) * (d1 * b2 + q1 * d2))
         gaps.append(bound)
     return gaps
-
-
-def route_gap(spec: BellCatSpec, params: ThermalParams, cutoff: int,
-              enforce_trace_limit: bool = True) -> float:
-    """:func:`route_gaps` of one state."""
-    return route_gaps([spec], params, cutoff, enforce_trace_limit)[0]
 
 
 def branch_weights(spec: BellCatSpec) -> np.ndarray:

@@ -12,8 +12,8 @@ class DegenerateStateError(BellCatError):
     """
 
 
-class CutoffError(BellCatError):
-    """A Fock-space cutoff is too small for the requested accuracy."""
+class CutoffError(BellCatError, ValueError):
+    """A Fock-space cutoff is negative, or too small for the requested accuracy; also a ValueError."""
 
 
 class TruncationError(BellCatError):

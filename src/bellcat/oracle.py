@@ -12,7 +12,8 @@ terms, so they check that the imaginary part cancels (`ImaginaryResidueError`).
 computes the Fock kernels once per cutoff and mode point set, and the
 per-mode blocks and their contractions once per distinct (amplitude, thermal
 mode) pair of `bellcat.tfd.state_modes`, and combines them with each state's
-branch weights.  `wigner_oracle_values` is its one-state call.
+branch weights.  Every cutoff passes `bellcat.states.checked_cutoff` before
+any table is built.
 
 Tests and `bellcat validate` compare these with the production Gaussian form
 (`bellcat.wigner`) and the Laguerre series (`bellcat.series`), whose cap
@@ -27,16 +28,15 @@ import math
 import numpy as np
 
 from .density import branch_weights, mode_blocks, mode_key, thermal_levels
-from .errors import CutoffError, QuadratureError, TruncationError
+from .errors import QuadratureError
 from .series import _coordinate_arrays, _to_real, default_cat_cap
-from .states import BellCatSpec
+from .states import BellCatSpec, checked_cutoff
 from .tfd import ThermalMode, ThermalParams, state_modes
 
 __all__ = [
     "hermite_functions",
     "fock_wigner_kernels",
     "oracle_cutoff",
-    "wigner_oracle_values",
     "wigner_oracle_values_many",
     "closed_form_zero_temperature",
 ]
@@ -47,10 +47,10 @@ def hermite_functions(nmax: int, xi: np.ndarray) -> np.ndarray:
 
     Two-term recurrence on the functions themselves (never the bare Hermite
     polynomials), so magnitudes stay bounded for n of a few hundred.  Shape
-    (nmax+1,) + xi.shape; each step writes its row in place.  A negative
-    nmax raises CutoffError, one past `HARD_ORACLE_CUTOFF` TruncationError.
+    (nmax+1,) + xi.shape; each step writes its row in place.  nmax passes
+    `checked_cutoff` first.
     """
-    _checked_cutoff(nmax)
+    nmax = checked_cutoff(nmax, "oracle cutoff")
     xi = np.asarray(xi, dtype=float)
     out = np.empty((nmax + 1,) + xi.shape)
     out[0] = math.pi ** -0.25 * np.exp(-0.5 * xi * xi)
@@ -68,21 +68,6 @@ def hermite_functions(nmax: int, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-# near the origin the oracle takes about 240 bytes per level^2 at one point (63 MB at this cap) and
-# about 100 more for each further point; from n ~ 700 the Hermite seed e^{-xi^2/2} underflows at
-# the turning point sqrt(2n + 1), and the quadrature stops converging
-HARD_ORACLE_CUTOFF = 512
-
-
-def _checked_cutoff(nmax: int) -> int:
-    """`nmax`, before any table is built: CutoffError below 0, TruncationError past `HARD_ORACLE_CUTOFF`."""
-    if nmax < 0:
-        raise CutoffError(f"oracle cutoff {nmax} is negative")
-    if nmax > HARD_ORACLE_CUTOFF:
-        raise TruncationError(f"oracle cutoff {nmax} is beyond the hard cap {HARD_ORACLE_CUTOFF}")
-    return nmax
-
-
 def fock_wigner_kernels(nmax: int, x: np.ndarray, y: np.ndarray,
                         tol: float = 1e-10, max_doublings: int = 8) -> np.ndarray:
     """Dimensionless one-mode Wigner kernels K[j, l](x, y) of |j><l|, j, l <= nmax.
@@ -93,10 +78,10 @@ def fock_wigner_kernels(nmax: int, x: np.ndarray, y: np.ndarray,
     The refinements are nested: each doubling evaluates only the new
     midpoints and adds them to half the previous sum.  Each level runs over
     the nodes s >= 0 only; the nodes -s add the conjugate transpose.
-    Returns shape (npoints, nmax+1, nmax+1).  Past `HARD_ORACLE_CUTOFF`
-    raises TruncationError.
+    Returns shape (npoints, nmax+1, nmax+1).  nmax passes `checked_cutoff`
+    first.
     """
-    _checked_cutoff(nmax)
+    nmax = checked_cutoff(nmax, "oracle cutoff")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape != y.shape:
@@ -157,10 +142,10 @@ _ORACLE_MASS_EPSILON = 1e-9
 
 
 def oracle_cutoff(spec: BellCatSpec, params: ThermalParams) -> int:
-    """Per-mode Fock cutoff the oracle needs to hold ~1e-9 of the state's mass."""
+    """Per-mode Fock cutoff the oracle needs to hold ~1e-9 of the state's mass, through `checked_cutoff`."""
     # the thermal levels first: past both hard caps, theirs is the error raised, as in the series
     levels = thermal_levels(params, _ORACLE_MASS_EPSILON)
-    return default_cat_cap(spec, params) + levels
+    return checked_cutoff(default_cat_cap(spec, params) + levels, "oracle cutoff")
 
 
 def wigner_oracle_values_many(specs: list[BellCatSpec], params: ThermalParams,
@@ -172,12 +157,13 @@ def wigner_oracle_values_many(specs: list[BellCatSpec], params: ThermalParams,
     once per cutoff and mode point set, the blocks once per distinct mode
     (`mode_key`) and cutoff, and their contractions once per point set they
     serve.
-    A cutoff left as None is `oracle_cutoff` of each state.  Any cutoff past
-    `HARD_ORACLE_CUTOFF` raises TruncationError before any table is built.
+    A cutoff left as None is `oracle_cutoff` of each state.  Every cutoff
+    passes `checked_cutoff` before any table is built.
     """
     arrays = _coordinate_arrays(x1, y1, x2, y2)
     mode_points = ((arrays[0], arrays[1]), (arrays[2], arrays[3]))
-    cutoffs = [_checked_cutoff(oracle_cutoff(spec, params) if cutoff is None else cutoff) for spec in specs]
+    cutoffs = [oracle_cutoff(spec, params) if cutoff is None else checked_cutoff(cutoff, "oracle cutoff")
+               for spec in specs]
     kernels, blocks, contractions = {}, {}, {}
 
     def contracted(slot: int, gamma: complex, mode: ThermalMode, nmax: int) -> list:
@@ -202,12 +188,6 @@ def wigner_oracle_values_many(specs: list[BellCatSpec], params: ThermalParams,
                 total += weights[s, t] * c1[s][t] * c2[s][t]
         values.append(_to_real(total, "wigner_oracle"))
     return values
-
-
-def wigner_oracle_values(spec: BellCatSpec, params: ThermalParams,
-                         x1, y1, x2, y2, cutoff: int | None = None) -> np.ndarray:
-    """:func:`wigner_oracle_values_many` of one state."""
-    return wigner_oracle_values_many([spec], params, x1, y1, x2, y2, cutoff)[0]
 
 
 def closed_form_zero_temperature(spec: BellCatSpec, x1, y1, x2, y2) -> np.ndarray:

@@ -41,10 +41,10 @@ import math
 
 import numpy as np
 
-from .density import mode_key, thermal_levels
-from .errors import ImaginaryResidueError, NonFiniteError, TruncationError
+from .density import HARD_THERMAL_CAP, mode_key, thermal_levels
+from .errors import CutoffError, ImaginaryResidueError, NonFiniteError, TruncationError
 from .special_fn import laguerre_envelope_table, log_factorial_table
-from .states import BellCatSpec
+from .states import BellCatSpec, checked_cutoff
 from .tfd import ThermalMode, ThermalParams, effective_amplitude, state_modes
 
 __all__ = [
@@ -66,26 +66,16 @@ _CHI_MODES = (CHI_KERNEL, CHI_PRINTED, CHI_BROKEN)
 IMAG_RESIDUE_TOL = 1e-9
 # tail tolerance of the thermal cap; the tail check admits up to 100 times this
 TAIL_EPSILON = 1e-10
-# the series' per-mode tables take about 512 bytes per (coherent level x degree), degree = cat cap +
-# thermal cap: 0.66 GB at this cap and the hard thermal cap of 2000 levels
-HARD_CAT_CAP = 512
-
-
-def _checked_cat_cap(cap: float) -> int:
-    """`cap` rounded up; TruncationError past `HARD_CAT_CAP`, before any table is built."""
-    if not cap <= HARD_CAT_CAP:
-        raise TruncationError(f"coherent-branch cap {cap:.6g} is beyond the hard cap {HARD_CAT_CAP}")
-    return math.ceil(cap)
 
 
 def default_cat_cap(spec: BellCatSpec, params: ThermalParams) -> int:
     """Fock reach of the coherent branches: ceil(a^2 + 8a + 10) at a = |alpha| u.
 
     The series caps its four coherent-branch indices here, and the oracle
-    sizes its Fock cutoff from it.  Past `HARD_CAT_CAP` raises TruncationError.
+    sizes its Fock cutoff from it.  The cap passes `checked_cutoff` first.
     """
     a = effective_amplitude(spec, params)
-    return _checked_cat_cap(a * a + 8.0 * a + 10.0)
+    return checked_cutoff(a * a + 8.0 * a + 10.0, "coherent-branch cap")
 
 
 def default_thermal_cap(params: ThermalParams) -> int:
@@ -273,13 +263,14 @@ def series_values_many(specs: list[BellCatSpec], params: ThermalParams,
     """The series' thermal Wigner function of each state at paired coordinate arrays the states share.
 
     A cap left as None is resolved per state: `default_cat_cap` and
-    `default_thermal_cap`.  A cap below 1 raises ValueError.  The per-mode
+    `default_thermal_cap`.  A cap below 1 raises CutoffError, a ValueError;
+    an explicit cap passes `checked_cutoff`, the thermal one against
+    `HARD_THERMAL_CAP`, before any table is built.  The per-mode
     factor tables pass a tail check first: the outermost coherent band's
     contribution, a conservative overestimate of the mass the caps left out,
     against `TAIL_EPSILON`.  A bound above 100 `TAIL_EPSILON`, or one that is
     not a number, raises TruncationError, as does a Laguerre table past the
-    float range and, before any table is built, a coherent-branch cap past
-    `HARD_CAT_CAP`.  The four branch products are then summed as complex
+    float range.  The four branch products are then summed as complex
     numbers, and the imaginary-residue guard checks that they pair up.
 
     A state enters only through sigma, its caps and its two modes, so within
@@ -289,14 +280,14 @@ def series_values_many(specs: list[BellCatSpec], params: ThermalParams,
     """
     for name, cap in (("cat_cap", cat_cap), ("thermal_cap", thermal_cap)):
         if cap is not None and cap < 1:
-            raise ValueError(f"{name} must be >= 1")
+            raise CutoffError(f"{name} must be >= 1")
     arrays = _coordinate_arrays(x1, y1, x2, y2)
     mode_points = ((arrays[0], arrays[1]), (arrays[2], arrays[3]))
-    caps = []
-    for spec in specs:
-        # the thermal cap first: past both hard caps, its error is the one raised
-        thermal = thermal_cap if thermal_cap is not None else default_thermal_cap(params)
-        caps.append((_checked_cat_cap(cat_cap) if cat_cap is not None else default_cat_cap(spec, params), thermal))
+    # the thermal cap first: past both hard caps, its error is the one raised
+    thermal = (checked_cutoff(thermal_cap, "thermal cap", HARD_THERMAL_CAP) if thermal_cap is not None
+               else default_thermal_cap(params))
+    caps = [(checked_cutoff(cat_cap, "coherent-branch cap") if cat_cap is not None else default_cat_cap(spec, params),
+             thermal) for spec in specs]
     # the distinct modes at each (caps, mode point set), in order of first use
     groups: dict[tuple, dict] = {}
     for spec, state_caps in zip(specs, caps):

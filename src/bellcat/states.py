@@ -27,7 +27,9 @@ __all__ = [
     "BellCatSpec",
     "FockCoefficients",
     "STATE_LABELS",
+    "HARD_FOCK_CUTOFF",
     "bellcat_normalization",
+    "checked_cutoff",
     "coherent_overlap_sq",
     "fock_coefficients",
     "parity_overlap",
@@ -149,23 +151,32 @@ class FockCoefficients:
         return complex(self.table[n, m])
 
 
-# the expansion takes about 72 bytes per level^2 while it is built (19 MB at this cap), and keeps
-# a complex table of 16; it matches the reference routes' Fock reach
+# The Fock reach of every reference route (the Fock expansion, the series' coherent cap, the oracle
+# and the density factors), each size checked by `checked_cutoff`.  Memory at this cap: the expansion
+# 72 bytes per level^2 while built (19 MB); the series' tables 512 bytes per (coherent level x
+# degree), degree = cat cap + thermal cap (0.66 GB with `density.HARD_THERMAL_CAP`); the oracle 240
+# bytes per level^2 at one point (63 MB) and about 100 per further point, and from n ~ 700 its
+# Hermite seed underflows at the turning point and its quadrature stops converging; `route_gaps` 57 MB.
 HARD_FOCK_CUTOFF = 512
+
+
+def checked_cutoff(levels, what: str, hard_cap: int = HARD_FOCK_CUTOFF) -> int:
+    """`levels` rounded up, before any table: TruncationError unless <= `hard_cap` (NaN too), CutoffError below 0."""
+    if not levels <= hard_cap:
+        raise TruncationError(f"{what} {levels} is beyond the hard cap {hard_cap}")
+    if levels < 0:
+        raise CutoffError(f"{what} {levels} is negative")
+    return math.ceil(levels)
 
 
 def fock_coefficients(spec: BellCatSpec, cutoff: int) -> FockCoefficients:
     """Coefficients c(n,m) = N e^{-|alpha|^2} alpha^{n+m} k^m [1 + sigma (-1)^{n+m}] / sqrt(n! m!).
 
     Assembled in log-magnitude + phase form; the truncated-norm deficit of the
-    retained (cutoff+1)^2 block is reported alongside.  A negative cutoff
-    raises CutoffError, one past `HARD_FOCK_CUTOFF` TruncationError, before
-    any table is built.
+    retained (cutoff+1)^2 block is reported alongside.  The cutoff passes
+    `checked_cutoff` first.
     """
-    if cutoff < 0:
-        raise CutoffError(f"Fock cutoff {cutoff} is negative")
-    if cutoff > HARD_FOCK_CUTOFF:
-        raise TruncationError(f"Fock cutoff {cutoff} is beyond the hard cap {HARD_FOCK_CUTOFF}")
+    cutoff = checked_cutoff(cutoff, "Fock cutoff")
     norm = bellcat_normalization(spec.alpha, spec.sigma)
     a_abs = abs(spec.alpha)
     a_phase = cmath.phase(spec.alpha)

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from bellcat.cli import main as cli_main
-from bellcat.density import route_gap
+from bellcat.density import route_gaps
 from bellcat.negativity import (
     default_half_width,
     default_inner_density,
@@ -29,7 +29,7 @@ from bellcat.negativity import (
     integrate_negativity,
     temperature_sweep,
 )
-from bellcat.oracle import closed_form_zero_temperature, wigner_oracle_values, wigner_oracle_values_many
+from bellcat.oracle import closed_form_zero_temperature, wigner_oracle_values_many
 from bellcat.series import series_values, series_values_many
 from bellcat.states import STATE_LABELS, BellCatSpec, coherent_overlap_sq
 from bellcat.tfd import HBAR, KB, thermal_params
@@ -109,7 +109,7 @@ def test_criterion_03_density_oracle_equivalence():
     # entrywise equality of the element-formula and operator routes is
     # cutoff-independent (both truncate identically), so the battery runs at
     # cutoff 30 with the trace gate off; the gate itself is covered in
-    # tests/test_density.py.  route_gap bounds the routes' max entrywise
+    # tests/test_density.py.  route_gaps bounds the routes' max entrywise
     # difference from their per-mode factors.
     worst = 0.0
     for label in ALL_LABELS:
@@ -117,7 +117,7 @@ def test_criterion_03_density_oracle_equivalence():
             for temp in (0.0, 0.3, 1.0):
                 spec = BellCatSpec.from_label(label, alpha)
                 params = params_for(temp)
-                worst = max(worst, route_gap(spec, params, 30, enforce_trace_limit=False))
+                worst = max(worst, route_gaps([spec], params, 30, enforce_trace_limit=False)[0])
     ok = worst < 1e-10
     report("03", ok, f"bound on max entrywise |direct - operator| = {worst:.2e} over 36 configs, cutoff 30")
     assert ok
@@ -156,7 +156,7 @@ def test_criterion_05_parity_origin_values():
         spec = BellCatSpec.from_label(label, 1 + 1j)
         expected = spec.sigma / math.pi**2
         worst = max(worst, abs(wigner_point(spec, params, origin) - expected),
-                    abs(wigner_oracle_values(spec, params, 0.0, 0.0, 0.0, 0.0)[0] - expected))
+                    abs(wigner_oracle_values_many([spec], params, 0.0, 0.0, 0.0, 0.0)[0][0] - expected))
     ok = worst < 1e-9
     report("05", ok, f"max |W(0) - sigma/pi^2| = {worst:.2e} (Gaussian form and oracle, all states)")
     assert ok

@@ -6,7 +6,7 @@ import pytest
 import bellcat.density
 from bellcat.density import (
     _direct_mode_factor, _direct_mode_factors, _direct_weights, _exp_creation, _trace_deficit, branch_weights,
-    mode_blocks, route_gap, route_gaps,
+    mode_blocks, route_gaps,
 )
 from bellcat.errors import CutoffError
 from bellcat.states import BellCatSpec, bellcat_normalization, fock_coefficients
@@ -83,7 +83,7 @@ def dressed_gibbs(spec, params, cutoff):
 
 
 def gated_deficit(matrix, cutoff):
-    """1 - tr(matrix), through the trace-deficit gate that route_gap applies."""
+    """1 - tr(matrix), through the trace-deficit gate that route_gaps applies."""
     return _trace_deficit(np.trace(matrix), cutoff, True)
 
 
@@ -148,7 +148,7 @@ class TestOracleEquivalence:
     def test_direct_equals_operator(self, label, temp):
         spec = BellCatSpec.from_label(label, 1 + 1j)
         params = params_for(temp)
-        assert route_gap(spec, params, 30) < 1e-10
+        assert route_gaps([spec], params, 30)[0] < 1e-10
 
 
 class TestModeBlockParity:
@@ -170,7 +170,7 @@ class TestModeBlockParity:
 
 
 class TestKroneckerSums:
-    """The per-mode factors route_gap compares assemble, by Kronecker sums, into each route's two-mode matrix.
+    """The per-mode factors route_gaps compares assemble, by Kronecker sums, into each route's two-mode matrix.
 
     Operator route: branch_weights and the mode_blocks of state_modes against
     f rho_beta f^dag with f transcribed from the printed dressing operator.
@@ -219,7 +219,7 @@ def trace_gate_outcome(build) -> str | None:
 
 
 class TestRouteGap:
-    """route_gap bounds the whole-matrix max |operator - direct| from per-mode factors, and gates as the traces do."""
+    """route_gaps bounds the whole-matrix max |operator - direct| from per-mode factors, and gates as the traces do."""
 
     @pytest.mark.parametrize("label", ["phi-plus", "phi-minus", "psi-plus", "psi-minus"])
     @pytest.mark.parametrize("temp", [0.0, 0.5])
@@ -229,7 +229,7 @@ class TestRouteGap:
         spec = BellCatSpec.from_label(label, alpha)
         params = params_for(temp)
         diff = operator_kron_sum(spec, params, cutoff) - direct_kron_sum(spec, params, cutoff)
-        assert route_gap(spec, params, cutoff, enforce_trace_limit=False) >= float(np.max(np.abs(diff)))
+        assert route_gaps([spec], params, cutoff, enforce_trace_limit=False)[0] >= float(np.max(np.abs(diff)))
 
     @pytest.mark.parametrize("label", ["phi-plus", "phi-minus", "psi-plus", "psi-minus"])
     @pytest.mark.parametrize("temp", [0.0, 0.5])
@@ -240,7 +240,7 @@ class TestRouteGap:
         params = params_for(temp)
         built = trace_gate_outcome(lambda: (gated_deficit(operator_kron_sum(spec, params, cutoff), cutoff),
                                             gated_deficit(direct_kron_sum(spec, params, cutoff), cutoff)))
-        assert trace_gate_outcome(lambda: route_gap(spec, params, cutoff)) == built
+        assert trace_gate_outcome(lambda: route_gaps([spec], params, cutoff)) == built
 
     @pytest.mark.parametrize("label", ["phi-plus", "phi-minus", "psi-plus", "psi-minus"])
     @pytest.mark.parametrize("temp", [0.0, 0.5])
@@ -249,9 +249,10 @@ class TestRouteGap:
         spec = BellCatSpec.from_label(label, 0.7 + 0.3j)
         params = thermal_params(temp, OMEGA, 1.3 * OMEGA)
         operator, direct = operator_kron_sum(spec, params, cutoff), direct_kron_sum(spec, params, cutoff)
-        assert route_gap(spec, params, cutoff, enforce_trace_limit=False) >= float(np.max(np.abs(operator - direct)))
+        gap = route_gaps([spec], params, cutoff, enforce_trace_limit=False)[0]
+        assert gap >= float(np.max(np.abs(operator - direct)))
         built = trace_gate_outcome(lambda: (gated_deficit(operator, cutoff), gated_deficit(direct, cutoff)))
-        assert trace_gate_outcome(lambda: route_gap(spec, params, cutoff)) == built
+        assert trace_gate_outcome(lambda: route_gaps([spec], params, cutoff)) == built
 
     @pytest.mark.parametrize("label", ["phi-plus", "phi-minus", "psi-plus", "psi-minus"])
     def test_flipped_branch_sign_exceeds_gate(self, label, monkeypatch):
@@ -260,7 +261,7 @@ class TestRouteGap:
         monkeypatch.setattr(bellcat.density, "_direct_weights",
                             lambda spec: direct_weights(spec) * np.array([[1.0, -1.0], [-1.0, 1.0]]))
         spec = BellCatSpec.from_label(label, 1 + 1j)
-        assert route_gap(spec, params_for(0.5), 30, enforce_trace_limit=False) > 1e-10
+        assert route_gaps([spec], params_for(0.5), 30, enforce_trace_limit=False)[0] > 1e-10
 
     @pytest.mark.parametrize("label", ["phi-plus", "phi-minus", "psi-plus", "psi-minus"])
     def test_dropped_one_minus_q_exceeds_gate(self, label, monkeypatch):
@@ -275,16 +276,16 @@ class TestRouteGap:
 
         monkeypatch.setattr(bellcat.density, "_direct_mode_factors", dropped)
         spec = BellCatSpec.from_label(label, 1 + 1j)
-        assert route_gap(spec, params, 30, enforce_trace_limit=False) > 1e-10
+        assert route_gaps([spec], params, 30, enforce_trace_limit=False)[0] > 1e-10
 
     def test_trace_gate_trips_below_needed_cutoff(self):
         spec = BellCatSpec.from_label("psi-plus", 1 + 1j)
         with pytest.raises(CutoffError, match=r"trace deficit 2\.288e-02 exceeds"):
-            route_gap(spec, params_for(0.5), 20)
+            route_gaps([spec], params_for(0.5), 20)
 
 
 class TestRouteGaps:
-    """route_gaps over a list of states equals route_gap of each state, bit for bit."""
+    """route_gaps over a list of states equals its call on each state alone, bit for bit."""
 
     @pytest.mark.parametrize("ratio", [1.0, 1.3])
     @pytest.mark.parametrize("temp", [0.0, 1.0])
@@ -294,20 +295,20 @@ class TestRouteGaps:
         params = thermal_params(temp, OMEGA, ratio * OMEGA)
         specs = [BellCatSpec.from_label(label, alpha) for label in ("phi-plus", "phi-minus", "psi-plus", "psi-minus")]
         gaps = route_gaps(specs, params, 20, enforce_trace_limit=False)
-        assert gaps == [route_gap(spec, params, 20, enforce_trace_limit=False) for spec in specs]
+        assert gaps == [route_gaps([spec], params, 20, enforce_trace_limit=False)[0] for spec in specs]
 
     def test_mixed_amplitudes(self):
         params = thermal_params(1.0, OMEGA, 1.3 * OMEGA)
         specs = [BellCatSpec.from_label(label, alpha) for label, alpha in
                  (("phi-plus", 1.0), ("psi-minus", 0.7 - 0.4j), ("phi-minus", 1 + 1j), ("psi-plus", 1.0))]
         gaps = route_gaps(specs, params, 20, enforce_trace_limit=False)
-        assert gaps == [route_gap(spec, params, 20, enforce_trace_limit=False) for spec in specs]
+        assert gaps == [route_gaps([spec], params, 20, enforce_trace_limit=False)[0] for spec in specs]
 
     def test_amplitudes_differing_in_a_zero_sign(self):
         # mode amplitudes -1 - 0j and -1 + 0j compare equal but differ in phase
         specs = [BellCatSpec.from_label("phi-plus", complex(-1.0, -0.0)), BellCatSpec.from_label("psi-plus", 1.0)]
         gaps = route_gaps(specs, params_for(1.0), 30, enforce_trace_limit=False)
-        assert gaps == [route_gap(spec, params_for(1.0), 30, enforce_trace_limit=False) for spec in specs]
+        assert gaps == [route_gaps([spec], params_for(1.0), 30, enforce_trace_limit=False)[0] for spec in specs]
 
     def test_builds_each_mode_once(self, monkeypatch):
         # equal frequencies: the four states need the mode amplitudes alpha and -alpha only

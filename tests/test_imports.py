@@ -1,4 +1,4 @@
-"""The production modules import no reference route.
+"""The production modules and `import bellcat` load no reference route.
 
 `bellcat.wigner` and `bellcat.negativity` hold the production evaluator.  The
 density factors (`bellcat.density`), the Laguerre series (`bellcat.series`) and
@@ -6,9 +6,14 @@ the Fock-kernel oracle (`bellcat.oracle`) are reference routes beside them,
 and their dependency runs one way, density <- series <- oracle: the series
 imports neither the production module nor the oracle.  The imports are read
 from the source at every nesting depth, so a function-local import counts.
+The package's top level exports only the production names, so a fresh
+interpreter's `import bellcat` loads none of the three.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +71,13 @@ def test_scanner_sees_local_and_module_level_imports():
     assert (None, "series", ("_coordinate_arrays", "_to_real", "default_cat_cap")) in package_imports("oracle")
     assert (None, "density", ("branch_weights", "mode_blocks", "mode_key", "thermal_levels")) in package_imports("oracle")
     assert ("wigner_values", "series", ("series_values",)) in package_imports("wigner")
+
+
+def test_package_import_loads_no_reference_route():
+    code = "import sys, bellcat; print(' '.join(m for m in sys.modules if m.startswith('bellcat.')))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    loaded = set(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                                check=True).stdout.split())
+    assert "bellcat.wigner" in loaded and "bellcat.negativity" in loaded
+    assert loaded & {f"bellcat.{name}" for name in REFERENCE} == set()
+    assert len(set(bellcat.__all__)) == 26 and all(hasattr(bellcat, name) for name in bellcat.__all__)

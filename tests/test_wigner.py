@@ -9,20 +9,21 @@ import pytest
 
 import bellcat.oracle
 import bellcat.series
-from bellcat.errors import CutoffError, ImaginaryResidueError, QuadratureError, TruncationError
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from bellcat.density import HARD_THERMAL_CAP, route_gaps
+from bellcat.errors import BellCatError, CutoffError, ImaginaryResidueError, QuadratureError, TruncationError
 from bellcat.oracle import (
-    HARD_ORACLE_CUTOFF,
     closed_form_zero_temperature,
     fock_wigner_kernels,
     hermite_functions,
     oracle_cutoff,
-    wigner_oracle_values,
     wigner_oracle_values_many,
 )
 from bellcat.series import (
     CHI_BROKEN,
     CHI_PRINTED,
-    HARD_CAT_CAP,
     _mode_h_tables,
     default_cat_cap,
     default_thermal_cap,
@@ -30,7 +31,7 @@ from bellcat.series import (
     series_values_many,
 )
 from bellcat.special_fn import log_factorial_table
-from bellcat.states import STATE_LABELS, BellCatSpec
+from bellcat.states import HARD_FOCK_CUTOFF, STATE_LABELS, BellCatSpec, fock_coefficients
 from bellcat.tfd import HBAR, KB, state_modes, thermal_params
 from bellcat.wigner import GridAxis, PhasePoint, SliceDescriptor, wigner_grid, wigner_point, wigner_values
 from test_cli import gaussian_w
@@ -281,7 +282,7 @@ class TestOracleAgreement:
         rng = np.random.default_rng(5)
         pts = rng.uniform(-3, 3, size=(4, 6))
         ws = wigner_values(spec, T0, *pts)
-        wo = wigner_oracle_values(spec, T0, *pts)
+        wo = wigner_oracle_values_many([spec], T0, *pts)[0]
         assert np.max(np.abs(ws - wo)) < 1e-8
 
     def test_thermal_agreement(self):
@@ -290,7 +291,7 @@ class TestOracleAgreement:
         rng = np.random.default_rng(6)
         pts = rng.uniform(-3, 3, size=(4, 5))
         ws = wigner_values(spec, params, *pts)
-        wo = wigner_oracle_values(spec, params, *pts)
+        wo = wigner_oracle_values_many([spec], params, *pts)[0]
         assert np.max(np.abs(ws - wo)) < 1e-8
 
     def test_shared_kernels_are_bit_identical(self):
@@ -302,14 +303,14 @@ class TestOracleAgreement:
         cutoff = oracle_cutoff(specs[0], params)
         assert all(oracle_cutoff(spec, params) == cutoff for spec in specs)
         for spec, shared in zip(specs, wigner_oracle_values_many(specs, params, *pts)):
-            assert np.array_equal(shared, wigner_oracle_values(spec, params, *pts))
+            assert np.array_equal(shared, wigner_oracle_values_many([spec], params, *pts)[0])
 
     def test_lobe_point(self):
         spec = BellCatSpec.from_label("phi-minus", 1.0)
         params = params_for(0.01)
         pt = PhasePoint(math.sqrt(2), 0.0, math.sqrt(2), 0.0)
         ws = wigner_point(spec, params, pt)
-        wo = wigner_oracle_values(spec, params, pt.x1, pt.y1, pt.x2, pt.y2)[0]
+        wo = wigner_oracle_values_many([spec], params, pt.x1, pt.y1, pt.x2, pt.y2)[0][0]
         assert abs(ws - wo) < 1e-8
 
 
@@ -353,6 +354,25 @@ class TestSymmetries:
         pts = rng.uniform(-2, 2, size=(4, 10))
         with pytest.raises(ImaginaryResidueError):
             series_values(spec, params, *pts, chi_mode=CHI_BROKEN)
+
+
+# the one-state call of each reference route, under the name the test ids carry
+ONE_STATE = {"series_values": series_values,
+             "wigner_oracle_values": lambda spec, *args, **kwargs: wigner_oracle_values_many([spec], *args, **kwargs)[0]}
+SIZED_SPEC = BellCatSpec.from_label("phi-minus", 1.0)
+ORIGIN = (0.0, 0.0, 0.0, 0.0)
+# each size parameter of the reference routes: its hard cap and a call at a given size
+SIZE_PARAMETERS = {
+    "fock_coefficients": (HARD_FOCK_CUTOFF, lambda n: fock_coefficients(SIZED_SPEC, n)),
+    "series cat_cap": (HARD_FOCK_CUTOFF, lambda n: series_values(SIZED_SPEC, params_for(1.0), *ORIGIN, cat_cap=n)),
+    "series thermal_cap": (HARD_THERMAL_CAP,
+                           lambda n: series_values(SIZED_SPEC, params_for(1.0), *ORIGIN, thermal_cap=n)),
+    "oracle cutoff": (HARD_FOCK_CUTOFF,
+                      lambda n: wigner_oracle_values_many([SIZED_SPEC], params_for(1.0), *ORIGIN, cutoff=n)),
+    "hermite_functions": (HARD_FOCK_CUTOFF, lambda n: hermite_functions(n, 0.0)),
+    "fock_wigner_kernels": (HARD_FOCK_CUTOFF, lambda n: fock_wigner_kernels(n, np.zeros(1), np.zeros(1))),
+    "route_gaps": (HARD_FOCK_CUTOFF, lambda n: route_gaps([SIZED_SPEC], params_for(1.0), n)),
+}
 
 
 class TestTruncationConfig:
@@ -405,15 +425,15 @@ class TestTruncationConfig:
             series_values(spec, params_for(5.0), 0.0, 0.0, 0.0, 0.0, cat_cap=291, thermal_cap=986)
 
     @pytest.mark.parametrize("alpha", [30.0, 100.0])
-    @pytest.mark.parametrize("route", [series_values, wigner_oracle_values])
+    @pytest.mark.parametrize("route", sorted(ONE_STATE))
     def test_large_amplitudes_raise_before_any_table(self, route, alpha):
         # the default caps here once asked for up to 30 GiB (cat cap ~4400 at |alpha| = 30)
         spec = BellCatSpec.from_label("phi-minus", alpha)
         tracemalloc.start()
         start = time.perf_counter()
         try:
-            with pytest.raises(TruncationError, match=f"beyond the hard cap {HARD_CAT_CAP}"):
-                route(spec, params_for(1.0), 0.0, 0.0, 0.0, 0.0)
+            with pytest.raises(TruncationError, match=f"beyond the hard cap {HARD_FOCK_CUTOFF}"):
+                ONE_STATE[route](spec, params_for(1.0), 0.0, 0.0, 0.0, 0.0)
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -431,34 +451,59 @@ class TestTruncationConfig:
             monkeypatch.setattr(bellcat.series, name, refuse)
         # the state that comes first is within the caps; the list still raises before building it
         specs = [BellCatSpec.from_label("phi-minus", 1.0), BellCatSpec.from_label("psi-plus", 30.0)]
-        with pytest.raises(TruncationError, match=f"hard cap {HARD_CAT_CAP}"):
+        with pytest.raises(TruncationError, match=f"hard cap {HARD_FOCK_CUTOFF}"):
             series_values_many(specs, params_for(1.0), 0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(TruncationError, match=f"hard cap {HARD_CAT_CAP}"):
+        with pytest.raises(TruncationError, match=f"hard cap {HARD_FOCK_CUTOFF}"):
             wigner_oracle_values_many(specs, params_for(1.0), 0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(TruncationError, match=f"cap {HARD_CAT_CAP + 1} is beyond the hard cap"):
-            series_values(specs[0], params_for(1.0), 0.0, 0.0, 0.0, 0.0, cat_cap=HARD_CAT_CAP + 1, thermal_cap=10)
-        with pytest.raises(TruncationError, match=f"cutoff {HARD_ORACLE_CUTOFF + 1} is beyond the hard cap"):
-            wigner_oracle_values(specs[0], params_for(1.0), 0.0, 0.0, 0.0, 0.0, cutoff=HARD_ORACLE_CUTOFF + 1)
+        with pytest.raises(TruncationError, match=f"cap {HARD_FOCK_CUTOFF + 1} is beyond the hard cap"):
+            series_values(specs[0], params_for(1.0), 0.0, 0.0, 0.0, 0.0, cat_cap=HARD_FOCK_CUTOFF + 1, thermal_cap=10)
+        with pytest.raises(TruncationError, match=f"cutoff {HARD_FOCK_CUTOFF + 1} is beyond the hard cap"):
+            wigner_oracle_values_many(specs[:1], params_for(1.0), 0.0, 0.0, 0.0, 0.0, cutoff=HARD_FOCK_CUTOFF + 1)
         monkeypatch.undo()
-        with pytest.raises(TruncationError, match=f"hard cap {HARD_ORACLE_CUTOFF}"):
-            fock_wigner_kernels(HARD_ORACLE_CUTOFF + 1, np.zeros(1), np.zeros(1))
-        with pytest.raises(TruncationError, match=f"hard cap {HARD_ORACLE_CUTOFF}"):
-            hermite_functions(HARD_ORACLE_CUTOFF + 1, 0.0)
+        with pytest.raises(TruncationError, match=f"hard cap {HARD_FOCK_CUTOFF}"):
+            fock_wigner_kernels(HARD_FOCK_CUTOFF + 1, np.zeros(1), np.zeros(1))
+        with pytest.raises(TruncationError, match=f"hard cap {HARD_FOCK_CUTOFF}"):
+            hermite_functions(HARD_FOCK_CUTOFF + 1, 0.0)
         with pytest.raises(CutoffError, match="cutoff -1 is negative"):
             hermite_functions(-1, 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", sorted(SIZE_PARAMETERS))
+    def test_sizes_outside_the_caps_raise_before_any_table(self, name):
+        # the default caps are sizes these routes derive from |alpha| and T; the two tests around
+        # this one reach them through those
+        cap, call = SIZE_PARAMETERS[name]
+
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(st.integers(-10**12, -1) | st.integers(cap + 1, 10**12))
+        @example(10**400)   # past the float range, so the message cannot format it as a float
+        def check(size):
+            tracemalloc.start()
+            start = time.perf_counter()
+            try:
+                with pytest.raises(BellCatError):
+                    call(size)
+                elapsed = time.perf_counter() - start
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert elapsed < 1.0
+            assert peak < 1e6
+
+        check()
+
     @pytest.mark.parametrize("temp", [1e6, 1e17])
-    @pytest.mark.parametrize("route", [series_values, wigner_oracle_values])
+    @pytest.mark.parametrize("route", sorted(ONE_STATE))
     def test_levels_past_the_hard_cap_raise(self, route, temp):
         # at 1e6 K the Gibbs tail needs about 1.4e8 levels; at 1e17 K q = e^{-beta hbar omega}
         # rounds to 1, and the level count divided by -log q = 0
         spec = BellCatSpec.from_label("phi-minus", 1.0)
         with pytest.raises(TruncationError, match="hard cap 2000"):
-            route(spec, params_for(temp), 0.0, 0.0, 0.0, 0.0)
+            ONE_STATE[route](spec, params_for(temp), 0.0, 0.0, 0.0, 0.0)
 
 
 LIST_ROUTES = {"series": (series_values_many, series_values),
-               "oracle": (wigner_oracle_values_many, wigner_oracle_values)}
+               "oracle": (wigner_oracle_values_many, ONE_STATE["wigner_oracle_values"])}
 ALL_FOUR = ("phi-plus", "phi-minus", "psi-plus", "psi-minus")
 
 
@@ -509,7 +554,7 @@ SHAPE_SPEC = BellCatSpec.from_label("phi-minus", 1.0)
 COORDINATE_ROUTES = {
     "wigner_values": lambda *coords: wigner_values(SHAPE_SPEC, T0, *coords),
     "series_values": lambda *coords: series_values(SHAPE_SPEC, T0, *coords),
-    "wigner_oracle_values": lambda *coords: wigner_oracle_values(SHAPE_SPEC, T0, *coords),
+    "wigner_oracle_values": lambda *coords: wigner_oracle_values_many([SHAPE_SPEC], T0, *coords)[0],
     "closed_form_zero_temperature": lambda *coords: closed_form_zero_temperature(SHAPE_SPEC, *coords),
 }
 
