@@ -6,12 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-
-import bellcat.oracle
-import bellcat.series
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bellcat.oracle
+import bellcat.series
 from bellcat.density import HARD_THERMAL_CAP, route_gaps
 from bellcat.errors import BellCatError, CutoffError, ImaginaryResidueError, QuadratureError, TruncationError
 from bellcat.oracle import (
