@@ -118,16 +118,20 @@ def _direct_mode_factor(gamma: complex, q: float, one_minus_q: float, sign_ket: 
                  conj(g_bra)^{Nbar-n1} (1-q)^{(N+Nbar-2 n1)/2}
                  sqrt(N! Nbar!) / ((N-n1)! (Nbar-n1)!)
 
-    assembled in log-magnitude + phase form as R = U_ket diag(w) U_bra^dag.
+    assembled in log-magnitude + phase form as R = U_ket U_bra^dag, each side
+    carrying sqrt(q^n1 / n1!) in its log-magnitude: sqrt(N!) alone passes the
+    float range from N = 301, and the weight brings each entry back inside it.
+    At q = 0 only n1 = 0 remains.
     """
     lf = log_factorial_table(cutoff)
     n_idx = np.arange(cutoff + 1)
     excess = n_idx[:, None] - n_idx[None, :]                  # N - n1
     mag = abs(gamma)
     log_scale = math.log(mag) + 0.5 * math.log(one_minus_q) if mag > 0 else -math.inf
+    log_weight = 0.5 * (n_idx * math.log(q) - lf) if q > 0.0 else np.where(n_idx == 0, 0.0, -math.inf)
     with np.errstate(invalid="ignore"):
         log_u = np.where(excess >= 0,
-                         excess * log_scale - lf[np.maximum(excess, 0)] + 0.5 * lf[:, None],
+                         excess * log_scale - lf[np.maximum(excess, 0)] + 0.5 * lf[:, None] + log_weight[None, :],
                          -math.inf)
     u_base = np.exp(log_u)
     phase = cmath.phase(gamma)
@@ -136,14 +140,7 @@ def _direct_mode_factor(gamma: complex, q: float, one_minus_q: float, sign_ket: 
         ang = phase if sign > 0 else phase + math.pi
         return u_base * np.exp(1j * ang * np.maximum(excess, 0))
 
-    if q > 0.0:
-        w = np.exp(n_idx * math.log(q) - lf)
-    else:
-        w = np.zeros(cutoff + 1)
-        w[0] = 1.0
-    u_ket = branch(sign_ket)
-    u_bra = branch(sign_bra)
-    return (u_ket * w[None, :]) @ u_bra.conj().T
+    return branch(sign_ket) @ branch(sign_bra).conj().T
 
 
 def _direct_weights(spec: BellCatSpec) -> np.ndarray:

@@ -41,6 +41,10 @@ __all__ = [
     "closed_form_zero_temperature",
 ]
 
+# convergence tolerance and most doublings of the kernel quadrature (`fock_wigner_kernels`)
+_KERNEL_TOL = 1e-10
+_KERNEL_DOUBLINGS = 8
+
 
 def hermite_functions(nmax: int, xi: np.ndarray) -> np.ndarray:
     """Normalized oscillator eigenfunctions psi_n(xi), n = 0..nmax.
@@ -68,13 +72,13 @@ def hermite_functions(nmax: int, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def fock_wigner_kernels(nmax: int, x: np.ndarray, y: np.ndarray,
-                        tol: float = 1e-10, max_doublings: int = 8) -> np.ndarray:
+def fock_wigner_kernels(nmax: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Dimensionless one-mode Wigner kernels K[j, l](x, y) of |j><l|, j, l <= nmax.
 
     Direct trapezoid quadrature of
         K = (1/2 pi) int ds e^{i s y} psi_j(x - s/2) psi_l(x + s/2)
-    refined by doubling until two successive refinements agree below `tol`.
+    refined by doubling until two successive refinements agree below
+    `_KERNEL_TOL`, at most `_KERNEL_DOUBLINGS` times.
     The refinements are nested: each doubling evaluates only the new
     midpoints and adds them to half the previous sum.  Each level runs over
     the nodes s >= 0 only; the nodes -s add the conjugate transpose.
@@ -100,16 +104,16 @@ def fock_wigner_kernels(nmax: int, x: np.ndarray, y: np.ndarray,
     weight[0] *= 0.5
     weight[-1] *= 0.5
     prev = _kernel_sum(nmax, x, y, step * np.arange(npts // 2 + 1), weight)
-    for _ in range(max_doublings):
+    for _ in range(_KERNEL_DOUBLINGS):
         step *= 0.5
         midpoints = step * np.arange(1, npts, 2)
         current = 0.5 * prev + _kernel_sum(nmax, x, y, midpoints, np.full(npts // 2, step))
-        if float(np.max(np.abs(current - prev))) < tol:
+        if float(np.max(np.abs(current - prev))) < _KERNEL_TOL:
             return current
         prev = current
         npts *= 2
     raise QuadratureError(
-        f"Fock kernel quadrature did not converge to {tol:g} by {npts} nodes"
+        f"Fock kernel quadrature did not converge to {_KERNEL_TOL:g} by {npts} nodes"
     )
 
 

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import NonFiniteError, TruncationError
 from .states import BellCatSpec
 from .tfd import ThermalMode, ThermalParams, state_modes
 
@@ -63,6 +63,8 @@ __all__ = [
 ]
 
 _COORDS = ("x1", "y1", "x2", "y2")
+# most points one slice may hold: a slice over one mode's two axes peaks at about 150 bytes per point
+HARD_GRID_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -285,9 +287,13 @@ def wigner_grid(spec: BellCatSpec, params: ThermalParams, slice_: SliceDescripto
     both) with its fixed coordinates, so a slice whose axes split across the
     modes costs O(count1 + count2) table entries.  One rank-4 product forms
     the block, laid out as (mode-1 axes, mode-2 axes), and one transpose puts
-    it in slice order.
+    it in slice order.  A slice of more than `HARD_GRID_POINTS` points raises
+    TruncationError before any table is built.
     """
     axes = slice_.axes
+    if axes[0].count * axes[1].count > HARD_GRID_POINTS:
+        raise TruncationError(f"a {axes[0].count} x {axes[1].count} slice is beyond the hard cap of "
+                              f"{HARD_GRID_POINTS} points")
     order: list[int] = []     # slice axes in the block's layout
     points = []
     for coords in (("x1", "y1"), ("x2", "y2")):

@@ -319,6 +319,12 @@ def finite_or_clean_error(code, out, err):
 
 class TestOutOfRangeInputs:
     # no traceback and, with warnings raised as errors, no floating-point warning
+    def test_slice_past_the_point_cap_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        assert main(["wigner", "--grid-count", "20000", "--slice", "x1,y1", "--out", str(out)]) == 1
+        assert "TruncationError" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("state", sorted(STATE_LABELS))
     @pytest.mark.parametrize("amplitude", ["1e100", "1e150", "5e153", "1e154", "1.4e154", "1e300",
                                            "1.5e308+1.5e308j"])

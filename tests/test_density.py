@@ -283,6 +283,15 @@ class TestRouteGap:
         with pytest.raises(CutoffError, match=r"trace deficit 2\.288e-02 exceeds"):
             route_gaps([spec], params_for(0.5), 20)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("temp", [0.0, 1.0])
+    @pytest.mark.parametrize("cutoff", [301, 512])
+    def test_cutoffs_up_to_the_hard_cap_stay_finite(self, temp, cutoff):
+        # sqrt(N!) alone passes the float range from N = 301; the direct factors carry the thermal
+        # weights in their log-magnitudes, so every entry stays inside it
+        gap = route_gaps([BellCatSpec.from_label("phi-minus", 1.0)], params_for(temp), cutoff)[0]
+        assert math.isfinite(gap) and gap < 1e-10
+
 
 class TestRouteGaps:
     """route_gaps over a list of states equals its call on each state alone, bit for bit."""

@@ -1,13 +1,16 @@
 """The production modules and `import bellcat` load no reference route.
 
 `bellcat.wigner` and `bellcat.negativity` hold the production evaluator.  The
-density factors (`bellcat.density`), the Laguerre series (`bellcat.series`) and
-the Fock-kernel oracle (`bellcat.oracle`) are reference routes beside them,
-and their dependency runs one way, density <- series <- oracle: the series
-imports neither the production module nor the oracle.  The imports are read
-from the source at every nesting depth, so a function-local import counts.
-The package's top level exports only the production names, so a fresh
-interpreter's `import bellcat` loads none of the three.
+density factors (`bellcat.density`), the Laguerre series (`bellcat.series`),
+the Fock-kernel oracle (`bellcat.oracle`) and the plane quadrature of the
+negative volume (`bellcat.plane`) are reference routes beside them.  The first
+three depend one way, density <- series <- oracle: the series imports neither
+the production module nor the oracle.  The plane quadrature imports no
+`bellcat` module at all, so it shares no code with the negativity it checks.
+The imports are read from the source at every nesting depth, so a
+function-local import counts.  The package's top level exports only the
+production names, so a fresh interpreter's `import bellcat` loads none of the
+four.
 """
 
 import ast
@@ -21,7 +24,7 @@ import pytest
 import bellcat
 
 PACKAGE = Path(bellcat.__file__).parent
-REFERENCE = {"density", "series", "oracle"}
+REFERENCE = {"density", "series", "oracle", "plane"}
 # the one exception: `wigner_values(chi_mode=...)` hands a series diagnostic to
 # `series_values`, because bench/controls.py calls `bellcat.wigner_values(..., chi_mode="printed")`
 ALLOWED = {("wigner", "wigner_values", "series", ("series_values",))}
@@ -64,6 +67,10 @@ def test_production_modules_import_no_reference_route(module):
 
 def test_series_imports_neither_the_production_module_nor_the_oracle():
     assert {source for _, source, _ in package_imports("series")} & {"wigner", "negativity", "oracle"} == set()
+
+
+def test_plane_imports_no_package_module():
+    assert package_imports("plane") == []
 
 
 def test_scanner_sees_local_and_module_level_imports():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import mpmath
@@ -16,6 +17,7 @@ from bellcat.negativity import (
 from bellcat.states import STATE_LABELS, BellCatSpec
 from bellcat.tfd import state_modes, thermal_params
 from bellcat.oracle import fock_wigner_kernels
+from bellcat.plane import plane_volumes
 from bellcat.wigner import wigner_values
 from test_cli import gaussian_w
 
@@ -120,135 +122,13 @@ def scaled_lobes(spec, params):
     return np.array(lobes), np.array(widths)
 
 
-# ---------------------------------------------------------------------------
-# plane reference: W from wigner_values, integrated over the plane spanned by
-# P and iP.  A point (s, t) of the plane is zeta = (s - i t) P/a, z_i =
-# sqrt(D_i) zeta_i; W is a unit Gaussian across the plane
-# (test_reduced_form_is_the_wigner_function), so int W d^4z =
-# pi D1 D2 int ds dt W(z(s, t)).  The rule finds W's sign changes in t
-# numerically, integrates each sign-definite piece by Gauss-Legendre, and
-# grades its s panels toward the edges of the negative region, which it also
-# locates numerically.  It shares only P and D with the reduced route.
-# ---------------------------------------------------------------------------
-
-PLANE_REACH = 8.0    # in t, and in s beyond the lobes at +-a: e^{-64} of the Gaussian's peak
-PLANE_NODES = 8      # Gauss-Legendre nodes per panel, in s and in t
-PLANE_LEVELS = 10    # times the s panels halve toward each edge of the negative region
-GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-
-
-def golden_minimum(f, lo, hi, iters=20):
-    """Position and value of the minimum of f on each [lo, hi], by golden section."""
-    x1, x2 = lo + GOLDEN * (hi - lo), hi - GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        left = f1 < f2
-        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
-        x1, x2 = np.where(left, lo + GOLDEN * (hi - lo), x2), np.where(left, x1, hi - GOLDEN * (hi - lo))
-        f_new = f(np.where(left, x1, x2))
-        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
-    left = f1 < f2
-    return np.where(left, x1, x2), np.where(left, f1, f2)
-
-
-def bisect_roots(f, lo, hi, iters=12):
-    """A zero of f in each sign-changing [lo, hi]: bisection, then the secant of the last bracket."""
-    f_lo, f_hi = f(lo), f(hi)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        right = np.sign(f_mid) == np.sign(f_lo)
-        lo, f_lo = np.where(right, mid, lo), np.where(right, f_mid, f_lo)
-        hi, f_hi = np.where(right, hi, mid), np.where(right, f_hi, f_mid)
-    return lo - f_lo * (hi - lo) / (f_hi - f_lo)
-
-
-def split(breaks, longest):
-    """The breakpoints with every gap longer than `longest` cut into equal parts."""
-    parts = np.ceil(np.diff(breaks) / longest).astype(int)
-    return np.append(np.concatenate([np.linspace(lo, hi, n, endpoint=False)
-                                     for lo, hi, n in zip(breaks[:-1], breaks[1:], parts)]), breaks[-1])
-
-
-def panel_rule(breaks):
-    """Gauss-Legendre nodes and weights on each panel between consecutive breakpoints (last axis)."""
-    x, w = np.polynomial.legendre.leggauss(PLANE_NODES)
-    half = 0.5 * np.diff(breaks, axis=-1)[..., None]
-    return 0.5 * (breaks[..., 1:] + breaks[..., :-1])[..., None] + half * x, half * w
-
-
-def plane_volumes(spec, params):
-    """I_+ and I_- of W by sign-resolved quadrature over the plane spanned by P and iP."""
-    lobes, widths = scaled_lobes(spec, params)
-    a = float(np.linalg.norm(lobes))
-    direction = np.sqrt(widths) * lobes / a
-
-    def w(s, t):
-        s, t = np.broadcast_arrays(s, t)
-        z = np.multiply.outer((s - 1j * t).ravel(), direction)
-        values = wigner_values(spec, params, z[:, 0].real, z[:, 0].imag, z[:, 1].real, z[:, 1].imag)
-        return values.reshape(s.shape)
-
-    # the t-scan takes 8 points per fringe period pi/a, and at least 8 per unit length
-    per_unit = max(8.0 * a / math.pi, 8.0)
-    scan = np.linspace(-PLANE_REACH, PLANE_REACH, 2 * math.ceil(PLANE_REACH * per_unit) + 1)
-
-    def brackets(s):
-        """(row, lo, hi): one t-interval around each sign change of W on the rows s."""
-        vals = w(s[:, None], scan)
-        row, k = np.nonzero((vals[:, 1:] < 0) != (vals[:, :-1] < 0))
-        # a positive local minimum of the samples may hide a dip below zero between them
-        mid = vals[:, 1:-1]
-        r, j = np.nonzero((mid >= 0) & (mid <= vals[:, :-2]) & (mid <= vals[:, 2:]))
-        t_min, w_min = golden_minimum(lambda t: w(s[r], t), scan[j], scan[j + 2])
-        r, j, t_min = r[w_min < 0], j[w_min < 0], t_min[w_min < 0]
-        return (np.concatenate([row, r, r]), np.concatenate([scan[k], scan[j], t_min]),
-                np.concatenate([scan[k + 1], t_min, scan[j + 2]]))
-
-    def edge(inside, outside):
-        """The outermost s between a row with negative values and one without, by 16-section."""
-        for _ in range(9):
-            s = np.linspace(inside, outside, 17)
-            row = brackets(s[1:-1])[0]
-            k = row.max() + 1 if row.size else 0
-            inside, outside = s[k], s[k + 1]
-        return inside
-
-    s_reach = a + PLANE_REACH
-    coarse = np.linspace(-s_reach, s_reach, 2 * math.ceil(8.0 * s_reach) + 1)
-    negative = np.unique(brackets(coarse)[0])
-    s_breaks = np.array([-s_reach, s_reach])
-    if negative.size:
-        lo_edge = edge(coarse[negative[0]], coarse[negative[0] - 1])
-        hi_edge = edge(coarse[negative[-1]], coarse[negative[-1] + 1])
-        middle = 0.5 * (lo_edge + hi_edge)
-        halving = np.append(0.5 ** np.arange(PLANE_LEVELS + 1), 0.0)
-        s_breaks = np.unique(np.concatenate([edge_at - (edge_at - start) * halving for start, edge_at in (
-            (-s_reach, lo_edge), (middle, lo_edge), (middle, hi_edge), (s_reach, hi_edge))]))
-    s, w_s = (v.ravel() for v in panel_rule(split(s_breaks, 1.0)))
-
-    # t-panels: a fixed grid of at most half a fringe period and 1/2, cut at every zero of W
-    row, lo, hi = brackets(s)
-    zeros = bisect_roots(lambda t: w(s[row], t), lo, hi)
-    order = np.argsort(row, kind="stable")
-    row, zeros = row[order], zeros[order]
-    padded = np.full((s.size, np.bincount(row).max(initial=0)), PLANE_REACH)
-    padded[row, np.arange(row.size) - np.searchsorted(row, row)] = zeros
-    grid = split(np.array([-PLANE_REACH, PLANE_REACH]), min(0.5 * math.pi / a, 0.5))
-    t_breaks = np.sort(np.concatenate([np.broadcast_to(grid, (s.size, grid.size)), padded], axis=1), axis=1)
-    t, w_t = panel_rule(t_breaks)
-    pieces = np.sum(w(s[:, None, None], t) * w_t, axis=-1)
-    scale = math.pi * widths[0] * widths[1]
-    return (scale * float(w_s @ np.sum(np.maximum(pieces, 0.0), axis=1)),
-            scale * float(w_s @ np.sum(np.maximum(-pieces, 0.0), axis=1)))
-
-
-# the eight configurations the former 4D rule was checked on, one above 1 K,
-# and one with omega2/omega1 != 1 above 1 K
+# every config the benchmark integrates (its cold cats, and phi-minus, alpha = 1 at the fig4 preset's
+# 0.01, 1.03 and 2 K), two with omega2/omega1 = 1.3, and one with omega2/omega1 != 1 above 1 K
 PLANE_CONFIGS = [
     *[(label, alpha, 0.01, 1.0) for label in ("phi-minus", "psi-plus") for alpha in (1.0, 1 + 1j, 2.0)],
     ("phi-minus", 1.0, 0.3, 1.3),
     ("psi-plus", 1.0, 0.3, 1.3),
+    ("phi-minus", 1.0, float(np.linspace(0.01, 2.0, 40)[20]), 1.0),
     ("phi-minus", 1.0, 2.0, 1.0),
     ("psi-plus", 1 + 1j, 1.5, 0.6),
 ]
@@ -266,7 +146,8 @@ def plane_reference():
     """nu and I_+ - I_- of the plane reference on every PLANE_CONFIGS entry."""
     out = {}
     for config in PLANE_CONFIGS:
-        i_plus, i_minus = plane_volumes(*plane_config(*config))
+        spec, params = plane_config(*config)
+        i_plus, i_minus = plane_volumes(functools.partial(wigner_values, spec, params), *scaled_lobes(spec, params))
         out[config] = (2.0 * i_minus / (i_plus + i_minus), i_plus - i_minus)
     return out
 

@@ -32,7 +32,9 @@ from bellcat.series import (
 from bellcat.special_fn import log_factorial_table
 from bellcat.states import HARD_FOCK_CUTOFF, STATE_LABELS, BellCatSpec, fock_coefficients
 from bellcat.tfd import HBAR, KB, state_modes, thermal_params
-from bellcat.wigner import GridAxis, PhasePoint, SliceDescriptor, wigner_grid, wigner_point, wigner_values
+from bellcat.wigner import (
+    HARD_GRID_POINTS, GridAxis, PhasePoint, SliceDescriptor, wigner_grid, wigner_point, wigner_values,
+)
 from test_cli import gaussian_w
 
 FREQ_HZ = 5.5e9
@@ -142,20 +144,24 @@ def doubled_kernels(nmax, x, y, tol=1e-10):
 
 class TestNestedKernelRefinement:
     @pytest.mark.parametrize("nmax", [0, 5, 19, 40])
-    def test_matches_single_level_at_converged_count(self, nmax):
+    def test_matches_single_level_at_converged_count(self, nmax, monkeypatch):
         x = np.array([0.0, 0.9, -2.5, 4.0])
         y = np.array([0.0, 0.3, 1.7, -3.2])
         want, npts, doublings = doubled_kernels(nmax, x, y)
         assert np.max(np.abs(fock_wigner_kernels(nmax, x, y) - want)) < 1e-13
         # converged at the same level: one doubling fewer stops at half the nodes
+        monkeypatch.setattr(bellcat.oracle, "_KERNEL_DOUBLINGS", doublings - 1)
         with pytest.raises(QuadratureError, match=f"by {npts // 2} nodes"):
-            fock_wigner_kernels(nmax, x, y, max_doublings=doublings - 1)
-        assert np.max(np.abs(fock_wigner_kernels(nmax, x, y, max_doublings=doublings) - want)) < 1e-13
+            fock_wigner_kernels(nmax, x, y)
+        monkeypatch.setattr(bellcat.oracle, "_KERNEL_DOUBLINGS", doublings)
+        assert np.max(np.abs(fock_wigner_kernels(nmax, x, y) - want)) < 1e-13
 
     @pytest.mark.parametrize("doublings, nodes", [(0, 256), (2, 1024)])
-    def test_unconverged_reports_last_node_count(self, doublings, nodes):
+    def test_unconverged_reports_last_node_count(self, doublings, nodes, monkeypatch):
+        monkeypatch.setattr(bellcat.oracle, "_KERNEL_TOL", 0.0)
+        monkeypatch.setattr(bellcat.oracle, "_KERNEL_DOUBLINGS", doublings)
         with pytest.raises(QuadratureError, match=f"by {nodes} nodes"):
-            fock_wigner_kernels(5, np.array([0.9]), np.array([0.3]), tol=0.0, max_doublings=doublings)
+            fock_wigner_kernels(5, np.array([0.9]), np.array([0.3]))
 
 
 def kernel_sum_two_calls(nmax, x, y, s, weight):
@@ -499,6 +505,31 @@ class TestTruncationConfig:
         spec = BellCatSpec.from_label("phi-minus", 1.0)
         with pytest.raises(TruncationError, match="hard cap 2000"):
             ONE_STATE[route](spec, params_for(temp), 0.0, 0.0, 0.0, 0.0)
+
+    def test_slice_past_the_point_cap_raises_before_any_table(self):
+        # 2e4 x 2e4 points over one mode's two axes would be about 13 GB of rows
+        spec = BellCatSpec.from_label("phi-minus", 1.0)
+        slice_ = SliceDescriptor.centered(("x1", "y1"), 6.0, 2 * 10**4)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(TruncationError, match=f"hard cap of {HARD_GRID_POINTS} points"):
+                wigner_grid(spec, params_for(1.0), slice_)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1e-3
+        assert peak < 1e6
+        # the cap counts points: a slice split across the modes, O(count1 + count2) table entries,
+        # evaluates at the cap and raises one point past it
+        def split(count):
+            return SliceDescriptor(axes=(GridAxis("x1", -6.0, 6.0, 2**10), GridAxis("x2", -6.0, 6.0, count)),
+                                   fixed={"y1": 0.0, "y2": 0.0})
+
+        assert wigner_grid(spec, params_for(1.0), split(2**10)).values.size == HARD_GRID_POINTS
+        with pytest.raises(TruncationError):
+            wigner_grid(spec, params_for(1.0), split(2**10 + 1))
 
 
 LIST_ROUTES = {"series": (series_values_many, series_values),
