@@ -2,7 +2,7 @@
 
 The top level holds the production entry points, their types and the errors;
 the reference routes stay in `bellcat.series`, `bellcat.oracle`,
-`bellcat.density` and `bellcat.states`.
+`bellcat.density`, `bellcat.plane` and `bellcat.states`.
 """
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ class CutoffError(BellCatError, ValueError):
 
 
 class TruncationError(BellCatError):
-    """A series tail bound exceeds the configured tolerance."""
+    """A series tail bound exceeds the configured tolerance, or a size passes its hard cap."""
 
 
 class ImaginaryResidueError(BellCatError):

@@ -47,11 +47,12 @@ delta is reported as 2 I_- / (I_+ - I_-), the negative volume of the
 *unit-normalized* function; this keeps the identity nu = delta/(1+delta)
 exact instead of drifting with the residual quadrature normalization error.
 
-The tests check the rule against an independent one: W from `wigner_values`,
-integrated over the plane spanned by P and iP with its sign changes found
-numerically (notes/decisions.md, section 8).  The `default_*` box and node
-policies below size the 4D grids that the benchmark's reference values and
-acceptance criterion 10 sample.
+The tests check the rule against an independent one, `bellcat.plane`: W from
+`wigner_values`, integrated over the plane spanned by P and iP with its sign
+changes found numerically (notes/decisions.md, section 8).  That module
+imports nothing from this one.  The `default_*` box and node policies below
+size the 4D grids that the benchmark's reference values and acceptance
+criterion 10 sample.
 """
 
 from __future__ import annotations

@@ -510,17 +510,20 @@ class TestTruncationConfig:
         # 2e4 x 2e4 points over one mode's two axes would be about 13 GB of rows
         spec = BellCatSpec.from_label("phi-minus", 1.0)
         slice_ = SliceDescriptor.centered(("x1", "y1"), 6.0, 2 * 10**4)
+        times = []
         tracemalloc.start()
-        start = time.perf_counter()
         try:
-            with pytest.raises(TruncationError, match=f"hard cap of {HARD_GRID_POINTS} points"):
-                wigner_grid(spec, params_for(1.0), slice_)
-            elapsed = time.perf_counter() - start
+            for _ in range(3):   # the fastest of three, so one preemption of the process cannot fail it
+                start = time.perf_counter()
+                with pytest.raises(TruncationError, match=f"hard cap of {HARD_GRID_POINTS} points"):
+                    wigner_grid(spec, params_for(1.0), slice_)
+                times.append(time.perf_counter() - start)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert elapsed < 1e-3
+        assert min(times) < 1e-3
         assert peak < 1e6
+
         # the cap counts points: a slice split across the modes, O(count1 + count2) table entries,
         # evaluates at the cap and raises one point past it
         def split(count):
