@@ -31,6 +31,8 @@ from .tfd import thermal_params
 from .wigner import PhasePoint, SliceDescriptor, wigner_grid, wigner_point, wigner_values
 
 _DEFAULT_FREQ = 5.5e9
+# most temperatures one sweep takes, about 200 s of integration; checked before the list is made
+MAX_SWEEP_TEMPERATURES = 10**6
 # the value of each preset-able flag that neither the command line nor a preset sets
 _DEFAULTS = {"state": "phi-minus", "alpha_re": 1.0, "alpha_im": 0.0, "temp": 0.01, "freq1": _DEFAULT_FREQ}
 _PRESETS = {
@@ -68,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p_validate = sub.add_parser("validate", help="run the oracle cross-validation suite")
-    p_validate.add_argument("--quick", action="store_true", help="smaller battery (0.05-0.06 s instead of 0.13-0.16 s in process)")
+    p_validate.add_argument("--quick", action="store_true", help="smaller, faster battery")
 
     p_wigner = sub.add_parser("wigner", help="evaluate a 2D slice of the Wigner function to CSV")
     add_common(p_wigner)
@@ -86,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sweep)
     p_sweep.add_argument("--temp-min", type=float, default=None)
     p_sweep.add_argument("--temp-max", type=float, default=None)
-    p_sweep.add_argument("--temp-count", type=int, default=None)
+    p_sweep.add_argument("--temp-count", type=int, default=None,
+                         help=f"number of temperatures, 1 to {MAX_SWEEP_TEMPERATURES} (default 40)")
     # each parser classifies its own arguments, so each gets the pattern
     for p in (parser, *sub.choices.values()):
         p._negative_number_matcher = _NEGATIVE_NUMBER
@@ -209,6 +212,8 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     count = 40 if args.temp_count is None else args.temp_count
     if count < 1:
         parser.error("--temp-count must be >= 1")
+    if count > MAX_SWEEP_TEMPERATURES:
+        parser.error(f"--temp-count must be <= {MAX_SWEEP_TEMPERATURES}")
     temps = [args.temp_min] if count == 1 else list(np.linspace(args.temp_min, args.temp_max, count))
     entries = temperature_sweep(_spec(args), temps, 2 * math.pi * args.freq1, 2 * math.pi * args.freq2)
     fields = ("delta", "nu", "i_plus", "i_minus", "norm_check")
@@ -231,10 +236,9 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def _route_config_gaps(labels: list[str], alpha: complex, params, pts: np.ndarray) -> list[float]:
     """max |diff| of Gaussian vs oracle, series vs oracle and Gaussian vs series, over the states at one point set.
 
-    The series and the oracle each take the four states in one call, which
-    builds each per-mode table once per distinct mode amplitude, and the
-    oracle computes one pair of Fock kernels: its cutoff depends only on
-    |alpha| and T.
+    The series and the oracle each take the four states, which share alpha,
+    in one call, which builds each mode's tables once, at +alpha, and
+    computes one pair of Fock kernels.
     """
     specs = [BellCatSpec.from_label(label, alpha) for label in labels]
     worst = [0.0, 0.0, 0.0]

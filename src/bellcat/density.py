@@ -25,17 +25,23 @@ give those factors:
   w'_st = sigma^{s+t} e^{-2|alpha|^2} / (2 P) (:func:`_direct_weights`) and
   one (1 - q_i) per mode.
 
-Each per-mode builder takes one (amplitude, thermal mode) pair of
-`bellcat.tfd.state_modes`.
+The four states at one alpha differ only in k, the sign of mode 2's
+amplitude, and in sigma.  E(-g) = (-1)^{i-j} E(g), and every per-mode table
+of the reference routes gains that sign, (-1)^{ket-bra}, at -gamma, as it
+does when both branch signs flip: the table at -gamma is the one at +gamma
+with its parity branches relabelled (s, t) -> (1 - s, 1 - t)
+(:func:`mirrored`), under which sigma^{s+t} is unchanged.  So each reference
+route takes states that share one alpha (:func:`shared_alpha`), builds each
+mode's tables once at +alpha (:func:`per_mode`), and mirrors mode 2's for a
+k = -1 state.
 
 Nothing here forms the (cutoff+1)^2-dimensional matrix.  :func:`route_gaps`
 compares the two routes on their factors for a list of states: the largest
 |entry| of a Kronecker product is the product of the factors' largest
 |entries|, which bounds the two-mode max |operator - direct| from per-mode
-matrices alone, and tr(A x B) = tr A tr B gives each route's trace.  It
-builds each mode's factors once per distinct mode amplitude and thermal mode
-(:func:`mode_key`).  Its cutoff, like the thermal level count of
-:func:`thermal_levels`, passes `bellcat.states.checked_cutoff` first.
+matrices alone, and tr(A x B) = tr A tr B gives each route's trace.  Its
+cutoff, like the thermal level count of :func:`thermal_levels`, passes
+`bellcat.states.checked_cutoff` first.
 """
 
 from __future__ import annotations
@@ -48,13 +54,15 @@ import numpy as np
 from .errors import CutoffError
 from .special_fn import log_factorial_table
 from .states import BellCatSpec, bellcat_normalization, checked_cutoff
-from .tfd import ThermalMode, ThermalParams, gibbs_weight, state_modes
+from .tfd import ThermalMode, ThermalParams, gibbs_weight
 
 __all__ = [
     "route_gaps",
     "branch_weights",
+    "mirrored",
     "mode_blocks",
-    "mode_key",
+    "per_mode",
+    "shared_alpha",
     "thermal_levels",
 ]
 
@@ -159,13 +167,23 @@ def _direct_mode_factors(gamma: complex, mode: ThermalMode, cutoff: int):
              for t in (0, 1)] for s in (0, 1)]
 
 
-def mode_key(gamma: complex, mode: ThermalMode) -> tuple:
-    """What one mode's factors depend on besides the cutoff: its amplitude, bit for bit, and its thermal mode.
+def shared_alpha(specs: list[BellCatSpec]) -> complex:
+    """The alpha all of a non-empty list of states share, else ValueError; -1 - 0j and -1 + 0j differ in phase."""
+    alpha = specs[0].alpha
+    if any(spec.alpha != alpha or cmath.phase(spec.alpha) != cmath.phase(alpha) for spec in specs):
+        raise ValueError("the states of one reference-route call must share one alpha")
+    return alpha
 
-    The bits keep +0.0 and -0.0 apart, as `==` does not: k alpha at k = -1
-    can differ from -alpha in the sign of a zero part, and so in its phase.
-    """
-    return gamma.real.hex(), gamma.imag.hex(), mode
+
+def per_mode(build, params: ThermalParams) -> tuple:
+    """build(mode) for each of the two thermal modes, called once where the two are equal."""
+    first = build(params.modes[0])
+    return first, first if params.modes[1] == params.modes[0] else build(params.modes[1])
+
+
+def mirrored(branches: list) -> list:
+    """A mode's [s][t] branches at amplitude -gamma from those at +gamma: branch (s, t) is (1 - s, 1 - t)."""
+    return [row[::-1] for row in branches[::-1]]
 
 
 def _largest(matrix: np.ndarray) -> float:
@@ -187,26 +205,25 @@ def route_gaps(specs: list[BellCatSpec], params: ThermalParams, cutoff: int,
     may run at any cutoff up to `HARD_FOCK_CUTOFF`, which `checked_cutoff`
     enforces first.
 
-    A state enters only through its weights and its two mode amplitudes, so
-    each distinct mode (`mode_key`) builds its factors, their traces and
-    their largest |entries| once per call, whichever states share it.
+    The states share one alpha, so each mode's factors, their traces and
+    their largest |entries| are built once, at +alpha.  An empty list gives [].
     """
     cutoff = checked_cutoff(cutoff, "density cutoff")
-    modes = {}
+    if not specs:
+        return []
+    alpha = shared_alpha(specs)
 
-    def mode_numbers(gamma: complex, mode: ThermalMode) -> list:
-        """Per branch [s][t]: tr B, tr Q, max |B|, max |Q| and max |B - Q| of one mode."""
-        key = mode_key(gamma, mode)
-        if key not in modes:
-            blocks = mode_blocks(gamma, mode, cutoff)
-            factors = _direct_mode_factors(gamma, mode, cutoff)
-            modes[key] = [[(np.trace(b), np.trace(q), _largest(b), _largest(q), _largest(b - q))
-                           for b, q in zip(blocks[s], factors[s])] for s in (0, 1)]
-        return modes[key]
+    def mode_numbers(mode: ThermalMode) -> list:
+        """Per branch [s][t]: tr B, tr Q, max |B|, max |Q| and max |B - Q| of one mode at +alpha."""
+        blocks = mode_blocks(alpha, mode, cutoff)
+        factors = _direct_mode_factors(alpha, mode, cutoff)
+        return [[(np.trace(b), np.trace(q), _largest(b), _largest(q), _largest(b - q))
+                 for b, q in zip(blocks[s], factors[s])] for s in (0, 1)]
 
+    m1, m2_plus = per_mode(mode_numbers, params)
     gaps = []
     for spec in specs:
-        m1, m2 = (mode_numbers(gamma, mode) for gamma, mode in state_modes(spec, params))
+        m2 = m2_plus if spec.k > 0 else mirrored(m2_plus)
         w, w_direct = branch_weights(spec), _direct_weights(spec)
         for route, weights in enumerate((w, w_direct)):
             trace = sum(weights[s, t] * m1[s][t][route] * m2[s][t][route] for s, t in _BRANCHES)

@@ -65,7 +65,7 @@ import numpy as np
 
 from .errors import BellCatError, NonFiniteError, NormalizationError
 from .states import BellCatSpec
-from .tfd import ThermalParams, effective_amplitude, thermal_params
+from .tfd import KB, ThermalParams, effective_amplitude, thermal_params
 from .wigner import state_constants
 
 __all__ = [
@@ -284,13 +284,19 @@ def temperature_sweep(spec: BellCatSpec, temperatures, omega1: float,
                       omega2: float | None = None) -> list[SweepEntry]:
     """One independent negativity integration per temperature (ascending order required).
 
-    Failures are attached to their entries and the sweep continues.
+    Failures are attached to their entries and the sweep continues.  Before
+    any integration, a negative temperature, or a positive one whose k_B T
+    underflows to 0, raises ValueError.
     """
     temps = [float(T) for T in temperatures]
     if any(b <= a for a, b in zip(temps, temps[1:])):
         raise ValueError("temperatures must be strictly increasing")
     if any(T < 0 for T in temps):
         raise ValueError("temperatures must be >= 0")
+    for T in temps:
+        if T > 0.0 and KB * T == 0.0:
+            raise ValueError(f"temperature {T!r} K is too small: k_B T underflows to 0; "
+                             "use 0 for the zero-temperature limit")
     entries: list[SweepEntry] = []
     for T in temps:
         entry = SweepEntry(temperature=T)

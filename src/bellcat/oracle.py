@@ -8,11 +8,11 @@ or a sign convention, so it arbitrates them.  The zero-temperature closed form
 sums the coherent cross-Wigner functions of the pure state.  Both sum complex
 terms, so they check that the imaginary part cancels (`ImaginaryResidueError`).
 
-`wigner_oracle_values_many` evaluates a list of states at one point set: it
-computes the Fock kernels once per cutoff and mode point set, and the
-per-mode blocks and their contractions once per distinct (amplitude, thermal
-mode) pair of `bellcat.tfd.state_modes`, and combines them with each state's
-branch weights.  Every cutoff passes `bellcat.states.checked_cutoff` before
+`wigner_oracle_values_many` evaluates a list of states that share one alpha at
+one point set: it computes the Fock kernels once per mode point set, and each
+mode's blocks and their contractions once, at +alpha, and combines them with
+each state's branch weights, mode 2's mirrored at k = -1 (the identity in
+`bellcat.density`).  The cutoff passes `bellcat.states.checked_cutoff` before
 any table is built.
 
 Tests and `bellcat validate` compare these with the production Gaussian form
@@ -27,11 +27,11 @@ import math
 
 import numpy as np
 
-from .density import branch_weights, mode_blocks, mode_key, thermal_levels
+from .density import branch_weights, mirrored, mode_blocks, per_mode, shared_alpha, thermal_levels
 from .errors import QuadratureError
 from .series import _coordinate_arrays, _to_real, default_cat_cap
 from .states import BellCatSpec, checked_cutoff
-from .tfd import ThermalMode, ThermalParams, state_modes
+from .tfd import ThermalParams
 
 __all__ = [
     "hermite_functions",
@@ -156,40 +156,26 @@ def wigner_oracle_values_many(specs: list[BellCatSpec], params: ThermalParams,
                               x1, y1, x2, y2, cutoff: int | None = None) -> list[np.ndarray]:
     """Oracle W values of each state: quadrature kernels contracted with operator-route density blocks.
 
-    The states share the points.  A state enters only through its branch
-    weights and its two modes, so within the call the kernels are computed
-    once per cutoff and mode point set, the blocks once per distinct mode
-    (`mode_key`) and cutoff, and their contractions once per point set they
-    serve.
-    A cutoff left as None is `oracle_cutoff` of each state.  Every cutoff
-    passes `checked_cutoff` before any table is built.
+    The states share the points and one alpha (`bellcat.density.shared_alpha`);
+    an empty list gives [].  A cutoff left as None is `oracle_cutoff`, which
+    depends on alpha only through |alpha|.  The cutoff passes
+    `checked_cutoff` before any table is built.
     """
     arrays = _coordinate_arrays(x1, y1, x2, y2)
-    mode_points = ((arrays[0], arrays[1]), (arrays[2], arrays[3]))
-    cutoffs = [oracle_cutoff(spec, params) if cutoff is None else checked_cutoff(cutoff, "oracle cutoff")
-               for spec in specs]
-    kernels, blocks, contractions = {}, {}, {}
-
-    def contracted(slot: int, gamma: complex, mode: ThermalMode, nmax: int) -> list:
-        """Branch contractions [s][t] of one mode's blocks with the kernels at point set `slot`."""
-        block_key = (mode_key(gamma, mode), nmax)
-        if (block_key, slot) not in contractions:
-            if (nmax, slot) not in kernels:
-                kernels[nmax, slot] = fock_wigner_kernels(nmax, *mode_points[slot])
-            if block_key not in blocks:
-                blocks[block_key] = mode_blocks(gamma, mode, nmax)
-            contractions[block_key, slot] = [[np.einsum("pnm,nm->p", kernels[nmax, slot], block) for block in row]
-                                             for row in blocks[block_key]]
-        return contractions[block_key, slot]
-
+    if not specs:
+        return []
+    alpha = shared_alpha(specs)
+    nmax = oracle_cutoff(specs[0], params) if cutoff is None else checked_cutoff(cutoff, "oracle cutoff")
+    blocks = per_mode(lambda mode: mode_blocks(alpha, mode, nmax), params)
+    # branch contractions [s][t] of each mode's blocks with the kernels at that mode's points
+    c1, c2_plus = ([[np.einsum("pnm,nm->p", kernels, block) for block in row] for row in mode]
+                   for mode, kernels in zip(blocks, (fock_wigner_kernels(nmax, *arrays[:2]),
+                                                     fock_wigner_kernels(nmax, *arrays[2:]))))
     values = []
-    for spec, nmax in zip(specs, cutoffs):
-        c1, c2 = (contracted(slot, gamma, mode, nmax) for slot, (gamma, mode) in enumerate(state_modes(spec, params)))
+    for spec in specs:
+        c2 = c2_plus if spec.k > 0 else mirrored(c2_plus)
         weights = branch_weights(spec)
-        total = np.zeros(arrays[0].size, dtype=complex)
-        for s in (0, 1):
-            for t in (0, 1):
-                total += weights[s, t] * c1[s][t] * c2[s][t]
+        total = sum(weights[s, t] * c1[s][t] * c2[s][t] for s in (0, 1) for t in (0, 1))
         values.append(_to_real(total, "wigner_oracle"))
     return values
 

@@ -17,13 +17,13 @@ into the Laguerre recurrence.  The thermal weights (n+n1)!/n1! q^n1 of each
 band are divided by their largest, which the band's coherent factors carry in
 log space, so no thermal weight exceeds 1 at any temperature.
 
-A state enters only through sigma, its caps and its two (amplitude, thermal
-mode) pairs (`bellcat.tfd.state_modes`), so `series_values_many` evaluates a
-list of states at one point set: it builds the contraction tables once per
-distinct mode and caps, and the Laguerre table and chi powers once per caps
-and mode point set.  `series_values` is its one-state call.  The caps are
-two keyword arguments; left as None, each state's are resolved from its
-amplitude and the thermal tail at `TAIL_EPSILON`.
+`series_values_many` evaluates a list of states that share one alpha at one
+point set: it resolves the caps once, builds each mode's contraction tables
+once at +alpha and its Laguerre table and chi powers once, and gives a
+k = -1 state mode 2's factor sums with their branches mirrored (the identity
+in `bellcat.density`).  `series_values` is its one-state call.  The caps are
+two keyword arguments; left as None, they are resolved from |alpha| and the
+thermal tail at `TAIL_EPSILON`.
 
 Convention note: the series' chi factors follow the kernel actually produced
 by the Wigner transform, chi = x - i y when the ket index exceeds the bra
@@ -41,11 +41,11 @@ import math
 
 import numpy as np
 
-from .density import HARD_THERMAL_CAP, mode_key, thermal_levels
+from .density import HARD_THERMAL_CAP, per_mode, shared_alpha, thermal_levels
 from .errors import CutoffError, ImaginaryResidueError, NonFiniteError, TruncationError
 from .special_fn import laguerre_envelope_table, log_factorial_table
 from .states import BellCatSpec, checked_cutoff
-from .tfd import ThermalMode, ThermalParams, effective_amplitude, state_modes
+from .tfd import ThermalMode, ThermalParams, effective_amplitude
 
 __all__ = [
     "CHI_KERNEL",
@@ -204,18 +204,17 @@ def _stacked_tables(gamma: complex, mode: ThermalMode, cat_cap: int, thermal_cap
     return stack(h_ket, h_bra), stack(ring_ket, ring_bra)
 
 
-def _mode_factors(tables: list, cat_cap: int, thermal_cap: int, x: np.ndarray, y: np.ndarray, chi_mode: str):
-    """Envelope-absorbed factor sums M[st, p] at one mode's points, plus the ring estimate, for each of `tables`.
+def _mode_factors(tables: tuple, cat_cap: int, thermal_cap: int, x: np.ndarray, y: np.ndarray, chi_mode: str):
+    """Envelope-absorbed factor sums M[st, p] of one mode's `_stacked_tables` at its points, plus the ring estimate.
 
-    `tables` holds `_stacked_tables` of one or more mode amplitudes at these
-    caps; the Laguerre table and the chi powers are built once for all of
-    them.  The ring estimate is the magnitude of the outermost coherent
-    band's signed contribution, sampled on a strided subset of the points;
-    it is the standard last-retained-term proxy for the series tail.
+    The ring estimate is the magnitude of the outermost coherent band's
+    signed contribution, sampled on a strided subset of the points; it is the
+    standard last-retained-term proxy for the series tail.
     """
+    stacked_main, stacked_ring = tables
     npts = x.size
-    ms = [np.empty((4, npts), dtype=complex) for _ in tables]
-    ring_max = [0.0] * len(tables)
+    m = np.empty((4, npts), dtype=complex)
+    ring_max = 0.0
 
     def unpack(flat: np.ndarray, base: int) -> np.ndarray:
         return (flat[:, base : base + 4] + 1j * flat[:, base + 4 : base + 8]).transpose(1, 0, 2)
@@ -237,17 +236,16 @@ def _mode_factors(tables: list, cat_cap: int, thermal_cap: int, x: np.ndarray, y
         ket_base, bra_base = _chi_bases(xs, ys, chi_mode)
         pow_ket = _powers(ket_base, cat_cap)
         pow_bra = _powers(bra_base, cat_cap)
+        flat = np.matmul(stacked_main, lag)                      # (D+1, 16, p)
+        m[:, sl] = (np.einsum("sdp,dp->sp", unpack(flat, 0), pow_ket)
+                    + np.einsum("sdp,dp->sp", unpack(flat, 8), pow_bra))
         # tail proxy on a strided subsample of the chunk
         sub = slice(0, xs.size, max(1, xs.size // 32))
-        for i, (stacked_main, stacked_ring) in enumerate(tables):
-            flat = np.matmul(stacked_main, lag)                  # (D+1, 16, p)
-            ms[i][:, sl] = (np.einsum("sdp,dp->sp", unpack(flat, 0), pow_ket)
-                            + np.einsum("sdp,dp->sp", unpack(flat, 8), pow_bra))
-            flat_ring = np.matmul(stacked_ring, lag[:, :, sub])
-            ring = (np.einsum("sdp,dp->sp", unpack(flat_ring, 0), pow_ket[:, sub])
-                    + np.einsum("sdp,dp->sp", unpack(flat_ring, 8), pow_bra[:, sub]))
-            ring_max[i] = max(ring_max[i], float(np.max(np.abs(ring), initial=0.0)))
-    return list(zip(ms, ring_max))
+        flat_ring = np.matmul(stacked_ring, lag[:, :, sub])
+        ring = (np.einsum("sdp,dp->sp", unpack(flat_ring, 0), pow_ket[:, sub])
+                + np.einsum("sdp,dp->sp", unpack(flat_ring, 8), pow_bra[:, sub]))
+        ring_max = max(ring_max, float(np.max(np.abs(ring), initial=0.0)))
+    return m, ring_max
 
 
 def _prefactor(spec: BellCatSpec, params: ThermalParams) -> float:
@@ -262,60 +260,47 @@ def series_values_many(specs: list[BellCatSpec], params: ThermalParams,
                        chi_mode: str = CHI_KERNEL) -> list[np.ndarray]:
     """The series' thermal Wigner function of each state at paired coordinate arrays the states share.
 
-    A cap left as None is resolved per state: `default_cat_cap` and
-    `default_thermal_cap`.  A cap below 1 raises CutoffError, a ValueError;
-    an explicit cap passes `checked_cutoff`, the thermal one against
-    `HARD_THERMAL_CAP`, before any table is built.  The per-mode
+    The states share one alpha (`bellcat.density.shared_alpha`); an empty
+    list gives [].  A cap left as None is resolved once: `default_cat_cap`
+    and `default_thermal_cap`.  A cap below 1 raises CutoffError, a
+    ValueError; an explicit cap passes `checked_cutoff`, the thermal one
+    against `HARD_THERMAL_CAP`, before any table is built.  The per-mode
     factor tables pass a tail check first: the outermost coherent band's
     contribution, a conservative overestimate of the mass the caps left out,
     against `TAIL_EPSILON`.  A bound above 100 `TAIL_EPSILON`, or one that is
     not a number, raises TruncationError, as does a Laguerre table past the
     float range.  The four branch products are then summed as complex
     numbers, and the imaginary-residue guard checks that they pair up.
-
-    A state enters only through sigma, its caps and its two modes, so within
-    the call the contraction tables are built once per distinct mode
-    (`mode_key`) and caps, and the Laguerre table and chi powers once per
-    caps and mode point set.
     """
     for name, cap in (("cat_cap", cat_cap), ("thermal_cap", thermal_cap)):
         if cap is not None and cap < 1:
             raise CutoffError(f"{name} must be >= 1")
     arrays = _coordinate_arrays(x1, y1, x2, y2)
-    mode_points = ((arrays[0], arrays[1]), (arrays[2], arrays[3]))
+    if not specs:
+        return []
+    alpha = shared_alpha(specs)
     # the thermal cap first: past both hard caps, its error is the one raised
     thermal = (checked_cutoff(thermal_cap, "thermal cap", HARD_THERMAL_CAP) if thermal_cap is not None
                else default_thermal_cap(params))
-    caps = [(checked_cutoff(cat_cap, "coherent-branch cap") if cat_cap is not None else default_cat_cap(spec, params),
-             thermal) for spec in specs]
-    # the distinct modes at each (caps, mode point set), in order of first use
-    groups: dict[tuple, dict] = {}
-    for spec, state_caps in zip(specs, caps):
-        for slot, (gamma, mode) in enumerate(state_modes(spec, params)):
-            groups.setdefault((state_caps, slot), {})[mode_key(gamma, mode)] = gamma, mode
-    tables, factors = {}, {}
-    for (state_caps, slot), members in groups.items():
-        for key, (gamma, mode) in members.items():
-            if (key, state_caps) not in tables:
-                tables[key, state_caps] = _stacked_tables(gamma, mode, *state_caps)
-        found = _mode_factors([tables[key, state_caps] for key in members], *state_caps, *mode_points[slot], chi_mode)
-        factors.update(((key, state_caps, slot), result) for key, result in zip(members, found))
+    cat = checked_cutoff(cat_cap, "coherent-branch cap") if cat_cap is not None else default_cat_cap(specs[0], params)
+    tables = per_mode(lambda mode: _stacked_tables(alpha, mode, cat, thermal), params)
+    (m1, ring1), (m2, ring2) = (_mode_factors(table, cat, thermal, x, y, chi_mode)
+                                for table, (x, y) in zip(tables, (arrays[:2], arrays[2:])))
+    scale1, scale2 = (float(np.max(np.sum(np.abs(m), axis=0))) if m.size else 0.0 for m in (m1, m2))
 
     values = []
-    for spec, state_caps in zip(specs, caps):
-        (m1, ring1), (m2, ring2) = (factors[mode_key(gamma, mode), state_caps, slot]
-                                    for slot, (gamma, mode) in enumerate(state_modes(spec, params)))
+    for spec in specs:
         pref = _prefactor(spec, params)
-        scale1 = float(np.max(np.sum(np.abs(m1), axis=0))) if m1.size else 0.0
-        scale2 = float(np.max(np.sum(np.abs(m2), axis=0))) if m2.size else 0.0
         ring_bound = pref * (ring1 * scale2 + scale1 * ring2)
         if not ring_bound <= 100.0 * TAIL_EPSILON:
             raise TruncationError(
                 f"outermost-band bound {ring_bound:.3e} exceeds the tail tolerance "
-                f"{TAIL_EPSILON:g} (caps {state_caps[0]}/{state_caps[1]})"
+                f"{TAIL_EPSILON:g} (caps {cat}/{thermal})"
             )
-        # branch order (s, t) = (+,+), (+,-), (-,+), (-,-); the mixed ones carry sigma
-        paired = pref * (m1[0] * m2[0] + m1[3] * m2[3] + spec.sigma * (m1[1] * m2[1] + m1[2] * m2[2]))
+        # branch order st = (+,+), (+,-), (-,+), (-,-); the mixed ones carry sigma.  At k = -1,
+        # mode 2's amplitude is -alpha, whose branch st is branch 3 - st at +alpha
+        n2 = m2 if spec.k > 0 else m2[::-1]
+        paired = pref * (m1[0] * n2[0] + m1[3] * n2[3] + spec.sigma * (m1[1] * n2[1] + m1[2] * n2[2]))
         values.append(_to_real(paired, "series_values"))
     return values
 

@@ -5,8 +5,8 @@ in :class:`ThermalParams`: one :class:`ThermalMode` per oscillator, holding
 its Gibbs factor e^{-beta hbar omega_i} and the hyperbolic mixing functions
 u_i = cosh(theta_i), v_i = sinh(theta_i), and the partition function.  A
 Bell-Cat state puts the amplitude alpha on mode 1 and k alpha on mode 2;
-:func:`state_modes` makes that split, and every per-mode builder takes one
-(amplitude, mode) pair of it.  T = 0 is handled as an exact flag (Gibbs
+:func:`state_modes` makes that split for the production evaluator's per-mode
+constants.  T = 0 is handled as an exact flag (Gibbs
 factors are bit-exact zeros) rather than as a large beta, so the
 zero-temperature limit is free of underflow artifacts.
 """

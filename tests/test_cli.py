@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import threading
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -298,6 +300,24 @@ class TestSweepCommand:
             main(["sweep", "--temp-min", "0.5", "--temp-max", "2", "--temp-count", "0",
                   "--out", str(tmp_path / "s.csv")])
         assert exc.value.code == 2
+
+    def test_temp_count_past_the_cap_is_usage_error(self, tmp_path):
+        # refused before the temperature list is made: 10**9 of them would be about 8 GB
+        argv = ["sweep", "--temp-min", "0.5", "--temp-max", "2",
+                "--temp-count", str(bellcat.cli.MAX_SWEEP_TEMPERATURES + 1), "--out", str(tmp_path / "s.csv")]
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == 2
+        assert elapsed < 0.25
+        assert peak < 1e6
+        assert not (tmp_path / "s.csv").exists()
 
 
 def finite_or_clean_error(code, out, err):
@@ -636,9 +656,10 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize("flags, configs, density_calls", [([], 2, 4), (["--quick"], 1, 2)])
     def test_tables_built_once_per_mode_amplitude(self, flags, configs, density_calls, capsys, monkeypatch):
-        # at equal frequencies the four states of a call need two mode amplitudes, alpha and -alpha;
-        # the series builds its Laguerre table once per config and mode point set, plus two per
-        # diagnostic (printed, reflected, broken), each a one-state call whose modes share one table
+        # at equal frequencies the two modes share one thermal mode, and the four states of a call
+        # read every per-mode table at +alpha, so each call builds one; the series builds its Laguerre
+        # table once per config and mode point set, plus two per diagnostic (printed, reflected,
+        # broken), each a one-state call whose modes share one table
         counts = {}
 
         def spy_on(module, name):
@@ -657,10 +678,10 @@ class TestValidateCommand:
         spy_on(bellcat.density, "_direct_mode_factors")
         assert main(["validate"] + flags) == 0
         assert counts == {("laguerre_envelope_table", "bellcat.series"): 2 * configs + 3 * 2,
-                          ("_mode_h_tables", "bellcat.series"): 2 * configs + 3,
-                          ("mode_blocks", "bellcat.oracle"): 2 * configs,
-                          ("mode_blocks", "bellcat.density"): 2 * density_calls,
-                          ("_direct_mode_factors", "bellcat.density"): 2 * density_calls}
+                          ("_mode_h_tables", "bellcat.series"): configs + 3,
+                          ("mode_blocks", "bellcat.oracle"): configs,
+                          ("mode_blocks", "bellcat.density"): density_calls,
+                          ("_direct_mode_factors", "bellcat.density"): density_calls}
 
     @pytest.mark.parametrize("flags, pairs", [([], 2), (["--quick"], 1)])
     def test_one_kernel_pair_per_config(self, flags, pairs, capsys, monkeypatch):

@@ -168,6 +168,18 @@ class TestModeBlockParity:
         assert weights[1, 1] == weights[0, 0]
         assert weights[1, 0] == weights[0, 1]
 
+    @pytest.mark.parametrize("gamma, temp, ratio", [(1.0, 0.0, 1.0), (1 + 1j, 0.5, 1.0), (0.7 - 0.4j, 0.5, 1.3)])
+    @pytest.mark.parametrize("cutoff", [0, 3, 12, 30])
+    def test_minus_amplitude_relabels_the_branches(self, gamma, temp, ratio, cutoff):
+        # the reference routes build each mode at +alpha only and read a k = -1 state's mode 2 from it
+        for mode in thermal_params(temp, OMEGA, ratio * OMEGA).modes:
+            for build in (mode_blocks, _direct_mode_factors):
+                plus, minus = build(gamma, mode, cutoff), build(-gamma, mode, cutoff)
+                for s in (0, 1):
+                    for t in (0, 1):
+                        want = plus[1 - s][1 - t]
+                        assert np.max(np.abs(minus[s][t] - want)) <= 1e-14 * np.max(np.abs(want))
+
 
 class TestKroneckerSums:
     """The per-mode factors route_gaps compares assemble, by Kronecker sums, into each route's two-mode matrix.
@@ -265,8 +277,8 @@ class TestRouteGap:
 
     @pytest.mark.parametrize("label", ["phi-plus", "phi-minus", "psi-plus", "psi-minus"])
     def test_dropped_one_minus_q_exceeds_gate(self, label, monkeypatch):
-        # the factors of amplitude alpha without their (1 - q): mode 1's, and for the phi states,
-        # whose mode-2 amplitude k alpha is alpha, mode 2's too
+        # the factors of amplitude alpha without their (1 - q): route_gaps builds both modes' at
+        # +alpha, so both lose it
         direct_mode_factors = bellcat.density._direct_mode_factors
         params = params_for(0.5)
 
@@ -306,21 +318,30 @@ class TestRouteGaps:
         gaps = route_gaps(specs, params, 20, enforce_trace_limit=False)
         assert gaps == [route_gaps([spec], params, 20, enforce_trace_limit=False)[0] for spec in specs]
 
-    def test_mixed_amplitudes(self):
+    def test_mixed_amplitudes(self, monkeypatch):
+        # the factors are built at the one alpha of the states, so a list mixing two refuses before
+        # any is built; an empty list is still no states
+        def refuse(*args, **kwargs):
+            raise AssertionError("a factor was built")
+
+        for name in ("mode_blocks", "_direct_mode_factors"):
+            monkeypatch.setattr(bellcat.density, name, refuse)
         params = thermal_params(1.0, OMEGA, 1.3 * OMEGA)
-        specs = [BellCatSpec.from_label(label, alpha) for label, alpha in
-                 (("phi-plus", 1.0), ("psi-minus", 0.7 - 0.4j), ("phi-minus", 1 + 1j), ("psi-plus", 1.0))]
-        gaps = route_gaps(specs, params, 20, enforce_trace_limit=False)
-        assert gaps == [route_gaps([spec], params, 20, enforce_trace_limit=False)[0] for spec in specs]
+        specs = [BellCatSpec.from_label(label, alpha) for label, alpha in (("phi-plus", 1.0), ("psi-minus", 1 + 1j))]
+        with pytest.raises(ValueError, match="must share one alpha"):
+            route_gaps(specs, params, 20, enforce_trace_limit=False)
+        assert route_gaps([], params, 20) == []
 
     def test_amplitudes_differing_in_a_zero_sign(self):
-        # mode amplitudes -1 - 0j and -1 + 0j compare equal but differ in phase
-        specs = [BellCatSpec.from_label("phi-plus", complex(-1.0, -0.0)), BellCatSpec.from_label("psi-plus", 1.0)]
-        gaps = route_gaps(specs, params_for(1.0), 30, enforce_trace_limit=False)
-        assert gaps == [route_gaps([spec], params_for(1.0), 30, enforce_trace_limit=False)[0] for spec in specs]
+        # alpha = -1 - 0j and -1 + 0j compare equal but differ in phase, so the list counts as mixed
+        specs = [BellCatSpec.from_label(label, complex(-1.0, zero)) for label, zero in (("phi-plus", -0.0),
+                                                                                        ("psi-plus", 0.0))]
+        with pytest.raises(ValueError, match="must share one alpha"):
+            route_gaps(specs, params_for(1.0), 30, enforce_trace_limit=False)
 
     def test_builds_each_mode_once(self, monkeypatch):
-        # equal frequencies: the four states need the mode amplitudes alpha and -alpha only
+        # equal frequencies: the two modes share one thermal mode, and every state reads its
+        # factors at +alpha, so each builder runs once
         built = []
         for name in ("mode_blocks", "_direct_mode_factors"):
             builder = getattr(bellcat.density, name)
@@ -332,8 +353,7 @@ class TestRouteGaps:
             monkeypatch.setattr(bellcat.density, name, spy)
         specs = [BellCatSpec.from_label(label, 1 + 1j) for label in ("phi-plus", "phi-minus", "psi-plus", "psi-minus")]
         route_gaps(specs, params_for(0.5), 30)
-        assert sorted(built, key=repr) == sorted([(name, gamma) for name in ("mode_blocks", "_direct_mode_factors")
-                                                  for gamma in (1 + 1j, -(1 + 1j))], key=repr)
+        assert built == [("mode_blocks", 1 + 1j), ("_direct_mode_factors", 1 + 1j)]
 
 
 class TestDensityInvariants:

@@ -380,6 +380,17 @@ SIZE_PARAMETERS = {
 }
 
 
+def refuse_table_builds(monkeypatch) -> None:
+    """Make every table builder of the series and the oracle fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    for name in ("fock_wigner_kernels", "mode_blocks"):
+        monkeypatch.setattr(bellcat.oracle, name, refuse)
+    for name in ("_stacked_tables", "laguerre_envelope_table"):
+        monkeypatch.setattr(bellcat.series, name, refuse)
+
+
 class TestTruncationConfig:
     def test_cap_bounds(self):
         spec = BellCatSpec.from_label("phi-plus", 1.0)
@@ -447,23 +458,19 @@ class TestTruncationConfig:
         assert peak < 100e6
 
     def test_explicit_caps_past_the_hard_caps_raise_before_any_table(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a table was built")
-
-        for name in ("fock_wigner_kernels", "mode_blocks"):
-            monkeypatch.setattr(bellcat.oracle, name, refuse)
-        for name in ("_stacked_tables", "laguerre_envelope_table"):
-            monkeypatch.setattr(bellcat.series, name, refuse)
-        # the state that comes first is within the caps; the list still raises before building it
-        specs = [BellCatSpec.from_label("phi-minus", 1.0), BellCatSpec.from_label("psi-plus", 30.0)]
+        refuse_table_builds(monkeypatch)
+        # the list forms size their tables from the alpha the states share
+        specs = [BellCatSpec.from_label(label, 30.0) for label in ("phi-minus", "psi-plus")]
         with pytest.raises(TruncationError, match=f"hard cap {HARD_FOCK_CUTOFF}"):
             series_values_many(specs, params_for(1.0), 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(TruncationError, match=f"hard cap {HARD_FOCK_CUTOFF}"):
             wigner_oracle_values_many(specs, params_for(1.0), 0.0, 0.0, 0.0, 0.0)
+        # a state within the default caps, with an explicit cap past the hard one
+        spec = BellCatSpec.from_label("phi-minus", 1.0)
         with pytest.raises(TruncationError, match=f"cap {HARD_FOCK_CUTOFF + 1} is beyond the hard cap"):
-            series_values(specs[0], params_for(1.0), 0.0, 0.0, 0.0, 0.0, cat_cap=HARD_FOCK_CUTOFF + 1, thermal_cap=10)
+            series_values(spec, params_for(1.0), 0.0, 0.0, 0.0, 0.0, cat_cap=HARD_FOCK_CUTOFF + 1, thermal_cap=10)
         with pytest.raises(TruncationError, match=f"cutoff {HARD_FOCK_CUTOFF + 1} is beyond the hard cap"):
-            wigner_oracle_values_many(specs[:1], params_for(1.0), 0.0, 0.0, 0.0, 0.0, cutoff=HARD_FOCK_CUTOFF + 1)
+            wigner_oracle_values_many([spec], params_for(1.0), 0.0, 0.0, 0.0, 0.0, cutoff=HARD_FOCK_CUTOFF + 1)
         monkeypatch.undo()
         with pytest.raises(TruncationError, match=f"hard cap {HARD_FOCK_CUTOFF}"):
             fock_wigner_kernels(HARD_FOCK_CUTOFF + 1, np.zeros(1), np.zeros(1))
@@ -559,28 +566,30 @@ class TestListForms:
             assert np.max(np.abs(got - gaussian_w(spec.label, alpha, temp, *pts, freq2=ratio * FREQ_HZ))) < 1e-8
 
     @pytest.mark.parametrize("route", sorted(LIST_ROUTES))
-    def test_mixed_amplitudes(self, route):
-        # the caps and the oracle cutoff follow |alpha|, so they differ within the call
-        many, single = LIST_ROUTES[route]
+    def test_mixed_amplitudes(self, route, monkeypatch):
+        # each call builds its tables at the one alpha of its states, so a list mixing two refuses
+        # before any table is built; an empty list is still no states
+        refuse_table_builds(monkeypatch)
+        many, _ = LIST_ROUTES[route]
         params = thermal_params(1.0, OMEGA, 1.3 * OMEGA)
         pts = np.random.default_rng(12).uniform(-3, 3, size=(4, 5))
-        specs = [BellCatSpec.from_label(label, alpha) for label, alpha in
-                 (("phi-plus", 1.0), ("psi-minus", 0.7 - 0.4j), ("phi-minus", 1 + 1j), ("psi-plus", 1.0))]
-        assert len({default_cat_cap(spec, params) for spec in specs}) == 3
-        assert len({oracle_cutoff(spec, params) for spec in specs}) == 3
-        for spec, got in zip(specs, many(specs, params, *pts), strict=True):
-            assert np.array_equal(got, single(spec, params, *pts))
+        specs = [BellCatSpec.from_label(label, alpha) for label, alpha in (("phi-plus", 1.0), ("psi-minus", 1 + 1j))]
+        with pytest.raises(ValueError, match="must share one alpha"):
+            many(specs, params, *pts)
+        assert many([], params, *pts) == []
 
     @pytest.mark.parametrize("route", sorted(LIST_ROUTES))
-    def test_amplitudes_differing_in_a_zero_sign(self, route):
-        # phi-plus at alpha = -1 - 0j has mode amplitude -1 - 0j (phase -pi), psi-plus at alpha = 1
-        # has -1 + 0j (phase +pi); the two compare equal, and the tables of one do not serve the other
-        many, single = LIST_ROUTES[route]
-        params = params_for(1.0)
+    def test_amplitudes_differing_in_a_zero_sign(self, route, monkeypatch):
+        # alpha = -1 - 0j has phase -pi and -1 + 0j has +pi: the two compare equal, and the tables of
+        # one do not serve the other, so the list is refused as mixed
+        refuse_table_builds(monkeypatch)
+        many, _ = LIST_ROUTES[route]
         pts = np.random.default_rng(1).uniform(-3, 3, size=(4, 5))
-        specs = [BellCatSpec.from_label("phi-plus", complex(-1.0, -0.0)), BellCatSpec.from_label("psi-plus", 1.0)]
-        for spec, got in zip(specs, many(specs, params, *pts), strict=True):
-            assert np.array_equal(got, single(spec, params, *pts))
+        specs = [BellCatSpec.from_label(label, complex(-1.0, zero)) for label, zero in (("phi-plus", -0.0),
+                                                                                        ("psi-plus", 0.0))]
+        assert specs[0].alpha == specs[1].alpha
+        with pytest.raises(ValueError, match="must share one alpha"):
+            many(specs, params_for(1.0), *pts)
 
 
 SHAPE_SPEC = BellCatSpec.from_label("phi-minus", 1.0)
