@@ -29,11 +29,10 @@ The four states at one alpha differ only in k, the sign of mode 2's
 amplitude, and in sigma.  E(-g) = (-1)^{i-j} E(g), and every per-mode table
 of the reference routes gains that sign, (-1)^{ket-bra}, at -gamma, as it
 does when both branch signs flip: the table at -gamma is the one at +gamma
-with its parity branches relabelled (s, t) -> (1 - s, 1 - t)
-(:func:`mirrored`), under which sigma^{s+t} is unchanged.  So each reference
-route takes states that share one alpha (:func:`shared_alpha`), builds each
-mode's tables once at +alpha (:func:`per_mode`), and mirrors mode 2's for a
-k = -1 state.
+with its parity branches relabelled (s, t) -> (1 - s, 1 - t), under which
+sigma^{s+t} is unchanged.  So each reference route takes states that share
+one alpha (:func:`shared_alpha`), builds each mode's tables once at +alpha
+(:func:`per_mode`), and relabels mode 2's branches for a k = -1 state.
 
 Nothing here forms the (cutoff+1)^2-dimensional matrix.  :func:`route_gaps`
 compares the two routes on their factors for a list of states: the largest
@@ -59,7 +58,6 @@ from .tfd import ThermalMode, ThermalParams, gibbs_weight
 __all__ = [
     "route_gaps",
     "branch_weights",
-    "mirrored",
     "mode_blocks",
     "per_mode",
     "shared_alpha",
@@ -181,11 +179,6 @@ def per_mode(build, params: ThermalParams) -> tuple:
     return first, first if params.modes[1] == params.modes[0] else build(params.modes[1])
 
 
-def mirrored(branches: list) -> list:
-    """A mode's [s][t] branches at amplitude -gamma from those at +gamma: branch (s, t) is (1 - s, 1 - t)."""
-    return [row[::-1] for row in branches[::-1]]
-
-
 def _largest(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix)))
 
@@ -206,7 +199,9 @@ def route_gaps(specs: list[BellCatSpec], params: ThermalParams, cutoff: int,
     enforces first.
 
     The states share one alpha, so each mode's factors, their traces and
-    their largest |entries| are built once, at +alpha.  An empty list gives [].
+    their largest |entries| are built once, at +alpha.  Branch (1 - s, 1 - t)
+    is the parity image of (s, t), with the same diagonal and moduli, so a
+    k = -1 state reads mode 2's numbers unrelabelled.  An empty list gives [].
     """
     cutoff = checked_cutoff(cutoff, "density cutoff")
     if not specs:
@@ -220,10 +215,9 @@ def route_gaps(specs: list[BellCatSpec], params: ThermalParams, cutoff: int,
         return [[(np.trace(b), np.trace(q), _largest(b), _largest(q), _largest(b - q))
                  for b, q in zip(blocks[s], factors[s])] for s in (0, 1)]
 
-    m1, m2_plus = per_mode(mode_numbers, params)
+    m1, m2 = per_mode(mode_numbers, params)
     gaps = []
     for spec in specs:
-        m2 = m2_plus if spec.k > 0 else mirrored(m2_plus)
         w, w_direct = branch_weights(spec), _direct_weights(spec)
         for route, weights in enumerate((w, w_direct)):
             trace = sum(weights[s, t] * m1[s][t][route] * m2[s][t][route] for s, t in _BRANCHES)

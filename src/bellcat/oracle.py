@@ -11,7 +11,7 @@ terms, so they check that the imaginary part cancels (`ImaginaryResidueError`).
 `wigner_oracle_values_many` evaluates a list of states that share one alpha at
 one point set: it computes the Fock kernels once per mode point set, and each
 mode's blocks and their contractions once, at +alpha, and combines them with
-each state's branch weights, mode 2's mirrored at k = -1 (the identity in
+each state's branch weights, mode 2's relabelled at k = -1 (the identity in
 `bellcat.density`).  The cutoff passes `bellcat.states.checked_cutoff` before
 any table is built.
 
@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .density import branch_weights, mirrored, mode_blocks, per_mode, shared_alpha, thermal_levels
+from .density import branch_weights, mode_blocks, per_mode, shared_alpha, thermal_levels
 from .errors import QuadratureError
 from .series import _coordinate_arrays, _to_real, default_cat_cap
 from .states import BellCatSpec, checked_cutoff
@@ -173,7 +173,8 @@ def wigner_oracle_values_many(specs: list[BellCatSpec], params: ThermalParams,
                                                      fock_wigner_kernels(nmax, *arrays[2:]))))
     values = []
     for spec in specs:
-        c2 = c2_plus if spec.k > 0 else mirrored(c2_plus)
+        # at k = -1 mode 2's amplitude is -alpha, whose branch (s, t) is (1 - s, 1 - t) at +alpha
+        c2 = c2_plus if spec.k > 0 else [row[::-1] for row in c2_plus[::-1]]
         weights = branch_weights(spec)
         total = sum(weights[s, t] * c1[s][t] * c2[s][t] for s in (0, 1) for t in (0, 1))
         values.append(_to_real(total, "wigner_oracle"))

@@ -20,8 +20,8 @@ log space, so no thermal weight exceeds 1 at any temperature.
 `series_values_many` evaluates a list of states that share one alpha at one
 point set: it resolves the caps once, builds each mode's contraction tables
 once at +alpha and its Laguerre table and chi powers once, and gives a
-k = -1 state mode 2's factor sums with their branches mirrored (the identity
-in `bellcat.density`).  `series_values` is its one-state call.  The caps are
+k = -1 state mode 2's factor sums with their branches relabelled (the
+identity in `bellcat.density`).  `series_values` is its one-state call.  The caps are
 two keyword arguments; left as None, they are resolved from |alpha| and the
 thermal tail at `TAIL_EPSILON`.
 

@@ -76,8 +76,7 @@ def test_plane_imports_no_package_module():
 def test_scanner_sees_local_and_module_level_imports():
     # the allowed exception is function-local; the oracle imports both routes it builds on
     assert (None, "series", ("_coordinate_arrays", "_to_real", "default_cat_cap")) in package_imports("oracle")
-    assert (None, "density", ("branch_weights", "mirrored", "mode_blocks", "per_mode", "shared_alpha",
-                               "thermal_levels")) in package_imports("oracle")
+    assert (None, "density", ("branch_weights", "mode_blocks", "per_mode", "shared_alpha", "thermal_levels")) in package_imports("oracle")
     assert ("wigner_values", "series", ("series_values",)) in package_imports("wigner")
 
 
