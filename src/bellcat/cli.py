@@ -22,10 +22,10 @@ import numpy as np
 
 from . import __version__
 from .density import route_gaps
-from .errors import BellCatError, ImaginaryResidueError
+from .errors import BellCatError
 from .negativity import integrate_negativity, temperature_sweep
 from .oracle import closed_form_zero_temperature, wigner_oracle_values_many
-from .series import CHI_BROKEN, CHI_PRINTED, series_values, series_values_many
+from .series import convention_diagnostics, series_values_many
 from .states import STATE_LABELS, BellCatSpec
 from .tfd import thermal_params
 from .wigner import PhasePoint, SliceDescriptor, wigner_grid, wigner_point, wigner_values
@@ -93,6 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     # each parser classifies its own arguments, so each gets the pattern
     for p in (parser, *sub.choices.values()):
         p._negative_number_matcher = _NEGATIVE_NUMBER
+    # a subcommand's own checks report through its parser, whose usage line names the subcommand
+    for p in sub.choices.values():
+        p.set_defaults(subparser=p)
     return parser
 
 
@@ -314,18 +317,13 @@ def _run_checks(quick: bool) -> list[tuple[str, bool, str]]:
     worst = float(np.max(np.abs(straight - flipped)))
     record("mode-2 flip symmetry", worst < 1e-12, f"max |diff| = {worst:.2e}")
 
-    # series printed-convention diagnosis: equals the series' kernel form at reflected positions
-    printed = series_values(spec, params, *pts, chi_mode=CHI_PRINTED)
-    reflected = series_values(spec, params, -pts[0], pts[1], -pts[2], pts[3])
+    # series convention diagnostics, from one set of tables: the printed variant equals the series'
+    # kernel form at reflected positions, and a broken chi convention must trip the residue guard
+    printed, reflected, broken = convention_diagnostics(spec, params, *pts)
     worst = float(np.max(np.abs(printed - reflected)))
     record("printed chi/sign variant == kernel at reflected x", worst < 1e-12, f"max |diff| = {worst:.2e}")
-
-    # negative control: a broken chi convention must trip the series' residue guard
-    try:
-        series_values(spec, params, *pts[:, :10], chi_mode=CHI_BROKEN)
-        record("broken chi convention trips the residue guard", False, "no error raised")
-    except ImaginaryResidueError:
-        record("broken chi convention trips the residue guard", True, "ImaginaryResidueError raised")
+    record("broken chi convention trips the residue guard", broken is not None,
+           "no error raised" if broken is None else "ImaginaryResidueError raised")
 
     # negativity: the identity nu = delta/(1+delta), and the closed-form norm to 1e-12
     result = integrate_negativity(BellCatSpec.from_label("phi-minus", 1.0), thermal_params(0.01, omega))
@@ -352,17 +350,16 @@ def cmd_validate(quick: bool) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "validate":
         return cmd_validate(args.quick)
     _resolve(args)
     try:
         if args.command == "wigner":
-            return cmd_wigner(args, parser)
+            return cmd_wigner(args, args.subparser)
         if args.command == "negativity":
             return cmd_negativity(args)
-        return cmd_sweep(args, parser)
+        return cmd_sweep(args, args.subparser)
     except BellCatError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -23,7 +23,10 @@ once at +alpha and its Laguerre table and chi powers once, and gives a
 k = -1 state mode 2's factor sums with their branches relabelled (the
 identity in `bellcat.density`).  `series_values` is its one-state call.  The caps are
 two keyword arguments; left as None, they are resolved from |alpha| and the
-thermal tail at `TAIL_EPSILON`.
+thermal tail at `TAIL_EPSILON`.  `convention_diagnostics` evaluates the
+chi-convention variants below for `bellcat validate` from one such set of
+tables: the Laguerre table does not change under x -> -x, so only the
+chi-power contraction runs once per variant.
 
 Convention note: the series' chi factors follow the kernel actually produced
 by the Wigner transform, chi = x - i y when the ket index exceeds the bra
@@ -56,6 +59,7 @@ __all__ = [
     "default_thermal_cap",
     "series_values",
     "series_values_many",
+    "convention_diagnostics",
 ]
 
 CHI_KERNEL = "kernel"
@@ -204,27 +208,32 @@ def _stacked_tables(gamma: complex, mode: ThermalMode, cat_cap: int, thermal_cap
     return stack(h_ket, h_bra), stack(ring_ket, ring_bra)
 
 
-def _mode_factors(tables: tuple, cat_cap: int, thermal_cap: int, x: np.ndarray, y: np.ndarray, chi_mode: str):
-    """Envelope-absorbed factor sums M[st, p] of one mode's `_stacked_tables` at its points, plus the ring estimate.
+def _mode_factors(tables: tuple, cat_cap: int, thermal_cap: int, x: np.ndarray, y: np.ndarray, variants: list):
+    """[factor sums M[st, p], ring estimate] of one mode's `_stacked_tables` per variant (chi_mode, sign, count).
 
+    A variant contracts the chi powers of `chi_mode` at (sign x, y) on the
+    first `count` points with the Laguerre GEMMs, which all variants share.
     The ring estimate is the magnitude of the outermost coherent band's
     signed contribution, sampled on a strided subset of the points; it is the
     standard last-retained-term proxy for the series tail.
     """
     stacked_main, stacked_ring = tables
     npts = x.size
-    m = np.empty((4, npts), dtype=complex)
-    ring_max = 0.0
+    out = [[np.empty((4, min(count, npts)), dtype=complex), 0.0] for _, _, count in variants]
 
     def unpack(flat: np.ndarray, base: int) -> np.ndarray:
         return (flat[:, base : base + 4] + 1j * flat[:, base + 4 : base + 8]).transpose(1, 0, 2)
+
+    def contract(flat: np.ndarray, pow_ket: np.ndarray, pow_bra: np.ndarray) -> np.ndarray:
+        return (np.einsum("sdp,dp->sp", unpack(flat, 0), pow_ket)
+                + np.einsum("sdp,dp->sp", unpack(flat, 8), pow_bra))
 
     # chunk so the Laguerre table stays ~200 MB
     nmax = cat_cap + thermal_cap
     chunk = max(32, int(2.5e7 / ((cat_cap + 1) * (nmax + 1))))
     for lo in range(0, npts, chunk):
-        sl = slice(lo, min(lo + chunk, npts))
-        xs, ys = x[sl], y[sl]
+        hi = min(lo + chunk, npts)
+        xs, ys = x[lo:hi], y[lo:hi]
         w = 2.0 * (xs * xs + ys * ys)
         try:
             with np.errstate(over="raise"):
@@ -233,25 +242,56 @@ def _mode_factors(tables: tuple, cat_cap: int, thermal_cap: int, x: np.ndarray, 
         except FloatingPointError:
             raise TruncationError(f"the Laguerre table overflows the float range at degree {nmax} "
                                   f"(caps {cat_cap}/{thermal_cap})") from None
-        ket_base, bra_base = _chi_bases(xs, ys, chi_mode)
-        pow_ket = _powers(ket_base, cat_cap)
-        pow_bra = _powers(bra_base, cat_cap)
         flat = np.matmul(stacked_main, lag)                      # (D+1, 16, p)
-        m[:, sl] = (np.einsum("sdp,dp->sp", unpack(flat, 0), pow_ket)
-                    + np.einsum("sdp,dp->sp", unpack(flat, 8), pow_bra))
-        # tail proxy on a strided subsample of the chunk
-        sub = slice(0, xs.size, max(1, xs.size // 32))
-        flat_ring = np.matmul(stacked_ring, lag[:, :, sub])
-        ring = (np.einsum("sdp,dp->sp", unpack(flat_ring, 0), pow_ket[:, sub])
-                + np.einsum("sdp,dp->sp", unpack(flat_ring, 8), pow_bra[:, sub]))
-        ring_max = max(ring_max, float(np.max(np.abs(ring), initial=0.0)))
-    return m, ring_max
+        flat_ring = {}                                           # ring GEMM per variant chunk length
+        for i, (chi_mode, sign, count) in enumerate(variants):
+            k = min(hi, count) - lo
+            if k <= 0:
+                continue
+            pow_ket, pow_bra = (_powers(base, cat_cap) for base in _chi_bases(sign * xs[:k], ys[:k], chi_mode))
+            out[i][0][:, lo : lo + k] = contract(flat[:, :, :k], pow_ket, pow_bra)
+            # tail proxy on a strided subsample of the variant's points in the chunk
+            sub = slice(0, k, max(1, k // 32))
+            if k not in flat_ring:
+                flat_ring[k] = np.matmul(stacked_ring, lag[:, :, sub])
+            ring = contract(flat_ring[k], pow_ket[:, sub], pow_bra[:, sub])
+            out[i][1] = max(out[i][1], float(np.max(np.abs(ring), initial=0.0)))
+    return out
 
 
 def _prefactor(spec: BellCatSpec, params: ThermalParams) -> float:
     mode1, mode2 = params.modes
     return (mode1.one_minus_q * mode2.one_minus_q * math.exp(-2.0 * abs(spec.alpha) ** 2)
             / (2.0 * math.pi**2 * spec.parity_overlap))
+
+
+def _series(specs: list[BellCatSpec], params: ThermalParams, arrays: list[np.ndarray],
+            cat_cap: int | None, thermal_cap: int | None, variants: list):
+    """Yield each variant's values of the states (see `_mode_factors`), from one set of tables."""
+    alpha = shared_alpha(specs)
+    # the thermal cap first: past both hard caps, its error is the one raised
+    thermal = (checked_cutoff(thermal_cap, "thermal cap", HARD_THERMAL_CAP) if thermal_cap is not None
+               else default_thermal_cap(params))
+    cat = checked_cutoff(cat_cap, "coherent-branch cap") if cat_cap is not None else default_cat_cap(specs[0], params)
+    tables = per_mode(lambda mode: _stacked_tables(alpha, mode, cat, thermal), params)
+    for (m1, ring1), (m2, ring2) in zip(*(_mode_factors(table, cat, thermal, x, y, variants)
+                                          for table, (x, y) in zip(tables, (arrays[:2], arrays[2:])))):
+        scale1, scale2 = (float(np.max(np.sum(np.abs(m), axis=0))) if m.size else 0.0 for m in (m1, m2))
+        values = []
+        for spec in specs:
+            pref = _prefactor(spec, params)
+            ring_bound = pref * (ring1 * scale2 + scale1 * ring2)
+            if not ring_bound <= 100.0 * TAIL_EPSILON:
+                raise TruncationError(
+                    f"outermost-band bound {ring_bound:.3e} exceeds the tail tolerance "
+                    f"{TAIL_EPSILON:g} (caps {cat}/{thermal})"
+                )
+            # branch order st = (+,+), (+,-), (-,+), (-,-); the mixed ones carry sigma.  At k = -1,
+            # mode 2's amplitude is -alpha, whose branch st is branch 3 - st at +alpha
+            n2 = m2 if spec.k > 0 else m2[::-1]
+            paired = pref * (m1[0] * n2[0] + m1[3] * n2[3] + spec.sigma * (m1[1] * n2[1] + m1[2] * n2[2]))
+            values.append(_to_real(paired, "series_values"))
+        yield values
 
 
 def series_values_many(specs: list[BellCatSpec], params: ThermalParams,
@@ -278,31 +318,7 @@ def series_values_many(specs: list[BellCatSpec], params: ThermalParams,
     arrays = _coordinate_arrays(x1, y1, x2, y2)
     if not specs:
         return []
-    alpha = shared_alpha(specs)
-    # the thermal cap first: past both hard caps, its error is the one raised
-    thermal = (checked_cutoff(thermal_cap, "thermal cap", HARD_THERMAL_CAP) if thermal_cap is not None
-               else default_thermal_cap(params))
-    cat = checked_cutoff(cat_cap, "coherent-branch cap") if cat_cap is not None else default_cat_cap(specs[0], params)
-    tables = per_mode(lambda mode: _stacked_tables(alpha, mode, cat, thermal), params)
-    (m1, ring1), (m2, ring2) = (_mode_factors(table, cat, thermal, x, y, chi_mode)
-                                for table, (x, y) in zip(tables, (arrays[:2], arrays[2:])))
-    scale1, scale2 = (float(np.max(np.sum(np.abs(m), axis=0))) if m.size else 0.0 for m in (m1, m2))
-
-    values = []
-    for spec in specs:
-        pref = _prefactor(spec, params)
-        ring_bound = pref * (ring1 * scale2 + scale1 * ring2)
-        if not ring_bound <= 100.0 * TAIL_EPSILON:
-            raise TruncationError(
-                f"outermost-band bound {ring_bound:.3e} exceeds the tail tolerance "
-                f"{TAIL_EPSILON:g} (caps {cat}/{thermal})"
-            )
-        # branch order st = (+,+), (+,-), (-,+), (-,-); the mixed ones carry sigma.  At k = -1,
-        # mode 2's amplitude is -alpha, whose branch st is branch 3 - st at +alpha
-        n2 = m2 if spec.k > 0 else m2[::-1]
-        paired = pref * (m1[0] * n2[0] + m1[3] * n2[3] + spec.sigma * (m1[1] * n2[1] + m1[2] * n2[2]))
-        values.append(_to_real(paired, "series_values"))
-    return values
+    return next(_series(specs, params, arrays, cat_cap, thermal_cap, [(chi_mode, 1.0, arrays[0].size)]))
 
 
 def series_values(spec: BellCatSpec, params: ThermalParams,
@@ -311,3 +327,20 @@ def series_values(spec: BellCatSpec, params: ThermalParams,
                   chi_mode: str = CHI_KERNEL) -> np.ndarray:
     """:func:`series_values_many` of one state."""
     return series_values_many([spec], params, x1, y1, x2, y2, cat_cap, thermal_cap, chi_mode)[0]
+
+
+def convention_diagnostics(spec: BellCatSpec, params: ThermalParams, x1, y1, x2, y2):
+    """`bellcat validate`'s chi-convention diagnostics of one state, from one set of tables.
+
+    (printed, reflected, broken): `series_values` with `CHI_PRINTED`, `series_values` at (-x1, y1, -x2, y2),
+    and the ImaginaryResidueError `CHI_BROKEN` raises on the first ten points, or None.
+    """
+    arrays = _coordinate_arrays(x1, y1, x2, y2)
+    values = _series([spec], params, arrays, None, None,
+                     [(CHI_PRINTED, 1.0, arrays[0].size), (CHI_KERNEL, -1.0, arrays[0].size), (CHI_BROKEN, 1.0, 10)])
+    (printed,), (reflected,) = next(values), next(values)
+    try:
+        next(values)
+    except ImaginaryResidueError as exc:
+        return printed, reflected, exc
+    return printed, reflected, None

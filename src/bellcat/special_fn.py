@@ -16,10 +16,17 @@ import math
 
 import numpy as np
 
+from .errors import TruncationError
+
 __all__ = [
+    "HARD_LOG_FACTORIAL",
     "log_factorial_table",
     "laguerre_envelope_table",
 ]
+
+# Largest nmax `log_factorial_table` takes: above the 2,512 the series asks for at its hard caps (the
+# Fock and thermal caps summed), and its table of 2**15 entries takes about 13 ms to build.
+HARD_LOG_FACTORIAL = 2**14
 
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:
@@ -47,9 +54,12 @@ def log_factorial_table(nmax: int) -> np.ndarray:
 
     A view of the cached table of the next power-of-two size, whose entries
     match every other table's bit for bit; two threads may build it twice.
+    An nmax past `HARD_LOG_FACTORIAL` raises TruncationError before any table.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
+    if nmax > HARD_LOG_FACTORIAL:
+        raise TruncationError(f"log-factorial table size {nmax} is beyond the hard cap {HARD_LOG_FACTORIAL}")
     return _log_factorials(1 << int(nmax).bit_length())[: nmax + 1]
 
 

@@ -295,11 +295,15 @@ class TestSweepCommand:
             main(["sweep"])
         assert exc.value.code == 2
 
-    def test_zero_temp_count_is_usage_error(self, tmp_path):
+    def test_zero_temp_count_is_usage_error(self, tmp_path, capsys):
+        # the sweep's own checks report through its parser, whose usage line names the subcommand
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--temp-min", "0.5", "--temp-max", "2", "--temp-count", "0",
                   "--out", str(tmp_path / "s.csv")])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bellcat sweep ")
+        assert err.endswith("bellcat sweep: error: --temp-count must be >= 1\n")
 
     def test_temp_count_past_the_cap_is_usage_error(self, tmp_path):
         # refused before the temperature list is made: 10**9 of them would be about 8 GB
@@ -381,6 +385,15 @@ class TestOutOfRangeInputs:
         assert finite_or_clean_error(code, out, capsys.readouterr().err) is None
         w = np.loadtxt(out, delimiter=",", comments="#", skiprows=11)[:, 4]
         assert np.count_nonzero(w) == (1 if flags[0] == "--half-width" else 0)
+
+    def test_usage_error_names_the_subcommand(self, capsys):
+        # the wigner command's own checks report through its parser, not the top-level one
+        with pytest.raises(SystemExit) as exc:
+            main(["wigner", "--grid-count", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bellcat wigner ")
+        assert err.endswith("bellcat wigner: error: --grid-count must be >= 2\n")
 
     @pytest.mark.parametrize("width", ["1e308", "inf"])
     def test_axis_span_past_float_range_is_usage_error(self, width, capsys):
@@ -622,25 +635,25 @@ class TestValidateCommand:
     @pytest.mark.parametrize("runs", [1, 2, 3])
     def test_series_diagnostics_run_on_the_calling_thread(self, runs, capsys, monkeypatch):
         # the battery is one linear pass on the thread that calls main: the diagnostics take
-        # the series one state at a time, the route configs take it through its list form,
+        # the series through its one shared entry, the route configs through its list form,
         # one call per config, and a later run in the same process redoes both
         calls = []
 
         def spy_on(name):
             route = getattr(bellcat.cli, name)
 
-            def spy(*args, chi_mode=CHI_KERNEL, **kwargs):
-                calls.append((name, chi_mode, threading.current_thread()))
-                return route(*args, chi_mode=chi_mode, **kwargs)
+            def spy(*args, **kwargs):
+                calls.append((name, kwargs.get("chi_mode", CHI_KERNEL), threading.current_thread()))
+                return route(*args, **kwargs)
 
             monkeypatch.setattr(bellcat.cli, name, spy)
 
-        spy_on("series_values")
+        spy_on("convention_diagnostics")
         spy_on("series_values_many")
         for _ in range(runs):
             assert main(["validate", "--quick"]) == 0
         assert all(thread is threading.current_thread() for _, _, thread in calls)
-        assert len([mode for _, mode, _ in calls if mode != CHI_KERNEL]) == 2 * runs
+        assert [name for name, _, _ in calls if name == "convention_diagnostics"] == ["convention_diagnostics"] * runs
         assert [(name, mode) for name, mode, _ in calls if name == "series_values_many"] == [
             ("series_values_many", CHI_KERNEL)] * runs
 
@@ -658,8 +671,8 @@ class TestValidateCommand:
     def test_tables_built_once_per_mode_amplitude(self, flags, configs, density_calls, capsys, monkeypatch):
         # at equal frequencies the two modes share one thermal mode, and the four states of a call
         # read every per-mode table at +alpha, so each call builds one; the series builds its Laguerre
-        # table once per config and mode point set, plus two per diagnostic (printed, reflected,
-        # broken), each a one-state call whose modes share one table
+        # table once per config and mode point set, and its three convention diagnostics (printed,
+        # reflected, broken) share one more set: one contraction table and a Laguerre table per mode
         counts = {}
 
         def spy_on(module, name):
@@ -677,8 +690,8 @@ class TestValidateCommand:
         spy_on(bellcat.density, "mode_blocks")
         spy_on(bellcat.density, "_direct_mode_factors")
         assert main(["validate"] + flags) == 0
-        assert counts == {("laguerre_envelope_table", "bellcat.series"): 2 * configs + 3 * 2,
-                          ("_mode_h_tables", "bellcat.series"): configs + 3,
+        assert counts == {("laguerre_envelope_table", "bellcat.series"): 2 * configs + 2,
+                          ("_mode_h_tables", "bellcat.series"): configs + 1,
                           ("mode_blocks", "bellcat.oracle"): configs,
                           ("mode_blocks", "bellcat.density"): density_calls,
                           ("_direct_mode_factors", "bellcat.density"): density_calls}

@@ -1,13 +1,18 @@
 import math
 import sys
 import threading
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bellcat import special_fn
-from bellcat.special_fn import laguerre_envelope_table, log_factorial_table
+from bellcat.density import HARD_THERMAL_CAP
+from bellcat.errors import TruncationError
+from bellcat.special_fn import HARD_LOG_FACTORIAL, laguerre_envelope_table, log_factorial_table
+from bellcat.states import HARD_FOCK_CUTOFF
 
 
 def laguerre_series_exact(n: int, m: int, x: Fraction) -> Fraction:
@@ -70,6 +75,27 @@ class TestLogFactorial:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             log_factorial_table(-1)
+
+    def test_hard_cap_covers_every_caller(self):
+        # the series asks for cat cap + thermal cap, at most the two hard caps summed
+        assert HARD_LOG_FACTORIAL >= HARD_FOCK_CUTOFF + HARD_THERMAL_CAP
+        assert log_factorial_table(HARD_LOG_FACTORIAL).size == HARD_LOG_FACTORIAL + 1
+
+    @pytest.mark.parametrize("nmax", [HARD_LOG_FACTORIAL + 1, 10**7, 10**400])
+    def test_past_the_hard_cap_raises_before_any_table(self, nmax):
+        special_fn._log_factorials.cache_clear()
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(TruncationError, match="beyond the hard cap"):
+                log_factorial_table(nmax)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.25
+        assert peak < 1e6
+        assert special_fn._log_factorials.cache_info().currsize == 0
 
     def test_concurrent_growth_from_fresh_table(self):
         # 8 threads build fresh tables at once; a 1 us switch interval makes

@@ -24,6 +24,7 @@ from bellcat.series import (
     CHI_BROKEN,
     CHI_PRINTED,
     _mode_h_tables,
+    convention_diagnostics,
     default_cat_cap,
     default_thermal_cap,
     series_values,
@@ -359,6 +360,27 @@ class TestSymmetries:
         pts = rng.uniform(-2, 2, size=(4, 10))
         with pytest.raises(ImaginaryResidueError):
             series_values(spec, params, *pts, chi_mode=CHI_BROKEN)
+
+    @pytest.mark.parametrize("label, alpha, temp, ratio", [
+        ("phi-plus", 1 + 1j, 1.0, 1.0),       # validate's config
+        ("psi-minus", 1.0, 0.5, 1.3),         # the two modes build two table sets
+        ("phi-minus", 0.7 - 0.4j, 0.0, 1.0),  # T = 0
+    ])
+    def test_convention_diagnostics_equal_the_separate_calls(self, label, alpha, temp, ratio):
+        # the three diagnostics share one set of tables: the Laguerre table is unchanged by x -> -x,
+        # and the broken variant's ten points are a prefix of the others'
+        spec = BellCatSpec.from_label(label, alpha)
+        params = thermal_params(temp, OMEGA, ratio * OMEGA)
+        pts = np.random.default_rng(15).uniform(-3, 3, size=(4, 100))
+        printed, reflected, broken = convention_diagnostics(spec, params, *pts)
+        assert np.array_equal(printed, series_values(spec, params, *pts, chi_mode=CHI_PRINTED))
+        assert np.array_equal(reflected, series_values(spec, params, -pts[0], pts[1], -pts[2], pts[3]))
+        try:
+            series_values(spec, params, *pts[:, :10], chi_mode=CHI_BROKEN)
+        except ImaginaryResidueError:
+            assert isinstance(broken, ImaginaryResidueError)
+        else:
+            assert broken is None
 
 
 # the one-state call of each reference route, under the name the test ids carry
