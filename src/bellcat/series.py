@@ -221,12 +221,9 @@ def _mode_factors(tables: tuple, cat_cap: int, thermal_cap: int, x: np.ndarray, 
     npts = x.size
     out = [[np.empty((4, min(count, npts)), dtype=complex), 0.0] for _, _, count in variants]
 
-    def unpack(flat: np.ndarray, base: int) -> np.ndarray:
-        return (flat[:, base : base + 4] + 1j * flat[:, base + 4 : base + 8]).transpose(1, 0, 2)
-
     def contract(flat: np.ndarray, pow_ket: np.ndarray, pow_bra: np.ndarray) -> np.ndarray:
-        return (np.einsum("sdp,dp->sp", unpack(flat, 0), pow_ket)
-                + np.einsum("sdp,dp->sp", unpack(flat, 8), pow_bra))
+        ket, bra = ((flat[:, b : b + 4] + 1j * flat[:, b + 4 : b + 8]).transpose(1, 0, 2) for b in (0, 8))
+        return np.einsum("sdp,dp->sp", ket, pow_ket) + np.einsum("sdp,dp->sp", bra, pow_bra)
 
     # chunk so the Laguerre table stays ~200 MB
     nmax = cat_cap + thermal_cap
