@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 # Largest nmax `log_factorial_table` takes: above the 2,512 the series asks for at its hard caps (the
-# Fock and thermal caps summed), and its table of 2**15 entries takes about 13 ms to build.
+# Fock and thermal caps summed); its table of 2**15 entries builds in about 14 ms on a 2-core box.
 HARD_LOG_FACTORIAL = 2**14
 
 

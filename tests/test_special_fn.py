@@ -81,7 +81,7 @@ class TestLogFactorial:
         assert HARD_LOG_FACTORIAL >= HARD_FOCK_CUTOFF + HARD_THERMAL_CAP
         assert log_factorial_table(HARD_LOG_FACTORIAL).size == HARD_LOG_FACTORIAL + 1
 
-    @pytest.mark.parametrize("nmax", [HARD_LOG_FACTORIAL + 1, 10**7, 10**400])
+    @pytest.mark.parametrize("nmax", [HARD_LOG_FACTORIAL + 1, 10**7, 10**400], ids=["cap+1", "1e7", "1e400"])
     def test_past_the_hard_cap_raises_before_any_table(self, nmax):
         special_fn._log_factorials.cache_clear()
         tracemalloc.start()
