@@ -33,7 +33,7 @@ class NonFiniteError(BellCatError):
 
 
 class QuadratureError(BellCatError):
-    """A numerical integral did not converge to the requested tolerance."""
+    """A numerical integral's rule is too large to build: the Fock-kernel oracle's node count past its cap."""
 
 
 class NormalizationError(BellCatError):

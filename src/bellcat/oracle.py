@@ -2,11 +2,13 @@
 
 The oracle evaluates W from per-mode Fock kernels K(j, l; x, y), obtained by
 direct numerical integration of the Wigner transform with Hermite-function
-position wavefunctions, contracted against the operator-route density blocks
-(`bellcat.density.mode_blocks`).  It never sees a Laguerre polynomial
-or a sign convention, so it arbitrates them.  The zero-temperature closed form
-sums the coherent cross-Wigner functions of the pure state.  Both sum complex
-terms, so they check that the imaginary part cancels (`ImaginaryResidueError`).
+position wavefunctions (one trapezoid level, whose step and range a bound on
+the Hermite tail fixes before any table is built), contracted against the
+operator-route density blocks (`bellcat.density.mode_blocks`).  It never sees
+a Laguerre polynomial or a sign convention, so it arbitrates them.  The
+zero-temperature closed form sums the coherent cross-Wigner functions of the
+pure state.  Both sum complex terms, so they check that the imaginary part
+cancels (`ImaginaryResidueError`).
 
 `wigner_oracle_values_many` evaluates a list of states that share one alpha at
 one point set: it computes the Fock kernels once per mode point set, and each
@@ -41,9 +43,9 @@ __all__ = [
     "closed_form_zero_temperature",
 ]
 
-# convergence tolerance and most doublings of the kernel quadrature (`fock_wigner_kernels`)
+# tolerance of the kernel quadrature, and its cap on (nmax + 1) x s-nodes (`fock_wigner_kernels`)
 _KERNEL_TOL = 1e-10
-_KERNEL_DOUBLINGS = 8
+_KERNEL_WORK_CAP = 2**18
 
 
 def hermite_functions(nmax: int, xi: np.ndarray) -> np.ndarray:
@@ -75,46 +77,43 @@ def hermite_functions(nmax: int, xi: np.ndarray) -> np.ndarray:
 def fock_wigner_kernels(nmax: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Dimensionless one-mode Wigner kernels K[j, l](x, y) of |j><l|, j, l <= nmax.
 
-    Direct trapezoid quadrature of
-        K = (1/2 pi) int ds e^{i s y} psi_j(x - s/2) psi_l(x + s/2)
-    refined by doubling until two successive refinements agree below
-    `_KERNEL_TOL`, at most `_KERNEL_DOUBLINGS` times.
-    The refinements are nested: each doubling evaluates only the new
-    midpoints and adds them to half the previous sum.  Each level runs over
-    the nodes s >= 0 only; the nodes -s add the conjugate transpose.
-    Returns shape (npoints, nmax+1, nmax+1).  nmax passes `checked_cutoff`
-    first.
+    One trapezoid level of K = (1/2 pi) int ds e^{i s y} psi_j(x - s/2) psi_l(x + s/2),
+    its step and range sized before any table by a bound on the Hermite functions'
+    tail past the turning point sqrt(2 nmax + 1), so that aliasing and range cut
+    each stay below `_KERNEL_TOL` / 2 (notes/decisions.md, section 10).
+    The rule runs over the nodes s >= 0 only; the nodes -s add the conjugate
+    transpose.  Returns shape (npoints, nmax+1, nmax+1).  nmax passes
+    `checked_cutoff` first; a non-finite coordinate raises ValueError, and
+    (nmax + 1) x s-nodes past `_KERNEL_WORK_CAP` raises `QuadratureError`.
     """
     nmax = checked_cutoff(nmax, "oracle cutoff")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape != y.shape:
         raise ValueError("x and y must share a shape")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("oracle coordinates must be finite")
+    # each |psi_n| falls past the turning point, so `sup` is the sup over n <= nmax and v >= u
     turning = math.sqrt(2.0 * nmax + 1.0)
-    half_range = 2.0 * (turning + float(np.max(np.abs(x), initial=0.0))) + 10.0
-    freq = turning + float(np.max(np.abs(y), initial=0.0)) + 1.0
-    npts = 256
-    while npts < half_range * freq / math.pi * 1.3:
-        npts *= 2
-
-    # nodes s = step * k, k = -npts/2 .. npts/2, folded onto s >= 0: the node
-    # s = 0 and the endpoint pair carry half of the trapezoid weight each
-    step = 2.0 * half_range / npts
-    weight = np.full(npts // 2 + 1, step)
-    weight[0] *= 0.5
-    weight[-1] *= 0.5
-    prev = _kernel_sum(nmax, x, y, step * np.arange(npts // 2 + 1), weight)
-    for _ in range(_KERNEL_DOUBLINGS):
-        step *= 0.5
-        midpoints = step * np.arange(1, npts, 2)
-        current = 0.5 * prev + _kernel_sum(nmax, x, y, midpoints, np.full(npts // 2, step))
-        if float(np.max(np.abs(current - prev))) < _KERNEL_TOL:
-            return current
-        prev = current
-        npts *= 2
-    raise QuadratureError(
-        f"Fock kernel quadrature did not converge to {_KERNEL_TOL:g} by {npts} nodes"
-    )
+    u = turning + 0.05 * np.arange(1, 201)
+    sup = np.max(np.abs(hermite_functions(nmax, u)), axis=0)
+    kappa = np.sqrt(u * u - turning * turning)
+    # aliasing, the kernel at momentum y -+ 2 pi k / step, needs 2 pi / step - |y| past `reach`
+    aliasing = 4.0 / math.pi * sup / np.sqrt(2.0 * kappa) / -np.expm1(-kappa * u)
+    reach = float(u[np.argmax(aliasing <= 0.5 * _KERNEL_TOL)])
+    step = 2.0 * math.pi / (reach + float(np.max(np.abs(y), initial=0.0)))
+    # the range cut, |s| > half_range, leaves one factor at |x -+ s/2| >= half_range / 2
+    half_range = 2.0 * float(u[np.argmax(sup / math.pi * (step + 2.0 / kappa) <= 0.5 * _KERNEL_TOL)])
+    nodes = np.ceil(half_range / step) + 1.0   # s = step * k, k = 0 .. nodes - 1
+    if (nmax + 1) * nodes > _KERNEL_WORK_CAP:
+        raise QuadratureError(f"Fock kernel quadrature needs (nmax + 1) x s-nodes = {nmax + 1} x {nodes:.0f}, "
+                              f"past the cap {_KERNEL_WORK_CAP}")
+    # k = -npos .. npos folded onto s >= 0: s = 0 and the endpoint pair carry half weight each
+    npos = int(nodes) - 1
+    step = half_range / npos
+    weight = np.full(npos + 1, step)
+    weight[[0, -1]] *= 0.5
+    return _kernel_sum(nmax, x, y, step * np.arange(npos + 1), weight)
 
 
 def _kernel_sum(nmax: int, x: np.ndarray, y: np.ndarray, s: np.ndarray, weight: np.ndarray) -> np.ndarray:

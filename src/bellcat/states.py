@@ -154,9 +154,10 @@ class FockCoefficients:
 # The Fock reach of every reference route (the Fock expansion, the series' coherent cap, the oracle
 # and the density factors), each size checked by `checked_cutoff`.  Memory at this cap: the expansion
 # 72 bytes per level^2 while built (19 MB); the series' tables 512 bytes per (coherent level x
-# degree), degree = cat cap + thermal cap (0.66 GB with `density.HARD_THERMAL_CAP`); the oracle 240
-# bytes per level^2 at one point (63 MB) and about 100 per further point, and from n ~ 700 its
-# Hermite seed underflows at the turning point and its quadrature stops converging; `route_gaps` 57 MB.
+# degree), degree = cat cap + thermal cap (0.66 GB with `density.HARD_THERMAL_CAP`); the oracle 170
+# bytes per level^2 at one point (44 MB) and about 45 per further point, and from n ~ 700 its
+# Hermite seed underflows at the turning point, where its quadrature's tail bound would read
+# zeros; `route_gaps` 57 MB.
 HARD_FOCK_CUTOFF = 512
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import bellcat
 import bellcat.cli
 import bellcat.negativity
+import bellcat.oracle
 from bellcat.cli import main
 from bellcat.errors import NormalizationError
 from bellcat.negativity import integrate_negativity
@@ -710,6 +711,22 @@ class TestValidateCommand:
         assert main(["validate"] + flags) == 0
         assert len(cutoffs) == 2 * pairs
         assert len(set(cutoffs)) == pairs
+
+    @pytest.mark.parametrize("quick, calls, node_points", [(True, 2, 344), (False, 4, 3128)])
+    def test_oracle_work_is_pinned(self, quick, calls, node_points, monkeypatch):
+        # one trapezoid level per kernel call, sized by the Hermite tail bound: `--quick` runs cutoff 19
+        # at 4 points on 45 and 41 s-nodes; the full battery runs cutoff 19 at 8 points on 41 and 44,
+        # and cutoff 128 at 8 points on 154 and 152.  A second level or a resized rule changes these
+        work = []
+        kernel_sum = bellcat.oracle._kernel_sum
+
+        def spy(nmax, x, y, s, weight):
+            work.append(s.size * x.size)
+            return kernel_sum(nmax, x, y, s, weight)
+
+        monkeypatch.setattr(bellcat.oracle, "_kernel_sum", spy)
+        bellcat.cli._run_checks(quick)
+        assert (len(work), sum(work)) == (calls, node_points)
 
     def test_import_does_not_load_thread_pool(self):
         # nothing in the package starts threads, so `import bellcat` need not load a pool

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bellcat.cli
 import bellcat.oracle
 import bellcat.series
 from bellcat.density import HARD_THERMAL_CAP, route_gaps
@@ -124,45 +125,96 @@ def trapezoid_kernels(nmax, x, y, half_range, npts):
     return out
 
 
-def doubled_kernels(nmax, x, y, tol=1e-10):
-    """Independent trapezoid levels, doubled until two agree below tol: (kernels, nodes, doublings)."""
-    turning = math.sqrt(2.0 * nmax + 1.0)
-    half_range = 2.0 * (turning + float(np.max(np.abs(x)))) + 10.0
-    freq = turning + float(np.max(np.abs(y))) + 1.0
-    npts = 256
-    while npts < half_range * freq / math.pi * 1.3:
-        npts *= 2
-    prev = trapezoid_kernels(nmax, x, y, half_range, npts)
-    doublings = 0
-    while True:
-        npts *= 2
-        doublings += 1
-        current = trapezoid_kernels(nmax, x, y, half_range, npts)
-        if np.max(np.abs(current - prev)) < tol:
-            return current, npts, doublings
-        prev = current
+def dense_kernels(nmax, x, y):
+    """The kernels from 4096 nodes over a range wider than any the oracle picks."""
+    half_range = 2.0 * (math.sqrt(2.0 * nmax + 1.0) + float(np.max(np.abs(x)))) + 10.0
+    return trapezoid_kernels(nmax, x, y, half_range, 4096)
 
 
-class TestNestedKernelRefinement:
+def validate_kernel_calls():
+    """(nmax, x, y, s-nodes) of each Fock-kernel call in `validate --quick` and the full battery."""
+    calls = []
+    kernel_sum = bellcat.oracle._kernel_sum
+
+    def spy(nmax, x, y, s, weight):
+        calls.append((nmax, x.copy(), y.copy(), s.copy()))
+        return kernel_sum(nmax, x, y, s, weight)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bellcat.oracle, "_kernel_sum", spy)
+        for quick in (True, False):
+            bellcat.cli._run_checks(quick)
+    return calls
+
+
+class TestKernelQuadratureSize:
     @pytest.mark.parametrize("nmax", [0, 5, 19, 40])
-    def test_matches_single_level_at_converged_count(self, nmax, monkeypatch):
+    def test_matches_dense_rule(self, nmax):
         x = np.array([0.0, 0.9, -2.5, 4.0])
         y = np.array([0.0, 0.3, 1.7, -3.2])
-        want, npts, doublings = doubled_kernels(nmax, x, y)
-        assert np.max(np.abs(fock_wigner_kernels(nmax, x, y) - want)) < 1e-13
-        # converged at the same level: one doubling fewer stops at half the nodes
-        monkeypatch.setattr(bellcat.oracle, "_KERNEL_DOUBLINGS", doublings - 1)
-        with pytest.raises(QuadratureError, match=f"by {npts // 2} nodes"):
-            fock_wigner_kernels(nmax, x, y)
-        monkeypatch.setattr(bellcat.oracle, "_KERNEL_DOUBLINGS", doublings)
-        assert np.max(np.abs(fock_wigner_kernels(nmax, x, y) - want)) < 1e-13
+        assert np.max(np.abs(fock_wigner_kernels(nmax, x, y) - dense_kernels(nmax, x, y))) < bellcat.oracle._KERNEL_TOL
 
-    @pytest.mark.parametrize("doublings, nodes", [(0, 256), (2, 1024)])
-    def test_unconverged_reports_last_node_count(self, doublings, nodes, monkeypatch):
-        monkeypatch.setattr(bellcat.oracle, "_KERNEL_TOL", 0.0)
-        monkeypatch.setattr(bellcat.oracle, "_KERNEL_DOUBLINGS", doublings)
-        with pytest.raises(QuadratureError, match=f"by {nodes} nodes"):
-            fock_wigner_kernels(5, np.array([0.9]), np.array([0.3]))
+    def test_count_within_window_at_validate_configs(self):
+        # validate's two oracle configs: cutoff 19 at 4 and 8 points, cutoff 128 at 8 points, two
+        # kernel calls each.  The count the bound picks, 2 npos nodes on its own range, lies between
+        # the smallest count meeting the tolerance on that range and 1.5 times it.  Below the bound's
+        # count the error only grows as the count falls (a scan up from 2 finds the same smallest
+        # counts), so the first failure scanning down marks the smallest count
+        calls = validate_kernel_calls()
+        assert sorted({(nmax, x.size) for nmax, x, _, _ in calls}) == [(19, 4), (19, 8), (128, 8)]
+        for nmax, x, y, s in calls:
+            count, half_range = 2 * (s.size - 1), s[-1]
+            want = dense_kernels(nmax, x, y)
+
+            def meets(npts):
+                error = np.max(np.abs(trapezoid_kernels(nmax, x, y, half_range, npts) - want))
+                return error < bellcat.oracle._KERNEL_TOL
+
+            assert meets(count)
+            smallest = count
+            while meets(smallest - 2):
+                smallest -= 2
+            assert count <= 1.5 * smallest, (nmax, x.size, count, smallest)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("axis", range(4))
+    def test_non_finite_coordinate_raises(self, axis, bad):
+        # the rule is sized from max |y|, which a non-finite coordinate would make inf or nan
+        coords = [np.zeros(1) for _ in range(4)]
+        coords[axis][0] = bad
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="must be finite"):
+            fock_wigner_kernels(0, *(coords[:2] if axis < 2 else coords[2:]))
+        with pytest.raises(ValueError, match="must be finite"):
+            wigner_oracle_values_many([BellCatSpec.from_label("phi-plus", 1.0)], thermal_params(0.0, 3e10), *coords)
+        assert time.perf_counter() - start < 0.25
+
+    def test_node_count_past_the_cap_raises_before_any_table(self, monkeypatch):
+        # the count grows with max |y|: at y = 1e8 the rule would take about 2.5e8 s-nodes
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(bellcat.oracle, "_kernel_sum", refuse)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(QuadratureError, match=rf"= 6 x \d+, past the cap {bellcat.oracle._KERNEL_WORK_CAP}"):
+                fock_wigner_kernels(5, np.zeros(1), np.array([1e8]))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.25
+        assert peak < 1e6
+
+    def test_cap_admits_the_hard_cutoff_in_validate_boxes(self, monkeypatch):
+        # validate's widest box, alpha = 1+i at 1 K, at the hard cutoff
+        params = params_for(1.0)
+        box = math.sqrt(2.0) * abs(1 + 1j) * max(mode.u for mode in params.modes) + 2.0
+        sizes = []
+        monkeypatch.setattr(bellcat.oracle, "_kernel_sum", lambda nmax, x, y, s, weight: sizes.append(s.size))
+        fock_wigner_kernels(HARD_FOCK_CUTOFF, np.array([box, -box]), np.array([-box, box]))
+        assert (HARD_FOCK_CUTOFF + 1) * sizes[0] <= bellcat.oracle._KERNEL_WORK_CAP
 
 
 def kernel_sum_two_calls(nmax, x, y, s, weight):
