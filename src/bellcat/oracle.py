@@ -95,7 +95,7 @@ def fock_wigner_kernels(nmax: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError("oracle coordinates must be finite")
     # each |psi_n| falls past the turning point, so `sup` is the sup over n <= nmax and v >= u
     turning = math.sqrt(2.0 * nmax + 1.0)
-    u = turning + 0.05 * np.arange(1, 201)
+    u = turning + 0.05 * np.arange(1, 201)   # out to turning + 10, where both bounds always pass
     sup = np.max(np.abs(hermite_functions(nmax, u)), axis=0)
     kappa = np.sqrt(u * u - turning * turning)
     # aliasing, the kernel at momentum y -+ 2 pi k / step, needs 2 pi / step - |y| past `reach`

@@ -155,9 +155,8 @@ class FockCoefficients:
 # and the density factors), each size checked by `checked_cutoff`.  Memory at this cap: the expansion
 # 72 bytes per level^2 while built (19 MB); the series' tables 512 bytes per (coherent level x
 # degree), degree = cat cap + thermal cap (0.66 GB with `density.HARD_THERMAL_CAP`); the oracle 170
-# bytes per level^2 at one point (44 MB) and about 45 per further point, and from n ~ 700 its
-# Hermite seed underflows at the turning point, where its quadrature's tail bound would read
-# zeros; `route_gaps` 57 MB.
+# bytes per level^2 at one point (44 MB), about 45 per further point, and from n ~ 700 its Hermite
+# seed underflows where its quadrature's tail bound reads it; `route_gaps` 57 MB.
 HARD_FOCK_CUTOFF = 512
 
 
